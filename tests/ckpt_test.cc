@@ -19,6 +19,9 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -647,6 +650,123 @@ TEST(LivePointStore, WriterRejectsIneligibleBaseConfig)
     EXPECT_DEATH({
         ckpt::writeLivePoints(trace, freshDir("lvpt-bad"), spec);
     }, "only LRU");
+}
+
+// ---------------------------------------------------------------- //
+//  Store bytes: pinned files, serial == parallel writer             //
+// ---------------------------------------------------------------- //
+
+std::string
+fileBytes(const std::filesystem::path &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_TRUE(is.good()) << path;
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Every file of store directory @p dir, by name. */
+std::map<std::string, std::string>
+storeFiles(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files[entry.path().filename().string()] = fileBytes(entry.path());
+    return files;
+}
+
+/** FNV-1a of every file of store directory @p dir, by name. */
+std::map<std::string, std::uint64_t>
+storeFileHashes(const std::string &dir)
+{
+    std::map<std::string, std::uint64_t> hashes;
+    for (const auto &[name, bytes] : storeFiles(dir)) {
+        std::uint64_t hash = ckpt::kFnvOffset;
+        for (const char c : bytes) {
+            hash ^= static_cast<unsigned char>(c);
+            hash *= 1099511628211ULL;
+        }
+        hashes[name] = hash;
+    }
+    return hashes;
+}
+
+/**
+ * A unified 4-way store with a purge schedule.  64 B is one set of
+ * four 16 B lines, so the store holds a fully associative group next
+ * to two set-associative ones.
+ */
+ckpt::LivePointWriteSpec
+multiGroupSpec()
+{
+    ckpt::LivePointWriteSpec spec =
+        unifiedSpec({64, 1024, 4096},
+                    sampleTenPercent(WarmingPolicy::Checkpoint),
+                    kPurgeInterval, 4);
+    EXPECT_EQ(spec.purgeInterval, kPurgeInterval);
+    return spec;
+}
+
+/** A split fully associative store: deep stacks on both sides. */
+ckpt::LivePointWriteSpec
+splitSpec()
+{
+    ckpt::LivePointWriteSpec spec = unifiedSpec(
+        {512, 2048}, sampleTenPercent(WarmingPolicy::Checkpoint));
+    spec.split = true;
+    return spec;
+}
+
+TEST(LivePointStore, FileBytesArePinned)
+{
+    // The producer's recency stacks and the file layout, bit for bit.
+    // A change to either must bump the store version.
+    Trace trace = testTrace("ZSORT");
+    const std::string unified = freshDir("lvpt-pin-unified");
+    const ckpt::LivePointWriteSummary written =
+        ckpt::writeLivePoints(trace, unified, multiGroupSpec());
+    EXPECT_EQ(written.groups, 3u);
+    const std::map<std::string, std::uint64_t> unified_hashes = {
+        {"store.json", 0x76b7ad0ae3347c39ULL},
+        {"unified-l16-s1.lvpt", 0x72c88a46362d63ccULL},
+        {"unified-l16-s16.lvpt", 0xe3059363fa63b771ULL},
+        {"unified-l16-s64.lvpt", 0x8d9aa9768a9a30c2ULL},
+    };
+    EXPECT_EQ(storeFileHashes(unified), unified_hashes);
+
+    trace.reset();
+    const std::string split = freshDir("lvpt-pin-split");
+    ckpt::writeLivePoints(trace, split, splitSpec());
+    const std::map<std::string, std::uint64_t> split_hashes = {
+        {"store.json", 0xaf9fbce581a0fdc0ULL},
+        {"icache-l16-s1.lvpt", 0x71432aa89e19769bULL},
+        {"dcache-l16-s1.lvpt", 0xf0e9cf16b1d55b45ULL},
+    };
+    EXPECT_EQ(storeFileHashes(split), split_hashes);
+}
+
+TEST(LivePointStore, ParallelWriterMatchesSerialBytes)
+{
+    // Group writers fan out over a pool when jobs != 1; each group's
+    // file must not depend on it.
+    for (const bool split : {false, true}) {
+        Trace trace = testTrace("ZSORT");
+        ckpt::LivePointWriteSpec spec =
+            split ? splitSpec() : multiGroupSpec();
+        spec.jobs = 1;
+        const std::string serial = freshDir("lvpt-jobs1");
+        ckpt::writeLivePoints(trace, serial, spec);
+
+        trace.reset();
+        spec.jobs = 4;
+        const std::string parallel = freshDir("lvpt-jobs4");
+        ckpt::writeLivePoints(trace, parallel, spec);
+
+        const auto serial_files = storeFiles(serial);
+        EXPECT_EQ(serial_files.size(), split ? 3u : 4u);
+        EXPECT_TRUE(serial_files == storeFiles(parallel))
+            << (split ? "split" : "unified") << " store differs";
+    }
 }
 
 // ---------------------------------------------------------------- //
