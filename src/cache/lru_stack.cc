@@ -1,0 +1,177 @@
+/**
+ * @file
+ * Implementation of the per-set LRU stack core.
+ */
+
+#include "cache/lru_stack.hh"
+
+#include <bit>
+#include <utility>
+
+#include "util/logging.hh"
+
+namespace cachelab
+{
+
+namespace
+{
+
+/** Stamp space of an unbounded stack before its first doubling. */
+constexpr std::uint64_t kInitialUnboundedSpace = 1024;
+
+} // namespace
+
+LruStack::LruStack(std::uint64_t set_count, std::uint64_t depth_bound)
+    : sets_(set_count), bound_(depth_bound),
+      space_(depth_bound == kUnbounded ? kInitialUnboundedSpace
+                                       : 2 * depth_bound),
+      fenwick_(set_count * (space_ + 1), 0),
+      lines_(set_count * space_), clock_(set_count, 0), live_(set_count, 0)
+{
+    CACHELAB_ASSERT(set_count > 0, "LRU stack needs at least one set");
+    CACHELAB_ASSERT(space_ < kReleased, "LRU stack depth bound ",
+                    depth_bound, " too large");
+    if (bound_ != kUnbounded)
+        index_.reserve(2 * set_count * bound_);
+}
+
+void
+LruStack::mark(std::uint64_t set, std::uint64_t stamp, int delta)
+{
+    std::uint32_t *tree = &fenwick_[set * (space_ + 1)];
+    for (; stamp <= space_; stamp += stamp & (~stamp + 1))
+        tree[stamp] = static_cast<std::uint32_t>(tree[stamp] + delta);
+}
+
+std::uint64_t
+LruStack::prefix(std::uint64_t set, std::uint64_t stamp) const
+{
+    const std::uint32_t *tree = &fenwick_[set * (space_ + 1)];
+    std::uint64_t sum = 0;
+    for (; stamp != 0; stamp -= stamp & (~stamp + 1))
+        sum += tree[stamp];
+    return sum;
+}
+
+std::uint64_t
+LruStack::lowestLive(std::uint64_t set) const
+{
+    // Descend to the longest prefix holding no live stamp.
+    const std::uint32_t *tree = &fenwick_[set * (space_ + 1)];
+    std::uint64_t pos = 0;
+    for (std::uint64_t bit = std::bit_floor(space_); bit != 0; bit >>= 1) {
+        if (pos + bit <= space_ && tree[pos + bit] == 0)
+            pos += bit;
+    }
+    return pos + 1;
+}
+
+void
+LruStack::release(std::uint64_t set, std::uint64_t stamp)
+{
+    lines_[set * space_ + stamp - 1].maxDepth = kReleased;
+    mark(set, stamp, -1);
+    --live_[set];
+}
+
+std::uint64_t
+LruStack::place(std::uint64_t set, const LruLine &line)
+{
+    if (clock_[set] == space_)
+        renumber(set);
+    const std::uint64_t stamp = ++clock_[set];
+    lines_[set * space_ + stamp - 1] = line;
+    mark(set, stamp, +1);
+    ++live_[set];
+    return stamp;
+}
+
+void
+LruStack::pack(std::uint64_t set, const LruLine *from, std::uint64_t clock)
+{
+    const std::uint64_t base = set * space_;
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < clock; ++i) {
+        if (from[i].maxDepth == kReleased)
+            continue;
+        lines_[base + n] = from[i];
+        index_.find(from[i].lineAddr)->second = ++n;
+    }
+    CACHELAB_ASSERT(n == live_[set], "LRU stack: set ", set, " packed ", n,
+                    " of ", live_[set], " lines");
+    clock_[set] = n;
+
+    // Stamps 1..n are live; node i counts those in (i - lowbit(i), i].
+    std::uint32_t *tree = &fenwick_[set * (space_ + 1)];
+    for (std::uint64_t i = 1; i <= space_; ++i) {
+        const std::uint64_t low = i & (~i + 1);
+        const std::uint64_t first = i - low;
+        tree[i] = static_cast<std::uint32_t>(
+            n > first ? std::min(low, n - first) : 0);
+    }
+}
+
+void
+LruStack::renumber(std::uint64_t set)
+{
+    if (2 * live_[set] <= space_) {
+        pack(set, &lines_[set * space_], clock_[set]);
+        return;
+    }
+    // Double first.  The space is shared by all sets, so every set
+    // moves to the new layout.
+    CACHELAB_ASSERT(bound_ == kUnbounded, "bounded LRU stack overfull");
+    CACHELAB_ASSERT(space_ < kReleased / 2, "LRU stack outgrew 32-bit depths");
+    const std::uint64_t old_space = space_;
+    std::vector<LruLine> old_lines = std::move(lines_);
+    space_ *= 2;
+    fenwick_.assign(sets_ * (space_ + 1), 0);
+    lines_.assign(sets_ * space_, LruLine{});
+    for (std::uint64_t s = 0; s < sets_; ++s)
+        pack(s, &old_lines[s * old_space], clock_[s]);
+}
+
+std::uint64_t
+LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
+                LruLine *before)
+{
+    const auto [it, inserted] = index_.try_emplace(line_addr, 0);
+    if (!inserted) {
+        const std::uint64_t stamp = it->second;
+        LruLine line = lines_[set * space_ + stamp - 1];
+        // Live stamps at or above the line's own, the line included.
+        const std::uint64_t depth = live_[set] - prefix(set, stamp) + 1;
+        if (before != nullptr)
+            *before = line;
+        if (is_write) {
+            line.written = true;
+            line.maxDepth = 0;
+        } else {
+            line.maxDepth = std::max(line.maxDepth,
+                                     static_cast<std::uint32_t>(depth));
+        }
+        // Release first: place() may renumber, and the renumbered set
+        // must not hold the line twice.
+        release(set, stamp);
+        it->second = place(set, line);
+        return depth;
+    }
+    if (bound_ != kUnbounded && live_[set] == bound_) {
+        const std::uint64_t victim = lowestLive(set);
+        index_.erase(lines_[set * space_ + victim - 1].lineAddr);
+        release(set, victim);
+    }
+    it->second = place(set, LruLine{line_addr, 0, is_write});
+    return 0;
+}
+
+void
+LruStack::clear()
+{
+    std::fill(fenwick_.begin(), fenwick_.end(), 0);
+    std::fill(clock_.begin(), clock_.end(), 0);
+    std::fill(live_.begin(), live_.end(), 0);
+    index_.clear();
+}
+
+} // namespace cachelab

@@ -13,76 +13,11 @@
 namespace cachelab
 {
 
-namespace
-{
-
-/** Initial Fenwick capacity; doubles as the trace's footprint grows. */
-constexpr std::uint64_t kInitialTimeCapacity = 1024;
-
-} // namespace
-
 StackAnalyzer::StackAnalyzer(std::uint32_t line_bytes)
     : lineBytes_(line_bytes)
 {
     CACHELAB_ASSERT(isPowerOfTwo(line_bytes),
                     "line size must be a power of two");
-    timeCapacity_ = kInitialTimeCapacity;
-    tree_.assign(timeCapacity_ + 1, 0);
-}
-
-void
-StackAnalyzer::bitAdd(std::uint64_t pos, std::int64_t delta)
-{
-    for (; pos <= timeCapacity_; pos += pos & (~pos + 1))
-        tree_[pos] += delta;
-}
-
-std::uint64_t
-StackAnalyzer::bitPrefix(std::uint64_t pos) const
-{
-    std::int64_t sum = 0;
-    for (; pos; pos -= pos & (~pos + 1))
-        sum += tree_[pos];
-    return static_cast<std::uint64_t>(sum);
-}
-
-std::uint64_t
-StackAnalyzer::depthOf(const LineState &state) const
-{
-    // Marked timestamps at or after the line's own = lines touched
-    // since (inclusive), which is its 1-based stack depth.
-    return lines_.size() - bitPrefix(state.lastTime - 1);
-}
-
-void
-StackAnalyzer::compact(std::uint64_t capacity)
-{
-    CACHELAB_ASSERT(lines_.size() < capacity, "compaction target too small");
-    std::vector<std::pair<std::uint64_t, Addr>> order;
-    order.reserve(lines_.size());
-    for (const auto &[addr, state] : lines_)
-        order.emplace_back(state.lastTime, addr);
-    std::sort(order.begin(), order.end());
-
-    timeCapacity_ = capacity;
-    tree_.assign(timeCapacity_ + 1, 0);
-    time_ = 0;
-    for (const auto &[old_time, addr] : order) {
-        lines_[addr].lastTime = ++time_;
-        bitAdd(time_, +1);
-    }
-}
-
-std::uint64_t
-StackAnalyzer::allocTimestamp()
-{
-    if (time_ == timeCapacity_) {
-        // Renumber in place when at most half the timestamps are
-        // live; otherwise double the tree as well.
-        compact(lines_.size() <= timeCapacity_ / 2 ? timeCapacity_
-                                                   : timeCapacity_ * 2);
-    }
-    return ++time_;
 }
 
 void
@@ -99,37 +34,19 @@ std::uint64_t
 StackAnalyzer::touchLine(Addr line_addr, bool is_write)
 {
     ++lineTouches_;
-    const auto it = lines_.find(line_addr);
-    if (it == lines_.end()) {
-        const std::uint64_t t = allocTimestamp();
-        lines_.emplace(line_addr,
-                       LineState{t, is_write ? 1 : kClean});
-        bitAdd(t, +1);
+    LruLine before;
+    const std::uint64_t depth = stack_.touch(0, line_addr, is_write, &before);
+    if (depth == 0) {
         ++cold_;
         return 0;
     }
 
-    LineState &state = it->second;
-    const std::uint64_t depth = depthOf(state);
-    CACHELAB_ASSERT(depth >= 1 && depth <= lines_.size(),
-                    "corrupt stack depth");
-
     // Since its last touch the line sank from depth 1 to this depth,
     // so every cache of size N in [1, depth-1] evicted it; those
     // pushes were dirty where the line's dirty threshold reaches.
-    if (state.dirtyFrom != kClean && state.dirtyFrom < depth)
-        recordDirtyPushes(state.dirtyFrom, depth - 1);
-    state.dirtyFrom = is_write
-        ? 1
-        : (state.dirtyFrom == kClean ? kClean
-                                     : std::max(state.dirtyFrom, depth));
-
-    // Re-stamp: allocate first (compaction keeps one mark per line),
-    // then move the line's mark to the fresh timestamp.
-    const std::uint64_t t = allocTimestamp();
-    bitAdd(state.lastTime, -1);
-    bitAdd(t, +1);
-    state.lastTime = t;
+    const std::uint64_t dirty_from = LruStack::dirtyFrom(before);
+    if (dirty_from < depth)
+        recordDirtyPushes(dirty_from, depth - 1);
 
     if (depth > distances_.size())
         distances_.resize(depth, 0);
@@ -251,7 +168,7 @@ StackAnalyzer::table1StatsFor(std::uint64_t size_bytes) const
 
     // Every fetch either fills an empty way or evicts a valid line.
     const std::uint64_t resident =
-        std::min<std::uint64_t>(lines, lines_.size());
+        std::min<std::uint64_t>(lines, stack_.size());
     stats.replacementPushes = stats.demandFetches - resident;
 
     // Dirty pushes already completed (the pushed line was touched
@@ -266,88 +183,15 @@ StackAnalyzer::table1StatsFor(std::uint64_t size_bytes) const
         dirty += dirtyPushDelta_[n];
     // ... plus lines never touched again: pushed from every size
     // smaller than their current depth, dirty down to their threshold.
-    for (const auto &[addr, state] : lines_) {
-        if (state.dirtyFrom == kClean || state.dirtyFrom > lines)
-            continue;
-        if (lines < depthOf(state))
+    std::uint64_t depth = 0;
+    stack_.forEachMru(0, [&](const LruLine &line) {
+        ++depth;
+        if (lines < depth && LruStack::dirtyFrom(line) <= lines)
             ++dirty;
-    }
+    });
     stats.dirtyReplacementPushes = static_cast<std::uint64_t>(dirty);
     stats.bytesToMemory = stats.dirtyReplacementPushes * lineBytes_;
     return stats;
-}
-
-SetAssocStackAnalyzer::SetAssocStackAnalyzer(std::uint64_t set_count,
-                                             std::uint32_t line_bytes)
-    : setCount_(set_count), lineBytes_(line_bytes)
-{
-    CACHELAB_ASSERT(isPowerOfTwo(set_count), "set count must be 2^k");
-    CACHELAB_ASSERT(isPowerOfTwo(line_bytes), "line size must be 2^k");
-    stacks_.resize(set_count);
-}
-
-std::uint64_t
-SetAssocStackAnalyzer::touchLine(Addr line_addr)
-{
-    auto &stack = stacks_[(line_addr / lineBytes_) % setCount_];
-    const auto it = std::find(stack.begin(), stack.end(), line_addr);
-    ++lineTouches_;
-    if (it == stack.end()) {
-        stack.insert(stack.begin(), line_addr);
-        ++cold_;
-        return 0;
-    }
-    const auto depth = static_cast<std::uint64_t>(it - stack.begin()) + 1;
-    stack.erase(it);
-    stack.insert(stack.begin(), line_addr);
-    if (depth > distances_.size())
-        distances_.resize(depth, 0);
-    ++distances_[depth - 1];
-    return depth;
-}
-
-void
-SetAssocStackAnalyzer::access(const MemoryRef &ref)
-{
-    CACHELAB_ASSERT(ref.size > 0, "zero-sized reference");
-    const Addr first = alignDown(ref.addr, lineBytes_);
-    const Addr last = alignDown(ref.addr + ref.size - 1, lineBytes_);
-    for (Addr line = first;; line += lineBytes_) {
-        touchLine(line);
-        if (line == last)
-            break;
-    }
-}
-
-void
-SetAssocStackAnalyzer::accessAll(const Trace &trace)
-{
-    accessAll(trace.refs());
-}
-
-void
-SetAssocStackAnalyzer::accessAll(std::span<const MemoryRef> refs)
-{
-    for (const MemoryRef &ref : refs)
-        access(ref);
-}
-
-std::uint64_t
-SetAssocStackAnalyzer::missCountFor(std::uint64_t ways) const
-{
-    std::uint64_t misses = cold_;
-    for (std::uint64_t d = ways + 1; d <= distances_.size(); ++d)
-        misses += distances_[d - 1];
-    return misses;
-}
-
-double
-SetAssocStackAnalyzer::missRatioFor(std::uint64_t ways) const
-{
-    return lineTouches_
-        ? static_cast<double>(missCountFor(ways)) /
-            static_cast<double>(lineTouches_)
-        : 0.0;
 }
 
 namespace

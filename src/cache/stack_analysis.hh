@@ -9,15 +9,9 @@
  * standard trick behind 1980s trace-driven studies like this paper's,
  * where "computer time is a limited resource" (section 3.2).
  *
- * Distances are computed with the Fenwick-tree-over-timestamps
- * counting algorithm: each line remembers the timestamp of its last
- * touch, a binary indexed tree marks which timestamps are the *most
- * recent* touch of some line, and the stack distance of a touch is
- * the number of marked timestamps at or after the line's previous
- * one — O(log n) per access instead of the O(depth) walk of a
- * move-to-front list.  Timestamps are periodically compacted
- * (renumbered 1..#lines) so the tree never grows past ~2x the number
- * of distinct lines.
+ * Distances come from the shared LRU stack core (cache/lru_stack.hh)
+ * run as one unbounded set: O(log n) per access instead of the
+ * O(depth) walk of a move-to-front list.
  *
  * The distances this class records are per-line-touch distances for
  * the line containing each reference; a multi-line reference records
@@ -30,11 +24,9 @@
  * Beyond distances, the analyzer tracks enough per-kind and dirty
  * state to reconstruct the *complete* CacheStats of a Table 1 run at
  * any size from the single pass — see table1StatsFor().  Dirty
- * accounting rests on an LRU invariant: after any access to a line,
- * the set of cache sizes at which the line is dirty is always of the
- * form {N >= t} for one threshold t (a write makes it dirty
- * everywhere; a read at stack distance d means sizes < d refetched
- * the line clean), so one integer per line suffices.
+ * accounting rests on the core's dirty rule: after any access to a
+ * line, the cache sizes at which it is dirty are {N >= t} for the one
+ * threshold t = LruStack::dirtyFrom().
  */
 
 #ifndef CACHELAB_CACHE_STACK_ANALYSIS_HH
@@ -43,9 +35,9 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/lru_stack.hh"
 #include "cache/stats.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
@@ -87,7 +79,7 @@ class StackAnalyzer
     std::uint64_t coldCount() const { return cold_; }
 
     /** Distinct lines seen so far. */
-    std::uint64_t distinctLineCount() const { return lines_.size(); }
+    std::uint64_t distinctLineCount() const { return stack_.size(); }
 
     /**
      * Line fetches a fully associative LRU cache of @p size_bytes
@@ -119,32 +111,8 @@ class StackAnalyzer
     CacheStats table1StatsFor(std::uint64_t size_bytes) const;
 
   private:
-    /** Sentinel dirty threshold: clean at every size. */
-    static constexpr std::uint64_t kClean = ~std::uint64_t{0};
-
-    struct LineState
-    {
-        std::uint64_t lastTime;  ///< timestamp of the last touch
-        std::uint64_t dirtyFrom; ///< dirty at sizes >= this (kClean: none)
-    };
-
     /** @return stack distance (1-based) or 0 for a cold touch. */
     std::uint64_t touchLine(Addr line_addr, bool is_write);
-
-    /** Fenwick add at timestamp @p pos. */
-    void bitAdd(std::uint64_t pos, std::int64_t delta);
-
-    /** @return number of marked timestamps in [1, pos]. */
-    std::uint64_t bitPrefix(std::uint64_t pos) const;
-
-    /** Current 1-based stack depth of @p state's line. */
-    std::uint64_t depthOf(const LineState &state) const;
-
-    /** @return a fresh timestamp, compacting/growing the tree first. */
-    std::uint64_t allocTimestamp();
-
-    /** Renumber live timestamps 1..n and rebuild the tree at @p cap. */
-    void compact(std::uint64_t capacity);
 
     /** Record one push range [first, last] into the delta array. */
     void recordDirtyPushes(std::uint64_t first, std::uint64_t last);
@@ -170,12 +138,8 @@ class StackAnalyzer
      */
     std::vector<std::int64_t> dirtyPushDelta_;
 
-    // Fenwick tree over timestamps; tree_[0] unused.
-    std::vector<std::int64_t> tree_;
-    std::uint64_t timeCapacity_ = 0;
-    std::uint64_t time_ = 0;
-
-    std::unordered_map<Addr, LineState> lines_;
+    /** The fully associative recency stack: one unbounded set. */
+    LruStack stack_{1};
 };
 
 /**
@@ -191,52 +155,6 @@ std::vector<double> lruMissRatioCurve(const Trace &trace,
 std::vector<double> lruMissRatioCurve(TraceSource &source,
                                       const std::vector<std::uint64_t> &sizes,
                                       std::uint32_t line_bytes = 16);
-
-/**
- * All-associativity stack analysis at a fixed set count: one pass
- * yields the line-fetch counts of a set-associative LRU cache for
- * *every* way count simultaneously (Mattson generalizes per set,
- * because set membership does not depend on associativity when the
- * set count is fixed).
- */
-class SetAssocStackAnalyzer
-{
-  public:
-    /**
-     * @param set_count number of sets (power of two).
-     * @param line_bytes line size (power of two).
-     */
-    SetAssocStackAnalyzer(std::uint64_t set_count,
-                          std::uint32_t line_bytes = 16);
-
-    /** Record one reference (all lines it touches). */
-    void access(const MemoryRef &ref);
-
-    /** Record a whole trace. */
-    void accessAll(const Trace &trace);
-
-    /** Record a batch of references (streaming consumers). */
-    void accessAll(std::span<const MemoryRef> refs);
-
-    /** Line fetches an LRU cache with @p ways ways would perform. */
-    std::uint64_t missCountFor(std::uint64_t ways) const;
-
-    /** Line-touch miss ratio at @p ways. */
-    double missRatioFor(std::uint64_t ways) const;
-
-    std::uint64_t lineTouches() const { return lineTouches_; }
-    std::uint64_t coldCount() const { return cold_; }
-
-  private:
-    std::uint64_t touchLine(Addr line_addr);
-
-    std::uint64_t setCount_;
-    std::uint32_t lineBytes_;
-    std::uint64_t lineTouches_ = 0;
-    std::uint64_t cold_ = 0;
-    std::vector<std::uint64_t> distances_; ///< per within-set depth
-    std::vector<std::vector<Addr>> stacks_; ///< per-set MRU lists
-};
 
 } // namespace cachelab
 

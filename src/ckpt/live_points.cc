@@ -2,13 +2,11 @@
  * @file
  * Implementation of the live-point checkpoint store.
  *
- * The producer-side workhorse is InclusionTracker: a bounded LRU
- * recency stack per set (depth maxAssoc), maintained in O(log assoc)
- * per access with a per-set Fenwick tree over an amortized stamp
- * space.  The tracker also carries, per resident line, the two fields
- * the dirty-reconstruction rule needs (everWritten and the maximum
- * stack depth observed since the last write), so one pass yields the
- * warmed state of every associativity at once.
+ * The producer-side workhorse is InclusionTracker: the shared LRU
+ * stack core (cache/lru_stack.hh) with one set per cache set, bounded
+ * at depth maxAssoc.  The core also keeps, per resident line, the two
+ * fields its dirty rule needs, so one pass yields the warmed state of
+ * every associativity at once.
  */
 
 #include "ckpt/live_points.hh"
@@ -21,7 +19,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hh"
@@ -111,32 +108,18 @@ readPod(std::istream &is)
     return v;
 }
 
-/**
- * Bounded per-set LRU recency stacks with depth queries, the on-line
- * form of Mattson stack processing truncated at depth @p max_assoc.
- *
- * Stamps: each set hands out monotonically increasing stamps in
- * [1, S] with S = 2 * maxAssoc; a line's recency position is
- * recovered from how many *occupied* stamps are above its own, which
- * a per-set Fenwick tree answers in O(log S).  When a set's stamp
- * clock reaches S its (at most maxAssoc) occupied stamps are
- * renumbered to 1..count — O(S) work every >= maxAssoc accesses, so
- * amortized O(1).
- */
+/** One group's recency stacks, fed every line a reference spans. */
 class InclusionTracker
 {
   public:
     InclusionTracker(std::uint32_t line_bytes, std::uint64_t set_count,
                      std::uint32_t max_assoc)
-        : lineBytes_(line_bytes), sets_(set_count), cap_(max_assoc),
-          stampSpace_(2 * static_cast<std::uint64_t>(max_assoc)),
-          fenwick_(set_count * (stampSpace_ + 1), 0),
-          stampAddr_(set_count * stampSpace_, 0),
-          stampOccupied_(set_count * stampSpace_, 0),
-          clock_(set_count, 0), count_(set_count, 0)
+        : lineBytes_(line_bytes), lineShift_(floorLog2(line_bytes)),
+          setMask_(set_count - 1), stack_(set_count, max_assoc)
     {
         CACHELAB_ASSERT(max_assoc > 0, "tracker needs positive depth");
-        nodes_.reserve(set_count * max_assoc * 2);
+        CACHELAB_ASSERT(isPowerOfTwo(line_bytes) && isPowerOfTwo(set_count),
+                        "tracker geometry must be powers of two");
     }
 
     /** Apply one reference (every spanned line, like Cache::access). */
@@ -148,22 +131,16 @@ class InclusionTracker
         const Addr last = alignDown(ref.addr + ref.size - 1, lineBytes_);
         const bool is_write = ref.kind == AccessKind::Write;
         for (Addr line = first;; line += lineBytes_) {
-            touchLine(line, is_write);
+            // The cache's set index, (line / lineBytes) % sets, without
+            // the two divisions: the writer runs it once per group.
+            stack_.touch((line >> lineShift_) & setMask_, line, is_write);
             if (line == last)
                 break;
         }
     }
 
     /** Forget everything (the task-switch purge). */
-    void
-    purge()
-    {
-        std::fill(fenwick_.begin(), fenwick_.end(), 0);
-        std::fill(stampOccupied_.begin(), stampOccupied_.end(), 0);
-        std::fill(clock_.begin(), clock_.end(), 0);
-        std::fill(count_.begin(), count_.end(), 0);
-        nodes_.clear();
-    }
+    void purge() { stack_.clear(); }
 
     /** Snapshot the current stacks as a live-point image. */
     LivePointImage
@@ -172,193 +149,23 @@ class InclusionTracker
         LivePointImage image;
         image.begin = begin;
         image.sincePurge = since_purge;
-        image.setOffsets.reserve(sets_ + 1);
+        image.setOffsets.reserve(stack_.setCount() + 1);
         image.setOffsets.push_back(0);
-        std::uint64_t total = 0;
-        for (std::uint64_t s = 0; s < sets_; ++s)
-            total += count_[s];
-        image.entries.reserve(total);
-        for (std::uint64_t s = 0; s < sets_; ++s) {
-            const std::uint64_t slot_base = s * stampSpace_;
-            // MRU first: stamps descend from the set's clock.
-            for (std::uint64_t stamp = clock_[s]; stamp >= 1; --stamp) {
-                if (!stampOccupied_[slot_base + stamp - 1])
-                    continue;
-                const Addr addr = stampAddr_[slot_base + stamp - 1];
-                const auto it = nodes_.find(addr);
-                CACHELAB_ASSERT(it != nodes_.end(),
-                                "tracker: occupied stamp without node");
-                image.entries.push_back(
-                    {addr, it->second.maxDepth, it->second.written});
-            }
+        image.entries.reserve(stack_.size());
+        for (std::uint64_t s = 0; s < stack_.setCount(); ++s) {
+            stack_.forEachMru(s, [&](const LruLine &line) {
+                image.entries.push_back(line);
+            });
             image.setOffsets.push_back(image.entries.size());
         }
-        CACHELAB_ASSERT(image.entries.size() == total,
-                        "tracker: capture walked ", image.entries.size(),
-                        " of ", total, " resident lines");
         return image;
     }
 
   private:
-    struct Node
-    {
-        std::uint64_t stamp = 0;
-        std::uint32_t maxDepth = 0;
-        bool written = false;
-    };
-
-    std::uint64_t setOf(Addr line_addr) const
-    {
-        return (line_addr / lineBytes_) % sets_;
-    }
-
-    void
-    fenwickAdd(std::uint64_t set, std::uint64_t pos, std::int32_t delta)
-    {
-        const std::uint64_t base = set * (stampSpace_ + 1);
-        for (std::uint64_t i = pos; i <= stampSpace_; i += i & (~i + 1))
-            fenwick_[base + i] =
-                static_cast<std::uint32_t>(fenwick_[base + i] + delta);
-    }
-
-    /** @return number of occupied stamps <= @p pos in @p set. */
-    std::uint32_t
-    fenwickPrefix(std::uint64_t set, std::uint64_t pos) const
-    {
-        const std::uint64_t base = set * (stampSpace_ + 1);
-        std::uint32_t sum = 0;
-        for (std::uint64_t i = pos; i > 0; i -= i & (~i + 1))
-            sum += fenwick_[base + i];
-        return sum;
-    }
-
-    /** @return the lowest occupied stamp of @p set (its LRU line). */
-    std::uint64_t
-    fenwickFindFirst(std::uint64_t set) const
-    {
-        const std::uint64_t base = set * (stampSpace_ + 1);
-        std::uint64_t pos = 0;
-        std::uint32_t remaining = 1;
-        for (std::uint64_t bit = std::bit_floor(stampSpace_); bit != 0;
-             bit >>= 1) {
-            const std::uint64_t next = pos + bit;
-            if (next <= stampSpace_ && fenwick_[base + next] < remaining) {
-                pos = next;
-                remaining -= fenwick_[base + next];
-            }
-        }
-        return pos + 1;
-    }
-
-    /** Compact @p set's occupied stamps back to 1..count. */
-    void
-    renumber(std::uint64_t set)
-    {
-        const std::uint64_t slot_base = set * stampSpace_;
-        std::vector<Addr> survivors;
-        survivors.reserve(count_[set]);
-        for (std::uint64_t stamp = 1; stamp <= stampSpace_; ++stamp) {
-            if (stampOccupied_[slot_base + stamp - 1])
-                survivors.push_back(stampAddr_[slot_base + stamp - 1]);
-        }
-        CACHELAB_ASSERT(survivors.size() == count_[set],
-                        "tracker: renumber found ", survivors.size(),
-                        " of ", count_[set], " lines");
-        const std::uint64_t fen_base = set * (stampSpace_ + 1);
-        std::fill(fenwick_.begin() + fen_base,
-                  fenwick_.begin() + fen_base + stampSpace_ + 1, 0);
-        std::fill(stampOccupied_.begin() + slot_base,
-                  stampOccupied_.begin() + slot_base + stampSpace_, 0);
-        for (std::uint64_t i = 0; i < survivors.size(); ++i) {
-            const std::uint64_t stamp = i + 1;
-            stampAddr_[slot_base + i] = survivors[i];
-            stampOccupied_[slot_base + i] = 1;
-            fenwickAdd(set, stamp, +1);
-            nodes_[survivors[i]].stamp = stamp;
-        }
-        clock_[set] = survivors.size();
-    }
-
-    /** Take a fresh MRU stamp in @p set (renumbering when exhausted). */
-    std::uint64_t
-    takeStamp(std::uint64_t set)
-    {
-        if (clock_[set] == stampSpace_)
-            renumber(set);
-        return ++clock_[set];
-    }
-
-    void
-    placeAtMru(std::uint64_t set, Addr line_addr, Node &node)
-    {
-        const std::uint64_t stamp = takeStamp(set);
-        node.stamp = stamp;
-        stampAddr_[set * stampSpace_ + stamp - 1] = line_addr;
-        stampOccupied_[set * stampSpace_ + stamp - 1] = 1;
-        fenwickAdd(set, stamp, +1);
-    }
-
-    void
-    removeStamp(std::uint64_t set, std::uint64_t stamp)
-    {
-        stampOccupied_[set * stampSpace_ + stamp - 1] = 0;
-        fenwickAdd(set, stamp, -1);
-    }
-
-    void
-    touchLine(Addr line_addr, bool is_write)
-    {
-        const std::uint64_t set = setOf(line_addr);
-        const auto it = nodes_.find(line_addr);
-        if (it != nodes_.end()) {
-            Node &node = it->second;
-            // 1-based depth at access time, before promotion: lines
-            // stamped later than this one, plus the line itself.
-            const std::uint32_t depth =
-                count_[set] - fenwickPrefix(set, node.stamp) + 1;
-            if (is_write) {
-                node.written = true;
-                node.maxDepth = 0;
-            } else {
-                node.maxDepth = std::max(node.maxDepth, depth);
-            }
-            // Keep count_ equal to the number of occupied stamps even
-            // across this re-stamp: placeAtMru() may renumber, and the
-            // renumber invariant counts occupied stamps only.
-            removeStamp(set, node.stamp);
-            --count_[set];
-            placeAtMru(set, line_addr, node);
-            ++count_[set];
-            return;
-        }
-        if (count_[set] == cap_) {
-            const std::uint64_t victim_stamp = fenwickFindFirst(set);
-            const Addr victim =
-                stampAddr_[set * stampSpace_ + victim_stamp - 1];
-            removeStamp(set, victim_stamp);
-            nodes_.erase(victim);
-            --count_[set];
-        }
-        // Fresh install: fetch-on-write makes a write miss dirty from
-        // depth 0; a read/ifetch miss installs clean.
-        Node node;
-        node.written = is_write;
-        node.maxDepth = 0;
-        placeAtMru(set, line_addr, node);
-        nodes_.emplace(line_addr, node);
-        ++count_[set];
-    }
-
     std::uint32_t lineBytes_;
-    std::uint64_t sets_;
-    std::uint32_t cap_;
-    std::uint64_t stampSpace_;
-    std::vector<std::uint32_t> fenwick_;
-    std::vector<Addr> stampAddr_;
-    std::vector<std::uint8_t> stampOccupied_;
-    std::vector<std::uint64_t> clock_;
-    std::vector<std::uint32_t> count_;
-    std::unordered_map<Addr, Node> nodes_;
+    unsigned lineShift_;
+    std::uint64_t setMask_;
+    LruStack stack_;
 };
 
 /** Geometry of one group file. */
@@ -703,7 +510,7 @@ LivePointGroup::restoreInto(Cache &cache, std::size_t interval_idx,
             CacheState::Line &line = state.lines[s * assoc + j];
             line.lineAddr = e.lineAddr;
             line.valid = true;
-            line.dirty = copy_back && e.written && e.maxDepth <= assoc;
+            line.dirty = copy_back && LruStack::dirtyFrom(e) <= assoc;
             state.recency.push_back(static_cast<std::uint32_t>(s * assoc + j));
         }
         // Invalid ways drain from way assoc-1 down to way `resident`,

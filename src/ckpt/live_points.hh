@@ -18,17 +18,19 @@
  * does not depend on A.  So one image per (line size, set count)
  * group, bounded at the group's maximum associativity, serves every
  * smaller associativity — for fully associative caches (the paper's
- * Table 1 baseline) one image serves every *size*.  Dirtiness is
- * recovered per associativity from two extra fields per line:
+ * Table 1 baseline) one image serves every *size*.  The stacks are
+ * those of the shared LRU stack core (cache/lru_stack.hh), and
+ * dirtiness is recovered per associativity by its dirty rule:
  *
  *   dirty in a copy-back cache of assoc A
- *       <=>  everWritten  &&  maxPostWriteDepth <= A
+ *       <=>  written  &&  maxDepth <= A
  *
- * where maxPostWriteDepth is the maximum recency-stack depth observed
- * at the line's accesses since its last write (0 when none).  A line
- * whose depth exceeded A after its last write was evicted from the
- * assoc-A cache and demand-refetched clean; one whose depth never did
- * stayed resident and dirty.  Write-through targets are always clean.
+ * where maxDepth is the deepest recency-stack depth observed at the
+ * line's non-write accesses since its last write (0 when none).  A
+ * line whose depth exceeded A after its last write was evicted from
+ * the assoc-A cache and demand-refetched clean; one whose depth never
+ * did stayed resident and dirty.  Write-through targets are always
+ * clean.
  *
  * Eligibility: inclusion holds for LRU replacement, demand fetch and
  * fetch-on-write allocation (both write policies).  FIFO/Random
@@ -55,6 +57,7 @@
 
 #include "cache/cache.hh"
 #include "cache/config.hh"
+#include "cache/lru_stack.hh"
 #include "sample/sample_config.hh"
 #include "trace/memory_ref.hh"
 #include "trace/source.hh"
@@ -118,13 +121,8 @@ std::uint64_t hashRefs(std::uint64_t hash, std::span<const MemoryRef> refs);
 /** FNV-1a offset basis (initial value for hashRef chains). */
 inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 
-/** One resident line of a live-point image. */
-struct LivePointEntry
-{
-    Addr lineAddr = 0;
-    std::uint32_t maxDepth = 0; ///< max stack depth since last write
-    bool written = false;       ///< written since (re)fetch
-};
+/** One resident line of a live-point image: a line of the core. */
+using LivePointEntry = LruLine;
 
 /** The shared warm state at one interval start. */
 struct LivePointImage

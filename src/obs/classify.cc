@@ -13,32 +13,15 @@ namespace cachelab
 
 MissClassifier::MissClassifier(std::uint64_t capacity_lines,
                                std::uint64_t interval_refs)
-    : capacityLines_(capacity_lines), intervalRefs_(interval_refs)
+    : intervalRefs_(interval_refs), shadow_(1, capacity_lines)
 {
     CACHELAB_ASSERT(capacity_lines > 0, "shadow capacity must be positive");
-    shadow_.reserve(capacity_lines * 2);
 }
 
 MissClassifier::MissClassifier(const CacheConfig &config,
                                std::uint64_t interval_refs)
     : MissClassifier(config.lineCount(), interval_refs)
 {
-}
-
-void
-MissClassifier::shadowTouch(Addr line_addr)
-{
-    const auto it = shadow_.find(line_addr);
-    if (it != shadow_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
-    }
-    lru_.push_front(line_addr);
-    shadow_.emplace(line_addr, lru_.begin());
-    if (shadow_.size() > capacityLines_) {
-        shadow_.erase(lru_.back());
-        lru_.pop_back();
-    }
 }
 
 ClassifiedInterval &
@@ -109,7 +92,7 @@ MissClassifier::onEvent(const CacheEvent &event)
 
     switch (event.type) {
       case CacheEventType::Hit:
-        shadowTouch(event.lineAddr);
+        shadow_.touch(0, event.lineAddr, false);
         break;
       case CacheEventType::Miss:
         classifyMiss(event);
@@ -117,11 +100,10 @@ MissClassifier::onEvent(const CacheEvent &event)
       case CacheEventType::Fill:
       case CacheEventType::Prefetch:
         seen_.insert(event.lineAddr);
-        shadowTouch(event.lineAddr);
+        shadow_.touch(0, event.lineAddr, false);
         break;
       case CacheEventType::Purge:
         shadow_.clear();
-        lru_.clear();
         break;
       case CacheEventType::Evict:
       case CacheEventType::Writeback:

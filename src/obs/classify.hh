@@ -39,11 +39,10 @@
 #define CACHELAB_OBS_CLASSIFY_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "cache/lru_stack.hh"
 #include "cache/probe.hh"
 #include "obs/metrics.hh"
 #include "trace/memory_ref.hh"
@@ -85,9 +84,10 @@ struct ClassifiedInterval
  *
  * Attach to one cache (its event stream must come from a single
  * cache: the shadow replays that cache's fills).  Memory: one hash
- * entry per distinct line ever filled plus one list node per shadow
- * slot — bounded by trace footprint, independent of trace length, so
- * streamed out-of-core runs classify in bounded memory.
+ * entry per distinct line ever filled plus the shadow, an LruStack of
+ * one set bounded at the cache's line count — bounded by trace
+ * footprint, independent of trace length, so streamed out-of-core
+ * runs classify in bounded memory.
  */
 class MissClassifier : public CacheProbe
 {
@@ -140,21 +140,16 @@ class MissClassifier : public CacheProbe
                  const std::vector<obs::Label> &labels = {}) const;
 
   private:
-    /** Promote-or-insert @p line_addr at shadow MRU. */
-    void shadowTouch(Addr line_addr);
-
     /** Classify and count one ref-granularity miss. */
     void classifyMiss(const CacheEvent &event);
 
     /** Interval covering @p ref_index (1-based), growing as needed. */
     ClassifiedInterval &intervalFor(std::uint64_t ref_index);
 
-    std::uint64_t capacityLines_;
     std::uint64_t intervalRefs_;
 
-    std::unordered_set<Addr> seen_;      ///< infinite shadow directory
-    std::list<Addr> lru_;                ///< shadow recency, MRU first
-    std::unordered_map<Addr, std::list<Addr>::iterator> shadow_;
+    std::unordered_set<Addr> seen_; ///< infinite shadow directory
+    LruStack shadow_;               ///< fully associative LRU shadow
 
     std::uint64_t lastMissRef_ = 0; ///< ref already counted (1-based)
     std::uint64_t maxRef_ = 0;

@@ -103,6 +103,14 @@ configAt(const CacheConfig &base, std::uint64_t size)
     return config;
 }
 
+/** configAt() every size, so a bad size fails before any input is read. */
+void
+validateSizes(const CacheConfig &base, const std::vector<std::uint64_t> &sizes)
+{
+    for (std::uint64_t size : sizes)
+        configAt(base, size);
+}
+
 bool
 statsEqual(const CacheStats &a, const CacheStats &b)
 {
@@ -169,34 +177,6 @@ sweepUnifiedPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
     return out;
 }
 
-std::vector<SweepPoint>
-sweepUnifiedSinglePass(const Trace &trace,
-                       const std::vector<std::uint64_t> &sizes,
-                       const CacheConfig &base, const RunConfig &run)
-{
-    CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
-                    "single-pass sweep requires the Table 1 shape");
-    rejectProbes(run, "single-pass Mattson");
-    obs::Registry::global().counter("sweep.points").add(sizes.size());
-    obs::ProfileScope profile("sweep.single_pass");
-    obs::TraceSpan span("single_pass", "sweep",
-                        {{"trace", trace.name()}});
-    StackAnalyzer analyzer(base.lineBytes);
-    analyzer.accessAll(trace);
-    // The single pass covers every size at once, so the whole sweep
-    // costs one trace worth of simulated references.
-    obs::Registry::global().counter("sim.refs").add(trace.size());
-    if (obs::ProgressMeter::global().enabled())
-        obs::ProgressMeter::global().advance(trace.size());
-    std::vector<SweepPoint> out;
-    out.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        configAt(base, size); // same validation as a real run
-        out.push_back({size, analyzer.table1StatsFor(size)});
-    }
-    return out;
-}
-
 std::vector<SplitSweepPoint>
 sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
                   const CacheConfig &base, const RunConfig &run)
@@ -218,41 +198,6 @@ sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
         runTrace(trace, split, run);
         out[i] = {sizes[i], split.icache().stats(), split.dcache().stats()};
     });
-    return out;
-}
-
-std::vector<SplitSweepPoint>
-sweepSplitSinglePass(const Trace &trace,
-                     const std::vector<std::uint64_t> &sizes,
-                     const CacheConfig &base, const RunConfig &run)
-{
-    CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
-                    "single-pass sweep requires the Table 1 shape");
-    rejectProbes(run, "single-pass Mattson");
-    obs::Registry::global().counter("sweep.points").add(sizes.size());
-    obs::ProfileScope profile("sweep.single_pass");
-    obs::TraceSpan span("single_pass", "sweep",
-                        {{"trace", trace.name()},
-                         {"organization", "split"}});
-    // The split organization routes ifetches and data to independent
-    // caches, so each side is its own fully associative LRU stream.
-    StackAnalyzer istream(base.lineBytes), dstream(base.lineBytes);
-    for (const MemoryRef &ref : trace) {
-        if (ref.kind == AccessKind::IFetch)
-            istream.access(ref);
-        else
-            dstream.access(ref);
-    }
-    obs::Registry::global().counter("sim.refs").add(trace.size());
-    if (obs::ProgressMeter::global().enabled())
-        obs::ProgressMeter::global().advance(trace.size());
-    std::vector<SplitSweepPoint> out;
-    out.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        configAt(base, size);
-        out.push_back({size, istream.table1StatsFor(size),
-                       dstream.table1StatsFor(size)});
-    }
     return out;
 }
 
@@ -301,13 +246,14 @@ sweepUnifiedPerSizeStream(TraceSource &source,
 }
 
 std::vector<SweepPoint>
-sweepUnifiedSinglePassStream(TraceSource &source,
-                             const std::vector<std::uint64_t> &sizes,
-                             const CacheConfig &base, const RunConfig &run)
+sweepUnifiedSinglePass(TraceSource &source,
+                       const std::vector<std::uint64_t> &sizes,
+                       const CacheConfig &base, const RunConfig &run)
 {
     CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
                     "single-pass sweep requires the Table 1 shape");
     rejectProbes(run, "single-pass Mattson");
+    validateSizes(base, sizes);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.single_pass");
     obs::TraceSpan span("single_pass", "sweep",
@@ -325,10 +271,8 @@ sweepUnifiedSinglePassStream(TraceSource &source,
         obs::ProgressMeter::global().advance(total);
     std::vector<SweepPoint> out;
     out.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        configAt(base, size); // same validation as a real run
+    for (std::uint64_t size : sizes)
         out.push_back({size, analyzer.table1StatsFor(size)});
-    }
     return out;
 }
 
@@ -377,18 +321,21 @@ sweepSplitPerSizeStream(TraceSource &source,
 }
 
 std::vector<SplitSweepPoint>
-sweepSplitSinglePassStream(TraceSource &source,
-                           const std::vector<std::uint64_t> &sizes,
-                           const CacheConfig &base, const RunConfig &run)
+sweepSplitSinglePass(TraceSource &source,
+                     const std::vector<std::uint64_t> &sizes,
+                     const CacheConfig &base, const RunConfig &run)
 {
     CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
                     "single-pass sweep requires the Table 1 shape");
     rejectProbes(run, "single-pass Mattson");
+    validateSizes(base, sizes);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.single_pass");
     obs::TraceSpan span("single_pass", "sweep",
                         {{"trace", source.name()},
                          {"organization", "split"}});
+    // The split organization routes ifetches and data to independent
+    // caches, so each side is its own fully associative LRU stream.
     StackAnalyzer istream(base.lineBytes), dstream(base.lineBytes);
     std::uint64_t total = 0;
     source.forEachBatch(
@@ -407,11 +354,9 @@ sweepSplitSinglePassStream(TraceSource &source,
         obs::ProgressMeter::global().advance(total);
     std::vector<SplitSweepPoint> out;
     out.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        configAt(base, size);
+    for (std::uint64_t size : sizes)
         out.push_back({size, istream.table1StatsFor(size),
                        dstream.table1StatsFor(size)});
-    }
     return out;
 }
 
@@ -450,21 +395,23 @@ sweepUnified(const Trace &trace, const std::vector<std::uint64_t> &sizes,
              const CacheConfig &base, const RunConfig &run,
              SweepEngine engine)
 {
+    // The single-pass engine reads sources; this one views the trace.
+    MemorySource source(trace.refs(), trace.name());
     switch (engine) {
       case SweepEngine::Auto:
         // Probes force the per-size path: only real caches emit events.
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepUnifiedSinglePass(trace, sizes, base, run)
+            ? sweepUnifiedSinglePass(source, sizes, base, run)
             : sweepUnifiedPerSize(trace, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepUnifiedPerSize(trace, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePass(trace, sizes, base, run);
+        return sweepUnifiedSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size = sweepUnifiedPerSize(trace, sizes, base, run);
-        const auto fast = sweepUnifiedSinglePass(trace, sizes, base, run);
+        const auto fast = sweepUnifiedSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].stats, fast[i].stats))
                 reportMismatch("unified", sizes[i], per_size[i].stats,
@@ -490,20 +437,21 @@ std::vector<SplitSweepPoint>
 sweepSplit(const Trace &trace, const std::vector<std::uint64_t> &sizes,
            const CacheConfig &base, const RunConfig &run, SweepEngine engine)
 {
+    MemorySource source(trace.refs(), trace.name());
     switch (engine) {
       case SweepEngine::Auto:
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepSplitSinglePass(trace, sizes, base, run)
+            ? sweepSplitSinglePass(source, sizes, base, run)
             : sweepSplitPerSize(trace, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepSplitPerSize(trace, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepSplitSinglePass(trace, sizes, base, run);
+        return sweepSplitSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size = sweepSplitPerSize(trace, sizes, base, run);
-        const auto fast = sweepSplitSinglePass(trace, sizes, base, run);
+        const auto fast = sweepSplitSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].icache, fast[i].icache))
                 reportMismatch("split icache", sizes[i], per_size[i].icache,
@@ -538,19 +486,19 @@ sweepUnified(TraceSource &source, const std::vector<std::uint64_t> &sizes,
       case SweepEngine::Auto:
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepUnifiedSinglePassStream(source, sizes, base, run)
+            ? sweepUnifiedSinglePass(source, sizes, base, run)
             : sweepUnifiedPerSizeStream(source, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepUnifiedPerSizeStream(source, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePassStream(source, sizes, base, run);
+        return sweepUnifiedSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size =
             sweepUnifiedPerSizeStream(source, sizes, base, run);
         source.reset();
         const auto fast =
-            sweepUnifiedSinglePassStream(source, sizes, base, run);
+            sweepUnifiedSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].stats, fast[i].stats))
                 reportMismatch("unified", sizes[i], per_size[i].stats,
@@ -580,19 +528,19 @@ sweepSplit(TraceSource &source, const std::vector<std::uint64_t> &sizes,
       case SweepEngine::Auto:
         return sweepSinglePassEligible(base, run) &&
                 run.probeFactory == nullptr
-            ? sweepSplitSinglePassStream(source, sizes, base, run)
+            ? sweepSplitSinglePass(source, sizes, base, run)
             : sweepSplitPerSizeStream(source, sizes, base, run);
       case SweepEngine::PerSize:
         return sweepSplitPerSizeStream(source, sizes, base, run);
       case SweepEngine::SinglePass:
-        return sweepSplitSinglePassStream(source, sizes, base, run);
+        return sweepSplitSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
         const auto per_size =
             sweepSplitPerSizeStream(source, sizes, base, run);
         source.reset();
         const auto fast =
-            sweepSplitSinglePassStream(source, sizes, base, run);
+            sweepSplitSinglePass(source, sizes, base, run);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
             if (!statsEqual(per_size[i].icache, fast[i].icache))
                 reportMismatch("split icache", sizes[i], per_size[i].icache,

@@ -9,7 +9,6 @@
 
 #include "util/bits.hh"
 #include "util/format.hh"
-#include "util/logging.hh"
 
 namespace cachelab
 {
@@ -65,43 +64,6 @@ Log2Histogram::render() const
            << formatPercent(frac) << '\n';
     }
     return os.str();
-}
-
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), buckets_(bins, 0)
-{
-    CACHELAB_ASSERT(bins >= 1, "LinearHistogram needs at least one bin");
-    CACHELAB_ASSERT(hi > lo, "LinearHistogram needs hi > lo");
-}
-
-void
-LinearHistogram::add(double value)
-{
-    const double pos =
-        (value - lo_) / (hi_ - lo_) * static_cast<double>(buckets_.size());
-    std::size_t k;
-    if (pos < 0.0) {
-        k = 0;
-    } else if (pos >= static_cast<double>(buckets_.size())) {
-        k = buckets_.size() - 1;
-    } else {
-        k = static_cast<std::size_t>(pos);
-    }
-    ++buckets_[k];
-    ++total_;
-}
-
-std::uint64_t
-LinearHistogram::bucket(std::size_t k) const
-{
-    return k < buckets_.size() ? buckets_[k] : 0;
-}
-
-double
-LinearHistogram::bucketLow(std::size_t k) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(k) /
-        static_cast<double>(buckets_.size());
 }
 
 } // namespace cachelab

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-bin and log2-bin histograms.
+ * Log2-bin histogram.
  *
  * Used by the trace analyzer (sequential-run-length and stack-distance
  * distributions) and by ablation benches.
@@ -48,32 +48,6 @@ class Log2Histogram
     std::vector<std::uint64_t> buckets_;
     std::uint64_t total_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Histogram over doubles with uniform bins across [lo, hi); samples
- * outside the range are clamped into the first/last bin.
- */
-class LinearHistogram
-{
-  public:
-    /** @param bins number of bins (>= 1); [lo, hi) is the range. */
-    LinearHistogram(double lo, double hi, std::size_t bins);
-
-    void add(double value);
-
-    std::uint64_t bucket(std::size_t k) const;
-    std::size_t bucketCount() const { return buckets_.size(); }
-    std::uint64_t total() const { return total_; }
-
-    /** @return lower edge of bucket @p k. */
-    double bucketLow(std::size_t k) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace cachelab

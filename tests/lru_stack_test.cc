@@ -1,0 +1,241 @@
+/**
+ * @file
+ * Tests for the per-set LRU stack core: a differential test against a
+ * naive per-set move-to-front oracle, and set-associative Mattson
+ * stack processing checked against direct simulation.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
+
+#include "cache/cache.hh"
+#include "cache/lru_stack.hh"
+#include "cache/stack_analysis.hh"
+#include "sim/experiments.hh"
+#include "sim/run.hh"
+#include "util/bits.hh"
+#include "util/random.hh"
+#include "workload/profiles.hh"
+
+namespace cachelab
+{
+namespace
+{
+
+/**
+ * The reference: one MRU-first vector per set, searched and shifted on
+ * every touch (O(depth)), with the dirty rule applied literally.
+ */
+class StackOracle
+{
+  public:
+    StackOracle(std::uint64_t sets, std::uint64_t bound)
+        : stacks_(sets), bound_(bound)
+    {
+    }
+
+    std::uint64_t
+    touch(std::uint64_t set, Addr line_addr, bool is_write, LruLine *before)
+    {
+        std::vector<LruLine> &stack = stacks_[set];
+        const auto it = std::find_if(
+            stack.begin(), stack.end(),
+            [&](const LruLine &line) { return line.lineAddr == line_addr; });
+        if (it == stack.end()) {
+            stack.insert(stack.begin(), LruLine{line_addr, 0, is_write});
+            if (bound_ != LruStack::kUnbounded && stack.size() > bound_)
+                stack.pop_back();
+            return 0;
+        }
+        const auto depth = static_cast<std::uint64_t>(it - stack.begin()) + 1;
+        LruLine line = *it;
+        *before = line;
+        if (is_write) {
+            line.written = true;
+            line.maxDepth = 0;
+        } else if (depth > line.maxDepth) {
+            line.maxDepth = static_cast<std::uint32_t>(depth);
+        }
+        stack.erase(it);
+        stack.insert(stack.begin(), line);
+        return depth;
+    }
+
+    void
+    clear()
+    {
+        for (std::vector<LruLine> &stack : stacks_)
+            stack.clear();
+    }
+
+    const std::vector<LruLine> &set(std::uint64_t s) const
+    {
+        return stacks_[s];
+    }
+
+    std::uint64_t
+    size() const
+    {
+        std::uint64_t n = 0;
+        for (const std::vector<LruLine> &stack : stacks_)
+            n += stack.size();
+        return n;
+    }
+
+  private:
+    std::vector<std::vector<LruLine>> stacks_;
+    std::uint64_t bound_;
+};
+
+void
+expectSameStacks(const LruStack &stack, const StackOracle &oracle)
+{
+    ASSERT_EQ(stack.size(), oracle.size());
+    for (std::uint64_t s = 0; s < stack.setCount(); ++s) {
+        std::vector<LruLine> walked;
+        stack.forEachMru(s, [&](const LruLine &line) {
+            walked.push_back(line);
+        });
+        ASSERT_TRUE(walked == oracle.set(s)) << "set " << s;
+        for (const LruLine &line : walked)
+            ASSERT_TRUE(stack.contains(line.lineAddr));
+    }
+}
+
+/**
+ * Seeded random touches — Zipf-skewed line popularity, 30% writes,
+ * occasional clear() — through the core and the oracle in lockstep.
+ */
+void
+runDifferential(std::uint64_t sets, std::uint64_t bound, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << sets << " sets, bound " << bound);
+    constexpr int kSteps = 40000;
+    // Near the top of the address space: no address is special.
+    constexpr Addr kBase = 0xffff'fff0'0000'0000ULL;
+
+    LruStack stack(sets, bound);
+    StackOracle oracle(sets, bound);
+    Rng rng(seed);
+    // Popularity rank is the line number, so hot lines spread over
+    // every set.  The unbounded stack needs enough distinct lines to
+    // double its stamp space more than once.
+    const std::uint64_t universe =
+        bound == LruStack::kUnbounded ? 4000 : 4 * sets * bound + 8;
+    const ZipfSampler popularity(universe, 0.6);
+
+    for (int step = 0; step < kSteps; ++step) {
+        if (rng.bernoulli(0.0002)) {
+            stack.clear();
+            oracle.clear();
+        }
+        const std::uint64_t id = popularity(rng);
+        const std::uint64_t set = id % sets;
+        const Addr line = kBase + id * 64;
+        const bool is_write = rng.bernoulli(0.3);
+
+        LruLine before, expected_before;
+        const std::uint64_t depth = stack.touch(set, line, is_write, &before);
+        const std::uint64_t expected =
+            oracle.touch(set, line, is_write, &expected_before);
+        ASSERT_EQ(depth, expected) << "step " << step;
+        if (depth != 0) {
+            ASSERT_TRUE(before == expected_before) << "step " << step;
+        }
+        if (rng.bernoulli(0.002)) {
+            SCOPED_TRACE(testing::Message() << "step " << step);
+            expectSameStacks(stack, oracle);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+    expectSameStacks(stack, oracle);
+}
+
+TEST(LruStack, MatchesNaiveOracle)
+{
+    std::uint64_t seed = 1;
+    for (const std::uint64_t sets : {1u, 4u, 64u}) {
+        for (const std::uint64_t bound : {1u, 2u, 7u, 16u}) {
+            runDifferential(sets, bound, seed++);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    runDifferential(1, LruStack::kUnbounded, seed);
+}
+
+TEST(LruStack, DirtyFromFollowsTheWriteAndDepthHistory)
+{
+    EXPECT_EQ(LruStack::dirtyFrom({0x40, 0, false}), LruStack::kClean);
+    EXPECT_EQ(LruStack::dirtyFrom({0x40, 9, false}), LruStack::kClean);
+    EXPECT_EQ(LruStack::dirtyFrom({0x40, 0, true}), 1u);
+    EXPECT_EQ(LruStack::dirtyFrom({0x40, 5, true}), 5u);
+}
+
+// --- set-associative stack processing -------------------------------
+
+/** Depth of every line touch of @p trace, with line-to-set mapping. */
+std::vector<std::uint64_t>
+touchDepths(const Trace &trace, LruStack &stack, std::uint32_t line_bytes)
+{
+    std::vector<std::uint64_t> depths;
+    for (const MemoryRef &ref : trace) {
+        const Addr first = alignDown(ref.addr, line_bytes);
+        const Addr last = alignDown(ref.addr + ref.size - 1, line_bytes);
+        for (Addr line = first;; line += line_bytes) {
+            depths.push_back(stack.touch(
+                (line / line_bytes) % stack.setCount(), line,
+                ref.kind == AccessKind::Write));
+            if (line == last)
+                break;
+        }
+    }
+    return depths;
+}
+
+/** Line fetches of an LRU cache with @p ways ways per set. */
+std::uint64_t
+missesAt(const std::vector<std::uint64_t> &depths, std::uint64_t ways)
+{
+    return static_cast<std::uint64_t>(
+        std::count_if(depths.begin(), depths.end(), [&](std::uint64_t d) {
+            return d == 0 || d > ways;
+        }));
+}
+
+TEST(SetAssocStack, MatchesDirectSimulationForEveryWayCount)
+{
+    const Trace t = generateTrace(*findTraceProfile("VCCOM"), 40000);
+    // 64 sets of 16-byte lines, bounded at the largest way count: one
+    // pass gives the line fetches of every way count up to it.
+    LruStack stack(64, 8);
+    const std::vector<std::uint64_t> depths = touchDepths(t, stack, 16);
+    for (std::uint32_t ways : {1u, 2u, 4u, 8u}) {
+        CacheConfig cfg = table1Config(
+            static_cast<std::uint64_t>(64) * 16 * ways);
+        cfg.associativity = ways; // same 64 sets at every way count
+        Cache cache(cfg);
+        const CacheStats s = runTrace(t, cache);
+        EXPECT_EQ(missesAt(depths, ways), s.demandFetches)
+            << ways << " ways";
+    }
+}
+
+TEST(SetAssocStack, SingleSetEqualsFullyAssociativeAnalyzer)
+{
+    const Trace t = generateTrace(*findTraceProfile("ZOD"), 30000);
+    // One set bounded at 256 lines against the unbounded analyzer.
+    LruStack single_set(1, 256);
+    const std::vector<std::uint64_t> depths = touchDepths(t, single_set, 16);
+    StackAnalyzer full(16);
+    full.accessAll(t);
+    for (std::uint64_t lines : {16u, 64u, 256u}) {
+        EXPECT_EQ(missesAt(depths, lines), full.missCountFor(lines * 16));
+    }
+}
+
+} // namespace
+} // namespace cachelab

@@ -208,20 +208,6 @@ TEST(Log2Histogram, RenderMentionsCounts)
     EXPECT_NE(text.find("7"), std::string::npos);
 }
 
-TEST(LinearHistogram, ClampsOutOfRange)
-{
-    LinearHistogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(0.1);
-    h.add(0.6);
-    h.add(99.0);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(2), 1u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(2), 0.5);
-}
-
 TEST(TextTable, RendersAlignedColumns)
 {
     TextTable t("Demo");

@@ -43,6 +43,7 @@
 #include "trace/source.hh"
 #include "trace/trace.hh"
 #include "trace/transforms.hh"
+#include "util/logging.hh"
 #include "workload/profiles.hh"
 
 namespace cachelab
@@ -615,6 +616,45 @@ TEST(StreamingDeathTest, WholeRunWarmupMustLeaveAMeasuredRef)
             runTrace(static_cast<TraceSource &>(source), cache, run);
         },
         "must leave at least one measured reference");
+}
+
+/** A source whose every read is a bug. */
+class UnreadableSource : public TraceSource
+{
+  public:
+    const std::string &name() const override { return name_; }
+    std::size_t
+    nextBatch(std::span<MemoryRef>) override
+    {
+        panic("the sweep read its source before checking its sizes");
+    }
+    void reset() override {}
+
+  private:
+    std::string name_ = "unreadable";
+};
+
+TEST(StreamingDeathTest, SinglePassSweepChecksSizesBeforeReading)
+{
+    // A bad size fails up front, as in the per-size engine, not after
+    // a full pass over the input.
+    const CacheConfig base = table1Config(1024);
+    const std::vector<std::uint64_t> sizes = {1024, 3000};
+    for (const SweepEngine engine :
+         {SweepEngine::Auto, SweepEngine::SinglePass}) {
+        EXPECT_DEATH(
+            {
+                UnreadableSource source;
+                sweepUnified(source, sizes, base, RunConfig{}, engine);
+            },
+            "cache size 3000 is not a power of two");
+        EXPECT_DEATH(
+            {
+                UnreadableSource source;
+                sweepSplit(source, sizes, base, RunConfig{}, engine);
+            },
+            "cache size 3000 is not a power of two");
+    }
 }
 
 TEST(StreamingDeathTest, WarmupJustUnderLengthStillRuns)

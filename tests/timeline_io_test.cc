@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the miss-ratio timeline, the compressed trace format, and
- * the set-associative (all-associativity) stack analyzer.
+ * Tests for the miss-ratio timeline and the compressed trace format.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <sstream>
 
 #include "cache/cache.hh"
-#include "cache/stack_analysis.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
 #include "sim/timeline.hh"
@@ -259,60 +257,6 @@ TEST(CompressedTrace, RejectsTruncation)
     const std::string whole = ss.str();
     std::stringstream cut(whole.substr(0, whole.size() / 2));
     EXPECT_DEATH({ readTrace(cut, TraceFormat::Compressed, {}); }, "");
-}
-
-// --- set-associative stack analysis ---------------------------------
-
-TEST(SetAssocStack, MatchesDirectSimulationForEveryWayCount)
-{
-    const Trace t = generateTrace(*findTraceProfile("VCCOM"), 40000);
-    // 64 sets of 16-byte lines.
-    SetAssocStackAnalyzer analyzer(64, 16);
-    analyzer.accessAll(t);
-    for (std::uint32_t ways : {1u, 2u, 4u, 8u}) {
-        CacheConfig cfg = table1Config(
-            static_cast<std::uint64_t>(64) * 16 * ways);
-        cfg.associativity = ways; // same 64 sets at every way count
-        Cache cache(cfg);
-        const CacheStats s = runTrace(t, cache);
-        EXPECT_EQ(analyzer.missCountFor(ways), s.demandFetches)
-            << ways << " ways";
-    }
-}
-
-TEST(SetAssocStack, MonotoneInWays)
-{
-    const Trace t = generateTrace(*findTraceProfile("FGO1"), 40000);
-    SetAssocStackAnalyzer analyzer(128, 16);
-    analyzer.accessAll(t);
-    std::uint64_t prev = ~0ull;
-    for (std::uint64_t ways = 1; ways <= 64; ways *= 2) {
-        EXPECT_LE(analyzer.missCountFor(ways), prev);
-        prev = analyzer.missCountFor(ways);
-    }
-}
-
-TEST(SetAssocStack, SingleSetEqualsFullyAssociativeAnalyzer)
-{
-    const Trace t = generateTrace(*findTraceProfile("ZOD"), 30000);
-    SetAssocStackAnalyzer single_set(1, 16);
-    single_set.accessAll(t);
-    StackAnalyzer full(16);
-    full.accessAll(t);
-    for (std::uint64_t lines : {16u, 64u, 256u}) {
-        EXPECT_EQ(single_set.missCountFor(lines),
-                  full.missCountFor(lines * 16));
-    }
-}
-
-TEST(SetAssocStack, ColdTouchesIndependentOfGeometry)
-{
-    const Trace t = generateTrace(*findTraceProfile("PLO"), 20000);
-    SetAssocStackAnalyzer a(16, 16), b(256, 16);
-    a.accessAll(t);
-    b.accessAll(t);
-    EXPECT_EQ(a.coldCount(), b.coldCount());
-    EXPECT_EQ(a.lineTouches(), b.lineTouches());
 }
 
 } // namespace
