@@ -17,6 +17,9 @@ Cache::Cache(const CacheConfig &config)
     config_.validate();
     assoc_ = config_.effectiveAssociativity();
     sets_ = config_.setCount();
+    // validate() made the line size and the set count powers of two.
+    lineShift_ = floorLog2(config_.lineBytes);
+    setMask_ = sets_ - 1;
 
     const std::uint64_t n = config_.lineCount();
     lines_.assign(n, Line{});
@@ -30,7 +33,7 @@ Cache::Cache(const CacheConfig &config)
 std::uint64_t
 Cache::setOf(Addr line_addr) const
 {
-    return (line_addr / config_.lineBytes) % sets_;
+    return (line_addr >> lineShift_) & setMask_;
 }
 
 void

@@ -272,6 +272,8 @@ class Cache : private PolicyHost
 
     std::uint64_t assoc_;
     std::uint64_t sets_;
+    unsigned lineShift_;    ///< log2(lineBytes): setOf() without division
+    std::uint64_t setMask_; ///< sets_ - 1
     std::uint64_t validLines_ = 0;
     std::uint64_t clock_ = 0; ///< access() count (event timestamps)
     Rng rng_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Implementation of the per-set LRU stack core.
+ * Implementation of the per-set LRU stack core: the row layout, then
+ * the tree layout.
  */
 
 #include "cache/lru_stack.hh"
@@ -19,20 +20,83 @@ namespace
 /** Stamp space of an unbounded stack before its first doubling. */
 constexpr std::uint64_t kInitialUnboundedSpace = 1024;
 
+/** The dirty rule for a re-touch of resident @p line at @p depth. */
+void
+retouch(LruLine &line, bool is_write, std::uint64_t depth)
+{
+    if (is_write) {
+        line.written = true;
+        line.maxDepth = 0;
+    } else {
+        line.maxDepth =
+            std::max(line.maxDepth, static_cast<std::uint32_t>(depth));
+    }
+}
+
 } // namespace
 
 LruStack::LruStack(std::uint64_t set_count, std::uint64_t depth_bound)
     : sets_(set_count), bound_(depth_bound),
-      space_(depth_bound == kUnbounded ? kInitialUnboundedSpace
-                                       : 2 * depth_bound),
-      fenwick_(set_count * (space_ + 1), 0),
-      lines_(set_count * space_), clock_(set_count, 0), live_(set_count, 0)
+      rows_(depth_bound != kUnbounded && depth_bound <= kMaxRowBound),
+      space_(rows_                       ? depth_bound
+             : depth_bound == kUnbounded ? kInitialUnboundedSpace
+                                         : 2 * depth_bound),
+      lines_(set_count * space_), live_(set_count, 0)
 {
     CACHELAB_ASSERT(set_count > 0, "LRU stack needs at least one set");
     CACHELAB_ASSERT(space_ < kReleased, "LRU stack depth bound ",
                     depth_bound, " too large");
+    if (rows_)
+        return;
+    fenwick_.assign(set_count * (space_ + 1), 0);
+    clock_.assign(set_count, 0);
     if (bound_ != kUnbounded)
         index_.reserve(2 * set_count * bound_);
+}
+
+std::uint64_t
+LruStack::rowSlot(std::uint64_t set, Addr line_addr) const
+{
+    const LruLine *row = &lines_[set * space_];
+    std::uint64_t slot = 0;
+    while (slot < live_[set] && row[slot].lineAddr != line_addr)
+        ++slot;
+    return slot;
+}
+
+bool
+LruStack::contains(std::uint64_t set, Addr line_addr) const
+{
+    return rows_ ? rowSlot(set, line_addr) < live_[set]
+                 : index_.contains(line_addr);
+}
+
+std::uint64_t
+LruStack::touchRow(std::uint64_t set, Addr line_addr, bool is_write,
+                   LruLine *before)
+{
+    LruLine *row = &lines_[set * space_];
+    std::uint64_t slot = rowSlot(set, line_addr);
+    std::uint64_t depth = 0;
+    LruLine line{line_addr, 0, is_write};
+    if (slot < live_[set]) {
+        depth = slot + 1;
+        line = row[slot];
+        if (before != nullptr)
+            *before = line;
+        retouch(line, is_write, depth);
+    } else if (live_[set] < bound_) {
+        ++live_[set];
+        ++rowLines_;
+    } else {
+        --slot; // a full row drops its LRU line
+    }
+    // Slide the lines above the slot down one, onto it, and put the
+    // line on top.
+    for (; slot > 0; --slot)
+        row[slot] = row[slot - 1];
+    row[0] = line;
+    return depth;
 }
 
 void
@@ -135,6 +199,8 @@ std::uint64_t
 LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
                 LruLine *before)
 {
+    if (rows_)
+        return touchRow(set, line_addr, is_write, before);
     const auto [it, inserted] = index_.try_emplace(line_addr, 0);
     if (!inserted) {
         const std::uint64_t stamp = it->second;
@@ -143,13 +209,7 @@ LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
         const std::uint64_t depth = live_[set] - prefix(set, stamp) + 1;
         if (before != nullptr)
             *before = line;
-        if (is_write) {
-            line.written = true;
-            line.maxDepth = 0;
-        } else {
-            line.maxDepth = std::max(line.maxDepth,
-                                     static_cast<std::uint32_t>(depth));
-        }
+        retouch(line, is_write, depth);
         // Release first: place() may renumber, and the renumbered set
         // must not hold the line twice.
         release(set, stamp);
@@ -168,9 +228,10 @@ LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
 void
 LruStack::clear()
 {
+    std::fill(live_.begin(), live_.end(), 0);
+    rowLines_ = 0;
     std::fill(fenwick_.begin(), fenwick_.end(), 0);
     std::fill(clock_.begin(), clock_.end(), 0);
-    std::fill(live_.begin(), live_.end(), 0);
     index_.clear();
 }
 

@@ -7,13 +7,22 @@
  * A touch returns the line's 1-based depth in its set's recency stack
  * before promotion.  An LRU cache with A ways over the same sets holds
  * exactly the top A lines of every stack, so that one number tells
- * whether the touch hits at every associativity at once.  Depths come
- * from a Fenwick tree per set over a stamp space: each resident line
- * holds the stamp of its last touch, and its depth is the number of
- * live stamps at or above its own (O(log) per touch, not the O(depth)
- * walk of a move-to-front list).  A stamp->line array per set gives
- * the LRU line for eviction and the MRU-first walk; all sets share one
- * Addr-keyed index from line to stamp.
+ * whether the touch hits at every associativity at once.
+ *
+ * A set has one of two layouts, chosen by the depth bound:
+ *
+ *  - **Row** (bound <= kMaxRowBound): the set is a fixed row of
+ *    `bound` lines, MRU first, plus a fill count.  A touch scans the
+ *    row, and its position is the depth; promotion shifts the lines
+ *    above it down one slot.  There is no index and no tree, so a
+ *    shallow stack costs a few compares and a short move per touch.
+ *  - **Tree** (unbounded, or bound > kMaxRowBound): a Fenwick tree per
+ *    set over a stamp space.  Each resident line holds the stamp of
+ *    its last touch, and its depth is the number of live stamps at or
+ *    above its own (O(log) per touch, not the O(depth) walk of a
+ *    move-to-front list).  A stamp->line array per set gives the LRU
+ *    line for eviction and the MRU-first walk; all sets share one
+ *    Addr-keyed index from line to stamp.
  *
  * Two rules live here because every Mattson user needs them the same
  * way:
@@ -25,12 +34,12 @@
  *    write makes it dirty everywhere, and a later read at depth d
  *    means every cache smaller than d evicted it and refetched it
  *    clean.
- *  - **Renumber rule.**  When a set's clock reaches the stamp space,
- *    its live stamps are renumbered 1..n in recency order, after
- *    doubling the space if more than half of it is live.  A set
- *    bounded at depth B has a space of 2B and so never doubles; an
- *    unbounded one keeps at most ~4x its lines in stamps.  Either way
- *    renumbering is amortized O(1) per touch.
+ *  - **Renumber rule** (tree layout).  When a set's clock reaches the
+ *    stamp space, its live stamps are renumbered 1..n in recency
+ *    order, after doubling the space if more than half of it is live.
+ *    A set bounded at depth B has a space of 2B and so never doubles;
+ *    an unbounded one keeps at most ~4x its lines in stamps.  Either
+ *    way renumbering is amortized O(1) per touch.
  */
 
 #ifndef CACHELAB_CACHE_LRU_STACK_HH
@@ -72,9 +81,18 @@ class LruStack
     static constexpr std::uint64_t kClean = ~std::uint64_t{0};
 
     /**
+     * Deepest bound kept in the row layout.  Rows cost O(bound) a
+     * touch and the tree O(log bound); measured at bounds 4 to 64,
+     * rows stay at least 2.3x faster up to 32 (DESIGN.md, "LRU stack
+     * core").
+     */
+    static constexpr std::uint64_t kMaxRowBound = 32;
+
+    /**
      * @param set_count number of independent stacks (>= 1).
      * @param depth_bound lines kept per set; a touch that would push a
      * set past it evicts the set's LRU line.  kUnbounded keeps all.
+     * A bound of at most kMaxRowBound selects the row layout.
      */
     explicit LruStack(std::uint64_t set_count,
                       std::uint64_t depth_bound = kUnbounded);
@@ -90,14 +108,11 @@ class LruStack
     std::uint64_t touch(std::uint64_t set, Addr line_addr, bool is_write,
                         LruLine *before = nullptr);
 
-    /** @return true when @p line_addr is resident in some set. */
-    bool contains(Addr line_addr) const
-    {
-        return index_.contains(line_addr);
-    }
+    /** @return true when @p line_addr is resident in @p set. */
+    bool contains(std::uint64_t set, Addr line_addr) const;
 
     /** Resident lines across all sets. */
-    std::uint64_t size() const { return index_.size(); }
+    std::uint64_t size() const { return rows_ ? rowLines_ : index_.size(); }
 
     std::uint64_t setCount() const { return sets_; }
 
@@ -107,6 +122,11 @@ class LruStack
     forEachMru(std::uint64_t set, Fn &&fn) const
     {
         const std::uint64_t base = set * space_;
+        if (rows_) {
+            for (std::uint64_t i = 0; i < live_[set]; ++i)
+                fn(lines_[base + i]);
+            return;
+        }
         for (std::uint64_t stamp = clock_[set]; stamp >= 1; --stamp) {
             if (lines_[base + stamp - 1].maxDepth != kReleased)
                 fn(lines_[base + stamp - 1]);
@@ -137,6 +157,13 @@ class LruStack
      */
     static constexpr std::uint32_t kReleased = ~std::uint32_t{0};
 
+    /** touch() in the row layout. */
+    std::uint64_t touchRow(std::uint64_t set, Addr line_addr, bool is_write,
+                           LruLine *before);
+
+    /** @return @p line_addr's slot in @p set's row, or the row's fill. */
+    std::uint64_t rowSlot(std::uint64_t set, Addr line_addr) const;
+
     /** Fenwick add of @p delta at @p stamp of @p set. */
     void mark(std::uint64_t set, std::uint64_t stamp, int delta);
 
@@ -164,19 +191,25 @@ class LruStack
 
     std::uint64_t sets_;
     std::uint64_t bound_;
-    std::uint64_t space_; ///< stamps per set
+    bool rows_;           ///< row layout; else the tree layout
+    std::uint64_t space_; ///< slots per set: the bound, or the stamps
+
+    /**
+     * Rows: per set, the first live_ of its bound_ slots, MRU first.
+     * Tree: per set, stamp t at slot t - 1; slots above the set's
+     * clock are never read.
+     */
+    std::vector<LruLine> lines_;
+
+    std::vector<std::uint64_t> live_; ///< resident lines, per set
+    std::uint64_t rowLines_ = 0;      ///< resident lines in all rows
+
+    // The tree layout only: empty for rows.
 
     /** Per set: space_ + 1 Fenwick nodes, node 0 unused. */
     std::vector<std::uint32_t> fenwick_;
 
-    /**
-     * Per set: space_ slots, stamp t at slot t - 1.  Slots above the
-     * set's clock are never read.
-     */
-    std::vector<LruLine> lines_;
-
     std::vector<std::uint64_t> clock_; ///< last stamp handed out, per set
-    std::vector<std::uint64_t> live_;  ///< resident lines, per set
 
     /** Resident line -> its stamp within its set. */
     std::unordered_map<Addr, std::uint64_t> index_;

@@ -215,6 +215,16 @@ readImage(std::istream &is, std::uint64_t set_count, std::uint32_t max_assoc)
     image.begin = readPod<std::uint64_t>(is);
     image.sincePurge = readPod<std::uint64_t>(is);
     const auto entry_count = readPod<std::uint64_t>(is);
+    // set_count x max_assoc, saturated so that no count can wrap it.
+    constexpr std::uint64_t kMost = ~std::uint64_t{0};
+    const std::uint64_t capacity =
+        max_assoc != 0 && set_count > kMost / max_assoc
+            ? kMost
+            : set_count * max_assoc;
+    if (entry_count > capacity)
+        fatal("live points: image declares ", entry_count, " entries, "
+              "more than its ", set_count, " sets x ", max_assoc,
+              " lines hold");
     image.setOffsets.reserve(set_count + 1);
     image.setOffsets.push_back(0);
     image.entries.reserve(entry_count);
@@ -819,6 +829,22 @@ LivePointStore::load(const std::string &dir)
                       "store.json (", g.lineBytes_, "B x ", g.setCount_,
                       " sets, assoc ", g.maxAssoc_, ", ", intervals,
                       " intervals)");
+            // An image is at least begin, sincePurge and its entry count
+            // (24 bytes) plus a 4-byte run per set.  Check both counts
+            // against the bytes left before allocating by them.
+            const std::uint64_t left =
+                std::filesystem::file_size(path) -
+                static_cast<std::uint64_t>(gis.tellg());
+            if (interval_count != 0) {
+                if (left < 24 || set_count > (left - 24) / 4)
+                    fatal("live points: '", path, "' declares ", set_count,
+                          " sets, more than its ", left,
+                          " image bytes hold");
+                if (interval_count > left / (24 + 4 * set_count))
+                    fatal("live points: '", path, "' declares ",
+                          interval_count, " intervals, more than its ",
+                          left, " image bytes hold");
+            }
             g.images_.reserve(interval_count);
             for (std::uint64_t i = 0; i < interval_count; ++i)
                 g.images_.push_back(

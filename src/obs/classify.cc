@@ -49,7 +49,7 @@ MissClassifier::classifyMiss(const CacheEvent &event)
     enum class Class { Compulsory, Capacity, Conflict } cls;
     if (!seen_.contains(event.lineAddr))
         cls = Class::Compulsory;
-    else if (shadow_.contains(event.lineAddr))
+    else if (shadow_.contains(0, event.lineAddr))
         cls = Class::Conflict;
     else
         cls = Class::Capacity;

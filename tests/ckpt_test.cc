@@ -769,6 +769,74 @@ TEST(LivePointStore, ParallelWriterMatchesSerialBytes)
     }
 }
 
+/** Overwrite the host-order u64 at byte @p offset of @p path. */
+void
+pokeU64(const std::string &path, std::streamoff offset, std::uint64_t value)
+{
+    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+    fs.seekp(offset);
+    fs.write(reinterpret_cast<const char *>(&value), sizeof(value));
+    EXPECT_TRUE(fs.good()) << path;
+}
+
+/** Set the first integer member @p field of @p dir's store.json. */
+void
+pokeStoreJson(const std::string &dir, const std::string &field,
+              std::uint64_t value)
+{
+    const std::string path = dir + "/store.json";
+    std::string text = fileBytes(path);
+    const std::string key = "\"" + field + "\": ";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t begin = at + key.size();
+    const std::size_t end = text.find_first_not_of("0123456789", begin);
+    text.replace(begin, end - begin, std::to_string(value));
+    std::ofstream(path, std::ios::trunc) << text;
+}
+
+TEST(LivePointStore, LoadRejectsCountsTheFileCannotHold)
+{
+    // A count is checked before anything is allocated by it, so a lie
+    // is a diagnostic, not std::length_error or std::bad_alloc.  A
+    // group file holds its set count at byte 20 and its interval count
+    // at byte 32 (both mirrored in store.json); the first image's
+    // entry count is at byte 56.
+    Trace trace = testTrace();
+    const std::string good = freshDir("lvpt-counts");
+    ckpt::writeLivePoints(
+        trace, good,
+        unifiedSpec({1024}, sampleTenPercent(WarmingPolicy::Checkpoint), 0,
+                    4));
+    const std::string group = "/unified-l16-s16.lvpt";
+    constexpr std::uint64_t kLie = std::uint64_t{1} << 62;
+    const auto copyOf = [&](const char *leaf) {
+        const std::string dir = freshDir(leaf);
+        std::filesystem::copy(good, dir);
+        return dir;
+    };
+
+    const std::string entries = copyOf("lvpt-counts-entries");
+    pokeU64(entries + group, 56, kLie);
+    EXPECT_EXIT(ckpt::LivePointStore::load(entries),
+                testing::ExitedWithCode(1),
+                "live points: image declares 4611686018427387904 entries");
+
+    const std::string intervals = copyOf("lvpt-counts-intervals");
+    pokeStoreJson(intervals, "intervals", kLie);
+    pokeU64(intervals + group, 32, kLie);
+    EXPECT_EXIT(ckpt::LivePointStore::load(intervals),
+                testing::ExitedWithCode(1),
+                "live points: .* declares 4611686018427387904 intervals");
+
+    const std::string sets = copyOf("lvpt-counts-sets");
+    pokeStoreJson(sets, "set_count", kLie);
+    pokeU64(sets + group, 20, kLie);
+    EXPECT_EXIT(ckpt::LivePointStore::load(sets),
+                testing::ExitedWithCode(1),
+                "live points: .* declares 4611686018427387904 sets");
+}
+
 // ---------------------------------------------------------------- //
 //  warmToInterval edge cases (incl. the checkpoint overload)        //
 // ---------------------------------------------------------------- //

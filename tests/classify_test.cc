@@ -31,10 +31,16 @@ namespace
 
 constexpr std::uint64_t kRefs = 20000;
 
+/**
+ * Sizes of the corpus loops.  At 16 B lines, 2 KiB shadows in the LRU
+ * stack's tree layout and 256 B (16 lines) in its row layout.
+ */
+constexpr std::uint64_t kCorpusSizes[] = {2048, 256};
+
 CacheConfig
-geometry(std::uint32_t assoc)
+geometry(std::uint32_t assoc, std::uint64_t size_bytes = 2048)
 {
-    CacheConfig cfg = table1Config(2048);
+    CacheConfig cfg = table1Config(size_bytes);
     cfg.associativity = assoc; // 0 = fully associative
     cfg.validate();
     return cfg;
@@ -55,15 +61,17 @@ TEST(MissClassification, InvariantHoldsAcrossCorpusMaterialized)
 {
     for (const TraceProfile &profile : allTraceProfiles()) {
         const Trace t = generateTrace(profile, kRefs);
-        for (const std::uint32_t assoc : {1u, 2u, 4u, 0u}) {
-            Cache cache(geometry(assoc));
-            MissClassifier classifier(cache.config());
-            cache.setProbe(&classifier);
-            const CacheStats stats = runTrace(t, cache);
-            classifier.finalize(cache.accessClock());
-            expectInvariant(classifier.totals(), stats, assoc,
-                            profile.name + "/assoc=" +
-                                std::to_string(assoc));
+        for (const std::uint64_t size : kCorpusSizes) {
+            for (const std::uint32_t assoc : {1u, 2u, 4u, 0u}) {
+                Cache cache(geometry(assoc, size));
+                MissClassifier classifier(cache.config());
+                cache.setProbe(&classifier);
+                const CacheStats stats = runTrace(t, cache);
+                classifier.finalize(cache.accessClock());
+                expectInvariant(classifier.totals(), stats, assoc,
+                                profile.name + "/" + std::to_string(size) +
+                                    "B/assoc=" + std::to_string(assoc));
+            }
         }
     }
 }
@@ -71,17 +79,20 @@ TEST(MissClassification, InvariantHoldsAcrossCorpusMaterialized)
 TEST(MissClassification, InvariantHoldsAcrossCorpusStreamed)
 {
     for (const TraceProfile &profile : allTraceProfiles()) {
-        for (const std::uint32_t assoc : {1u, 2u, 4u, 0u}) {
-            const std::unique_ptr<TraceSource> source =
-                streamTrace(profile, kRefs);
-            Cache cache(geometry(assoc));
-            MissClassifier classifier(cache.config());
-            cache.setProbe(&classifier);
-            const CacheStats stats = runTrace(*source, cache);
-            classifier.finalize(cache.accessClock());
-            expectInvariant(classifier.totals(), stats, assoc,
-                            profile.name + "/streamed/assoc=" +
-                                std::to_string(assoc));
+        for (const std::uint64_t size : kCorpusSizes) {
+            for (const std::uint32_t assoc : {1u, 2u, 4u, 0u}) {
+                const std::unique_ptr<TraceSource> source =
+                    streamTrace(profile, kRefs);
+                Cache cache(geometry(assoc, size));
+                MissClassifier classifier(cache.config());
+                cache.setProbe(&classifier);
+                const CacheStats stats = runTrace(*source, cache);
+                classifier.finalize(cache.accessClock());
+                expectInvariant(classifier.totals(), stats, assoc,
+                                profile.name + "/streamed/" +
+                                    std::to_string(size) + "B/assoc=" +
+                                    std::to_string(assoc));
+            }
         }
     }
 }

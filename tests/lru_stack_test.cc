@@ -75,6 +75,14 @@ class StackOracle
         return stacks_[s];
     }
 
+    bool
+    contains(std::uint64_t s, Addr line_addr) const
+    {
+        return std::any_of(
+            stacks_[s].begin(), stacks_[s].end(),
+            [&](const LruLine &line) { return line.lineAddr == line_addr; });
+    }
+
     std::uint64_t
     size() const
     {
@@ -100,13 +108,15 @@ expectSameStacks(const LruStack &stack, const StackOracle &oracle)
         });
         ASSERT_TRUE(walked == oracle.set(s)) << "set " << s;
         for (const LruLine &line : walked)
-            ASSERT_TRUE(stack.contains(line.lineAddr));
+            ASSERT_TRUE(stack.contains(s, line.lineAddr));
     }
 }
 
 /**
  * Seeded random touches — Zipf-skewed line popularity, 30% writes,
  * occasional clear() — through the core and the oracle in lockstep.
+ * At random points every set is compared, and contains() is asked
+ * about random lines: resident, evicted and never touched.
  */
 void
 runDifferential(std::uint64_t sets, std::uint64_t bound, std::uint64_t seed)
@@ -119,6 +129,7 @@ runDifferential(std::uint64_t sets, std::uint64_t bound, std::uint64_t seed)
     LruStack stack(sets, bound);
     StackOracle oracle(sets, bound);
     Rng rng(seed);
+    Rng probe_rng(~seed);
     // Popularity rank is the line number, so hot lines spread over
     // every set.  The unbounded stack needs enough distinct lines to
     // double its stamp space more than once.
@@ -149,6 +160,13 @@ runDifferential(std::uint64_t sets, std::uint64_t bound, std::uint64_t seed)
             expectSameStacks(stack, oracle);
             if (testing::Test::HasFatalFailure())
                 return;
+            for (int probe = 0; probe < 64; ++probe) {
+                const std::uint64_t other = probe_rng.uniformInt(universe + 8);
+                const Addr other_line = kBase + other * 64;
+                ASSERT_EQ(stack.contains(other % sets, other_line),
+                          oracle.contains(other % sets, other_line))
+                    << "line " << other;
+            }
         }
     }
     expectSameStacks(stack, oracle);
@@ -156,9 +174,13 @@ runDifferential(std::uint64_t sets, std::uint64_t bound, std::uint64_t seed)
 
 TEST(LruStack, MatchesNaiveOracle)
 {
+    // Bounds up to kMaxRowBound are rows; the two deeper ones keep the
+    // bounded tree layout, and its eviction, under the same oracle.
+    const std::vector<std::uint64_t> bounds = {
+        1, 2, 7, 16, LruStack::kMaxRowBound, LruStack::kMaxRowBound + 1, 64};
     std::uint64_t seed = 1;
     for (const std::uint64_t sets : {1u, 4u, 64u}) {
-        for (const std::uint64_t bound : {1u, 2u, 7u, 16u}) {
+        for (const std::uint64_t bound : bounds) {
             runDifferential(sets, bound, seed++);
             if (HasFatalFailure())
                 return;

@@ -105,20 +105,23 @@ EOF
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
 # reproduce the functional-warming sweep bit for bit, and the manifest
-# must carry the store's provenance (key/content hash).
-ckpt_dir=build-ci/smoke-ckpt-store
+# must carry the store's provenance (key/content hash).  Two legs: fully
+# associative (one 1-set group, a deep stack) and 4-way (a group per
+# set count, every set a shallow stack).
 ckpt_flags=(--profile ZGREP --refs 200000 --sweep 256:8192
             --sample 0.1 --sample-unit 1000 --jobs 1)
-rm -rf "${ckpt_dir}"
-${sim} "${ckpt_flags[@]}" --ckpt-write "${ckpt_dir}" \
-    --metrics-json build-ci/smoke-ckpt-write.json > /dev/null
-${sim} "${ckpt_flags[@]}" \
-    --metrics-json build-ci/smoke-ckpt-functional.json > /dev/null
-${sim} "${ckpt_flags[@]}" --ckpt "${ckpt_dir}" \
-    --metrics-json build-ci/smoke-ckpt-fanout.json > /dev/null
-python3 - build-ci/smoke-ckpt-functional.json \
-    build-ci/smoke-ckpt-fanout.json build-ci/smoke-ckpt-write.json \
-    "${ckpt_dir}/store.json" <<'EOF'
+ckpt_leg() {
+    local leg="build-ci/smoke-ckpt-$1"
+    shift
+    rm -rf "${leg}-store"
+    ${sim} "${ckpt_flags[@]}" "$@" --ckpt-write "${leg}-store" \
+        --metrics-json "${leg}-write.json" > /dev/null
+    ${sim} "${ckpt_flags[@]}" "$@" \
+        --metrics-json "${leg}-functional.json" > /dev/null
+    ${sim} "${ckpt_flags[@]}" "$@" --ckpt "${leg}-store" \
+        --metrics-json "${leg}-fanout.json" > /dev/null
+    python3 - "${leg}-functional.json" "${leg}-fanout.json" \
+        "${leg}-write.json" "${leg}-store/store.json" <<'EOF'
 import json, sys
 functional, fanout, write, store = (json.load(open(p)) for p in sys.argv[1:5])
 
@@ -146,9 +149,36 @@ for manifest, action in ((write, "write"), (fanout, "fanout")):
     assert cfg["ckpt_action"] == action, cfg
     assert cfg["ckpt_key_hash"] == store["key_hash"], cfg
     assert cfg["ckpt_content_hash"] == store["content_hash"], cfg
-print(f"    {len(a)} sizes bitwise identical to functional warming;"
-      f" key hash {store['key_hash']}")
+groups = len(store["channels"][0]["groups"])
+print(f"    {len(a)} sizes bitwise identical to functional warming"
+      f" from {groups} group(s); key hash {store['key_hash']}")
 EOF
+}
+ckpt_leg fa
+ckpt_leg 4way --assoc 4
+
+# A corrupt store is a one-line diagnostic (exit 1), never an uncaught
+# std::length_error (exit 134): flip bit 62 of the first image's entry
+# count (byte 56 of a group file).
+corrupt_dir=build-ci/smoke-ckpt-corrupt-store
+rm -rf "${corrupt_dir}"
+cp -r build-ci/smoke-ckpt-4way-store "${corrupt_dir}"
+python3 - "${corrupt_dir}/unified-l16-s4.lvpt" <<'EOF'
+import struct, sys
+with open(sys.argv[1], "r+b") as f:
+    f.seek(56)
+    count, = struct.unpack("=Q", f.read(8))
+    f.seek(56)
+    f.write(struct.pack("=Q", count ^ (1 << 62)))
+EOF
+status=0
+${sim} "${ckpt_flags[@]}" --assoc 4 --ckpt "${corrupt_dir}" \
+    > /dev/null 2> build-ci/smoke-ckpt-corrupt.log || status=$?
+if [ "${status}" -ne 1 ]; then
+    echo "    ERROR: corrupt store exited ${status}, expected 1"; exit 1
+fi
+grep -q "live points:" build-ci/smoke-ckpt-corrupt.log
+echo "    corrupt entry count: exit 1, $(head -n 1 build-ci/smoke-ckpt-corrupt.log)"
 
 echo "==> policy zoo + timing smoke (sweep per policy, AMAT manifest)"
 # Classic-trio parity: --replacement lru must be byte-identical to the
