@@ -68,34 +68,31 @@ runCoalesced(TraceSource &source, std::span<const ExperimentSpec> specs,
     for (std::size_t s = 0; s < specs.size(); ++s) {
         const ExperimentSpec &spec = specs[s];
         const RunConfig run = runConfigFor(spec);
-        for (std::uint64_t size : spec.sizes) {
-            CacheConfig config = spec.base;
-            config.sizeBytes = size;
-            config.validate(); // specs are pre-validated; belt and braces
-            points.emplace_back(config, run, s, size);
-        }
+        // Specs are pre-validated; configAt() checks again anyway.
+        for (std::uint64_t size : spec.sizes)
+            points.emplace_back(detail::configAt(spec.base, size), run, s,
+                                size);
     }
 
     RunConfig fan;
     fan.jobs = options.jobs;
     fan.batchRefs = options.batchRefs;
-    detail::BatchExecutor exec(fan);
-    detail::DriveObs ob;
+    const detail::DriveObs ob;
     const std::uint64_t known = source.knownLength();
-
-    std::vector<MemoryRef> buffer(fan.resolvedBatchRefs());
     std::uint64_t total = 0;
-    while (const std::size_t got = source.nextBatch(buffer)) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(points.size(), [&](std::size_t i) {
-            PassPoint &point = points[i];
-            detail::driveSpan(batch, *point.cache, point.run, point.state,
-                              ob);
+    detail::streamPass(
+        source, fan,
+        [&](std::span<const MemoryRef> batch, detail::BatchExecutor &exec) {
+            exec.parallelFor(points.size(), [&](std::size_t i) {
+                PassPoint &point = points[i];
+                detail::driveSpan(batch, *point.cache, point.run,
+                                  point.state, ob);
+            });
+            total += batch.size();
+            if (options.progress)
+                options.progress(total, known);
+            return true;
         });
-        total += got;
-        if (options.progress)
-            options.progress(total, known);
-    }
 
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -109,7 +106,7 @@ runCoalesced(TraceSource &source, std::span<const ExperimentSpec> specs,
         result.coalescedGroup = specs.size();
     }
     for (PassPoint &point : points) {
-        detail::driveFinish(point.state, point.run, ob);
+        detail::driveFinish(point.state, point.run);
         results[point.specIndex].points.push_back(
             SweepPoint{point.sizeBytes, point.cache->stats()});
     }

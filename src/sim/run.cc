@@ -5,10 +5,11 @@
 
 #include "sim/run.hh"
 
-#include <vector>
+#include <algorithm>
 
 #include "sim/drive.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace cachelab
 {
@@ -17,8 +18,7 @@ namespace detail
 {
 
 void
-driveFinish(const DriveState &state, const RunConfig &config,
-            const DriveObs &ob)
+driveFinish(const DriveState &state, const RunConfig &config)
 {
     // Length-dependent config rules, checked here so streaming runs
     // (length unknown up front) enforce the same contract as
@@ -35,11 +35,54 @@ driveFinish(const DriveState &state, const RunConfig &config,
                     ") exceeds run length (", state.seen,
                     "); no purge would ever fire");
 
-    if (ob.reportProgress)
-        ob.progress->advance(state.seen & (kDriveProgressChunk - 1));
     obs::Registry &registry = obs::Registry::global();
     registry.counter("sim.runs").add(1);
     registry.counter("sim.refs").add(state.seen);
+}
+
+BatchExecutor::BatchExecutor(const RunConfig &run) : jobs_(run.jobs) {}
+
+BatchExecutor::~BatchExecutor()
+{
+    // The local pool dies with this executor; keep its utilization
+    // visible in the pool.* gauges (the manifest's thread_pool section
+    // records the process-wide shared pool).
+    if (local_)
+        obs::publishThreadPool(obs::Registry::global(), *local_);
+}
+
+void
+BatchExecutor::parallelFor(std::size_t n,
+                           const std::function<void(std::size_t)> &fn)
+{
+    if (jobs_ == 1 || ThreadPool::onWorkerThread()) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    if (jobs_ == 0) {
+        ThreadPool::shared().parallelFor(n, fn);
+        return;
+    }
+    if (!local_)
+        local_ = std::make_unique<ThreadPool>(jobs_);
+    local_->parallelFor(n, fn);
+}
+
+CacheConfig
+configAt(const CacheConfig &base, std::uint64_t size)
+{
+    CacheConfig config = base;
+    config.sizeBytes = size;
+    config.validate();
+    return config;
+}
+
+void
+validateSizes(const CacheConfig &base, const std::vector<std::uint64_t> &sizes)
+{
+    for (std::uint64_t size : sizes)
+        configAt(base, size);
 }
 
 } // namespace detail
@@ -47,7 +90,11 @@ driveFinish(const DriveState &state, const RunConfig &config,
 namespace
 {
 
-/** Materialized fast path: the whole trace is one span. */
+/**
+ * Materialized path: the trace is fed as zero-copy spans of
+ * resolvedBatchRefs(), the same cut a streamed run makes, so progress
+ * ticks at the same rate either way.
+ */
 template <typename System, typename StatsFn>
 CacheStats
 driveTrace(const Trace &trace, System &system, const RunConfig &config,
@@ -67,12 +114,16 @@ driveTrace(const Trace &trace, System &system, const RunConfig &config,
 
     detail::DriveState state(config);
     const detail::DriveObs ob;
-    detail::driveSpan(trace.refs(), system, config, state, ob);
-    detail::driveFinish(state, config, ob);
+    const std::span<const MemoryRef> refs = trace.refs();
+    const std::size_t step = config.resolvedBatchRefs();
+    for (std::size_t at = 0; at < refs.size(); at += step)
+        detail::driveSpan(refs.subspan(at, std::min(step, refs.size() - at)),
+                          system, config, state, ob);
+    detail::driveFinish(state, config);
     return stats_of(system);
 }
 
-/** Streaming path: consume batches until the source drains. */
+/** Streaming path: one streamed pass, no fan-out. */
 template <typename System, typename StatsFn>
 CacheStats
 driveSource(TraceSource &source, System &system, const RunConfig &config,
@@ -80,12 +131,13 @@ driveSource(TraceSource &source, System &system, const RunConfig &config,
 {
     detail::DriveState state(config);
     const detail::DriveObs ob;
-    std::vector<MemoryRef> buffer(config.resolvedBatchRefs());
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0)
-        detail::driveSpan(std::span<const MemoryRef>(buffer.data(), got),
-                          system, config, state, ob);
-    detail::driveFinish(state, config, ob);
+    detail::streamPass(
+        source, config,
+        [&](std::span<const MemoryRef> batch, detail::BatchExecutor &) {
+            detail::driveSpan(batch, system, config, state, ob);
+            return true;
+        });
+    detail::driveFinish(state, config);
     return stats_of(system);
 }
 

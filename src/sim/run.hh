@@ -60,9 +60,11 @@ struct RunConfig
 
     /**
      * Batch size (references) the streaming drivers read per
-     * nextBatch() call; 0 = kDefaultBatchRefs.  Results never depend
-     * on it — it only trades buffer memory against call overhead (and
-     * lets tests exercise chunk boundaries, e.g. batchRefs = 1).
+     * nextBatch() call, and the span size runTrace() cuts a
+     * materialized trace into; 0 = kDefaultBatchRefs.  Progress is
+     * credited once per span.  Results never depend on it — it only
+     * trades buffer memory against call overhead (and lets tests
+     * exercise chunk boundaries, e.g. batchRefs = 1).
      */
     std::size_t batchRefs = 0;
 

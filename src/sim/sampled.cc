@@ -34,7 +34,7 @@
 #include "obs/profile.hh"
 #include "obs/trace_event.hh"
 #include "sample/sampler.hh"
-#include "sim/sweep.hh"
+#include "sim/drive.hh"
 #include "stats/summary.hh"
 #include "trace/transforms.hh"
 #include "util/logging.hh"
@@ -133,8 +133,19 @@ class SampledEngine
         return !stopped_ && planIdx_ < plan_.size();
     }
 
-    /** Consume the next @p refs of the stream (cursor order). */
-    void
+    /** @return true once the sequential stopping rule has fired. */
+    bool
+    stoppedEarly() const
+    {
+        return stopped_;
+    }
+
+    /**
+     * Consume the next @p refs of the stream (cursor order).  Kept out
+     * of line: inlined into the materialized driver, the loop measured
+     * 2-6% slower on a resident sampled sweep at 4 jobs (4-vCPU Xeon).
+     */
+    [[gnu::noinline]] void
     feed(std::span<const MemoryRef> refs)
     {
         std::size_t i = 0;
@@ -352,11 +363,13 @@ driveSampledSource(TraceSource &source, System &system,
 {
     SampledEngine<System> engine(sourceLength(source), system, sample, run,
                                  std::forward<StatsFn>(stats_of));
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::size_t got;
     // An early-stopped engine ignores further input; stop decoding.
-    while (engine.active() && (got = source.nextBatch(buffer)) != 0)
-        engine.feed(std::span<const MemoryRef>(buffer.data(), got));
+    detail::streamPass(
+        source, run,
+        [&](std::span<const MemoryRef> batch, detail::BatchExecutor &) {
+            engine.feed(batch);
+            return engine.active();
+        });
     return engine.finish();
 }
 
@@ -403,11 +416,8 @@ sweepUnifiedSampled(const Trace &trace,
                     const RunConfig &run)
 {
     std::vector<SampledSweepPoint> out(sizes.size());
-    detail::sweepParallelFor(sizes.size(), run, [&](std::size_t i) {
-        CacheConfig config = base;
-        config.sizeBytes = sizes[i];
-        config.validate();
-        Cache cache(config);
+    detail::BatchExecutor(run).parallelFor(sizes.size(), [&](std::size_t i) {
+        Cache cache(detail::configAt(base, sizes[i]));
         out[i] = {sizes[i], runSampled(trace, cache, sample, run)};
     });
     return out;
@@ -429,10 +439,8 @@ sweepSplitSampled(const Trace &trace, const std::vector<std::uint64_t> &sizes,
         trace.name() + ".D");
 
     std::vector<SplitSampledSweepPoint> out(sizes.size());
-    detail::sweepParallelFor(sizes.size(), run, [&](std::size_t i) {
-        CacheConfig config = base;
-        config.sizeBytes = sizes[i];
-        config.validate();
+    detail::BatchExecutor(run).parallelFor(sizes.size(), [&](std::size_t i) {
+        const CacheConfig config = detail::configAt(base, sizes[i]);
         Cache icache(config), dcache(config);
         out[i] = {sizes[i], runSampled(istream, icache, sample, run),
                   runSampled(dstream, dcache, sample, run)};
@@ -440,140 +448,176 @@ sweepSplitSampled(const Trace &trace, const std::vector<std::uint64_t> &sizes,
     return out;
 }
 
-std::vector<SampledSweepPoint>
-sweepUnifiedSampled(TraceSource &source,
-                    const std::vector<std::uint64_t> &sizes,
-                    const CacheConfig &base, const SampleConfig &sample,
-                    const RunConfig &run)
+namespace
 {
-    const std::uint64_t length = sourceLength(source);
-    std::vector<std::unique_ptr<Cache>> caches;
-    std::vector<std::unique_ptr<SampledEngine<Cache>>> engines;
-    caches.reserve(sizes.size());
-    engines.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        CacheConfig config = base;
-        config.sizeBytes = size;
-        config.validate();
-        caches.push_back(std::make_unique<Cache>(config));
-        engines.push_back(std::make_unique<SampledEngine<Cache>>(
-            length, *caches.back(), sample, run,
-            [](Cache &c) { return c.stats(); }));
-    }
 
-    // Chunk-synchronous: one decode of the input feeds every size's
-    // engine, each of which sees the exact stream a dedicated sampled
-    // run would.
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(sizes.size(),
-                         [&](std::size_t i) { engines[i]->feed(batch); });
-        bool any_active = false;
-        for (const auto &engine : engines)
-            any_active = any_active || engine->active();
-        if (!any_active)
-            break; // every size stopped early; stop decoding
-    }
+/** One streamed sampled run: a cache and the engine driving it. */
+struct SampledLane
+{
+    Cache cache;
+    SampledEngine<Cache> engine;
 
+    SampledLane(const CacheConfig &config, std::uint64_t length,
+                const SampleConfig &sample, const RunConfig &run,
+                SampledEngine<Cache>::Restore restore)
+        : cache(config),
+          engine(length, cache, sample, run,
+                 [](Cache &c) { return c.stats(); }, std::move(restore))
+    {}
+};
+
+/** @return the lane side a split sweep routes @p ref to (0 = I, 1 = D). */
+std::size_t
+sideOf(const MemoryRef &ref)
+{
+    return isData(ref.kind) ? 1 : 0;
+}
+
+/**
+ * The streamed sampled sweep of both organizations, plain or
+ * store-backed.  A unified sweep runs one lane per size over the
+ * whole stream; a split sweep runs an I lane and a D lane per size,
+ * each over its side's subsequence (order preserved, so it equals the
+ * filtered per-side trace).  One decode feeds every lane the exact
+ * stream a dedicated sampled run would see.
+ *
+ * Reading stops once no engine is active.  With a @p store the rest of
+ * the stream is still hashed (not fed) and checked against the
+ * store's content hash, unless every engine stopped on the sequential
+ * rule — the one run allowed to end before the stream does.
+ *
+ * @return one result per lane: sizes.size() unified (or I) results,
+ * then, for a split sweep, as many D results.
+ */
+std::vector<SampledRunResult>
+sweepSampledStream(TraceSource &source, const std::vector<std::uint64_t> &sizes,
+                   const CacheConfig &base, const SampleConfig &sample,
+                   const RunConfig &run, const ckpt::LivePointStore *store,
+                   bool split)
+{
+    detail::validateSizes(base, sizes);
+    if (store != nullptr && sample.warming != WarmingPolicy::Checkpoint)
+        fatal(split ? "sweepSplitSampled" : "sweepUnifiedSampled",
+              "(store): a live-point store implies checkpoint warming; got ",
+              toString(sample.warming));
+    CACHELAB_ASSERT(!split || run.purgeInterval == 0,
+                    "sampled split sweep: purge schedule is defined on the "
+                    "combined stream; run unsampled or purge-free");
+
+    // Stream length per side.  The split plans need each side's
+    // length, which only a counting pass over the kinds can reveal.
+    std::uint64_t lengths[2] = {0, 0};
+    if (split) {
+        source.forEachBatch(
+            [&](std::span<const MemoryRef> batch) {
+                for (const MemoryRef &ref : batch)
+                    ++lengths[sideOf(ref)];
+            },
+            run.resolvedBatchRefs());
+        source.reset();
+    } else {
+        lengths[0] = sourceLength(source);
+    }
+    if (store != nullptr)
+        store->checkCompatible(
+            split ? ckpt::splitLivePointKey(source.name(),
+                                            lengths[0] + lengths[1],
+                                            lengths[0], lengths[1], sample)
+                  : ckpt::unifiedLivePointKey(source.name(), lengths[0],
+                                              sample, run.purgeInterval));
+
+    const char *const roles[2] = {split ? "icache" : "unified", "dcache"};
+    std::vector<std::unique_ptr<SampledLane>> lanes;
+    for (std::size_t side = 0; side < (split ? 2 : 1); ++side) {
+        for (std::uint64_t size : sizes) {
+            const CacheConfig config = detail::configAt(base, size);
+            SampledEngine<Cache>::Restore restore;
+            if (store != nullptr) {
+                const ckpt::LivePointGroup &group = store->group(
+                    roles[side], config.lineBytes, config.setCount(),
+                    config.effectiveAssociativity());
+                restore = [&group](Cache &c, std::size_t idx,
+                                   std::uint64_t &since_purge) {
+                    group.restoreInto(c, idx, since_purge);
+                };
+            }
+            lanes.push_back(std::make_unique<SampledLane>(
+                config, lengths[side], sample, run, std::move(restore)));
+        }
+    }
+    const auto all_stopped = [&] {
+        return std::all_of(lanes.begin(), lanes.end(), [](const auto &lane) {
+            return lane->engine.stoppedEarly();
+        });
+    };
+
+    std::vector<MemoryRef> side_refs[2];
+    std::span<const MemoryRef> spans[2];
+    std::uint64_t content_hash = ckpt::kFnvOffset;
+    bool feeding = true;
+    detail::streamPass(
+        source, run,
+        [&](std::span<const MemoryRef> batch, detail::BatchExecutor &exec) {
+            // The content hash is not free: hashRefs is byte-wise FNV-1a
+            // over 24 bytes a reference, 33-36 ns/ref on a 4-vCPU Xeon
+            // host, about 40% of a store-backed sweep.  A word-wise hash
+            // changes every store's content hash, so it needs store
+            // version 2.
+            if (store != nullptr)
+                content_hash = ckpt::hashRefs(content_hash, batch);
+            if (!feeding)
+                return true; // hashing the tail for the content check
+            spans[0] = batch;
+            if (split) {
+                side_refs[0].clear();
+                side_refs[1].clear();
+                for (const MemoryRef &ref : batch)
+                    side_refs[sideOf(ref)].push_back(ref);
+                spans[0] = side_refs[0];
+                spans[1] = side_refs[1];
+            }
+            exec.parallelFor(lanes.size(), [&](std::size_t k) {
+                lanes[k]->engine.feed(spans[k / sizes.size()]);
+            });
+            feeding = std::any_of(lanes.begin(), lanes.end(),
+                                  [](const auto &lane) {
+                                      return lane->engine.active();
+                                  });
+            return feeding || (store != nullptr && !all_stopped());
+        });
+
+    std::vector<SampledRunResult> results;
+    results.reserve(lanes.size());
+    for (const auto &lane : lanes)
+        results.push_back(lane->engine.finish());
+    if (store != nullptr && !all_stopped() &&
+        content_hash != store->contentHash())
+        fatal("live points: trace content hash ", content_hash,
+              " does not match the store's ", store->contentHash(),
+              " — same name and length, different references; the store "
+              "'", store->directory(), "' was written from another trace");
+    return results;
+}
+
+std::vector<SampledSweepPoint>
+unifiedPoints(const std::vector<std::uint64_t> &sizes,
+              std::vector<SampledRunResult> results)
+{
     std::vector<SampledSweepPoint> out(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i)
-        out[i] = {sizes[i], engines[i]->finish()};
+        out[i] = {sizes[i], std::move(results[i])};
     return out;
 }
 
 std::vector<SplitSampledSweepPoint>
-sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
-                  const CacheConfig &base, const SampleConfig &sample,
-                  const RunConfig &run)
+splitPoints(const std::vector<std::uint64_t> &sizes,
+            std::vector<SampledRunResult> results)
 {
-    CACHELAB_ASSERT(run.purgeInterval == 0,
-                    "sampled split sweep: purge schedule is defined on the "
-                    "combined stream; run unsampled or purge-free");
-    // Counting pass: the per-side sampling plans need each side's
-    // stream length, which only a full decode can reveal.
-    std::uint64_t ilen = 0, dlen = 0;
-    source.forEachBatch(
-        [&](std::span<const MemoryRef> batch) {
-            for (const MemoryRef &ref : batch) {
-                if (ref.kind == AccessKind::IFetch)
-                    ++ilen;
-                else if (isData(ref.kind))
-                    ++dlen;
-            }
-        },
-        run.resolvedBatchRefs());
-    source.reset();
-
-    std::vector<std::unique_ptr<Cache>> icaches, dcaches;
-    std::vector<std::unique_ptr<SampledEngine<Cache>>> iengines, dengines;
-    icaches.reserve(sizes.size());
-    dcaches.reserve(sizes.size());
-    iengines.reserve(sizes.size());
-    dengines.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        CacheConfig config = base;
-        config.sizeBytes = size;
-        config.validate();
-        icaches.push_back(std::make_unique<Cache>(config));
-        dcaches.push_back(std::make_unique<Cache>(config));
-        iengines.push_back(std::make_unique<SampledEngine<Cache>>(
-            ilen, *icaches.back(), sample, run,
-            [](Cache &c) { return c.stats(); }));
-        dengines.push_back(std::make_unique<SampledEngine<Cache>>(
-            dlen, *dcaches.back(), sample, run,
-            [](Cache &c) { return c.stats(); }));
-    }
-
-    // Measured pass: partition each batch into its I and D
-    // subsequences (order preserved, so the concatenation equals the
-    // filtered per-side trace) and feed both sides' engines.
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::vector<MemoryRef> ibuf, dbuf;
-    ibuf.reserve(buffer.size());
-    dbuf.reserve(buffer.size());
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
-        ibuf.clear();
-        dbuf.clear();
-        for (std::size_t k = 0; k < got; ++k) {
-            if (buffer[k].kind == AccessKind::IFetch)
-                ibuf.push_back(buffer[k]);
-            else if (isData(buffer[k].kind))
-                dbuf.push_back(buffer[k]);
-        }
-        const std::span<const MemoryRef> ispan(ibuf.data(), ibuf.size());
-        const std::span<const MemoryRef> dspan(dbuf.data(), dbuf.size());
-        exec.parallelFor(sizes.size(), [&](std::size_t i) {
-            iengines[i]->feed(ispan);
-            dengines[i]->feed(dspan);
-        });
-    }
-
     std::vector<SplitSampledSweepPoint> out(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i)
-        out[i] = {sizes[i], iengines[i]->finish(), dengines[i]->finish()};
+        out[i] = {sizes[i], std::move(results[i]),
+                  std::move(results[sizes.size() + i])};
     return out;
-}
-
-namespace
-{
-
-/** Fatal unless the fully-consumed stream matches the store's trace. */
-void
-verifyStoreContent(const ckpt::LivePointStore &store, std::uint64_t consumed,
-                   std::uint64_t expected, std::uint64_t content_hash)
-{
-    if (consumed != expected)
-        return; // early stop: the tail was never decoded, skip the check
-    if (content_hash != store.contentHash())
-        fatal("live points: trace content hash ", content_hash,
-              " does not match the store's ", store.contentHash(),
-              " — same name and length, different references; the store "
-              "'", store.directory(), "' was written from another trace");
 }
 
 } // namespace
@@ -582,65 +626,31 @@ std::vector<SampledSweepPoint>
 sweepUnifiedSampled(TraceSource &source,
                     const std::vector<std::uint64_t> &sizes,
                     const CacheConfig &base, const SampleConfig &sample,
+                    const RunConfig &run)
+{
+    return unifiedPoints(sizes, sweepSampledStream(source, sizes, base,
+                                                   sample, run, nullptr,
+                                                   false));
+}
+
+std::vector<SplitSampledSweepPoint>
+sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
+                  const CacheConfig &base, const SampleConfig &sample,
+                  const RunConfig &run)
+{
+    return splitPoints(sizes, sweepSampledStream(source, sizes, base, sample,
+                                                 run, nullptr, true));
+}
+
+std::vector<SampledSweepPoint>
+sweepUnifiedSampled(TraceSource &source,
+                    const std::vector<std::uint64_t> &sizes,
+                    const CacheConfig &base, const SampleConfig &sample,
                     const RunConfig &run, const ckpt::LivePointStore &store)
 {
-    if (sample.warming != WarmingPolicy::Checkpoint)
-        fatal("sweepUnifiedSampled(store): a live-point store implies "
-              "checkpoint warming; got ", toString(sample.warming));
-    const std::uint64_t length = sourceLength(source);
-    store.checkCompatible(ckpt::unifiedLivePointKey(
-        source.name(), length, sample, run.purgeInterval));
-
-    std::vector<std::unique_ptr<Cache>> caches;
-    std::vector<std::unique_ptr<SampledEngine<Cache>>> engines;
-    caches.reserve(sizes.size());
-    engines.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        CacheConfig config = base;
-        config.sizeBytes = size;
-        config.validate();
-        const ckpt::LivePointGroup &group =
-            store.group("unified", config.lineBytes, config.setCount(),
-                        config.effectiveAssociativity());
-        caches.push_back(std::make_unique<Cache>(config));
-        engines.push_back(std::make_unique<SampledEngine<Cache>>(
-            length, *caches.back(), sample, run,
-            [](Cache &c) { return c.stats(); },
-            [&group](Cache &c, std::size_t idx, std::uint64_t &sp) {
-                group.restoreInto(c, idx, sp);
-            }));
-    }
-
-    // Chunk-synchronous over the size axis, exactly like the
-    // functional-warming streamed sweep — but the engines skip every
-    // gap in O(1), so decode and the content hash dominate.  The hash
-    // is not free: hashRefs is byte-wise FNV-1a over 24 bytes a
-    // reference, 33-36 ns/ref on a 4-vCPU Xeon host, about 40% of the
-    // sweep.  A word-wise hash changes every store's content hash, so
-    // it needs store version 2.
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::uint64_t consumed = 0;
-    std::uint64_t content_hash = ckpt::kFnvOffset;
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        content_hash = ckpt::hashRefs(content_hash, batch);
-        consumed += got;
-        exec.parallelFor(sizes.size(),
-                         [&](std::size_t i) { engines[i]->feed(batch); });
-        bool any_active = false;
-        for (const auto &engine : engines)
-            any_active = any_active || engine->active();
-        if (!any_active)
-            break; // every size stopped early; stop decoding
-    }
-    verifyStoreContent(store, consumed, length, content_hash);
-
-    std::vector<SampledSweepPoint> out(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i)
-        out[i] = {sizes[i], engines[i]->finish()};
-    return out;
+    return unifiedPoints(sizes, sweepSampledStream(source, sizes, base,
+                                                   sample, run, &store,
+                                                   false));
 }
 
 std::vector<SplitSampledSweepPoint>
@@ -648,93 +658,8 @@ sweepSplitSampled(TraceSource &source, const std::vector<std::uint64_t> &sizes,
                   const CacheConfig &base, const SampleConfig &sample,
                   const RunConfig &run, const ckpt::LivePointStore &store)
 {
-    if (sample.warming != WarmingPolicy::Checkpoint)
-        fatal("sweepSplitSampled(store): a live-point store implies "
-              "checkpoint warming; got ", toString(sample.warming));
-    CACHELAB_ASSERT(run.purgeInterval == 0,
-                    "sampled split sweep: purge schedule is defined on the "
-                    "combined stream; run unsampled or purge-free");
-    std::uint64_t ilen = 0, dlen = 0;
-    source.forEachBatch(
-        [&](std::span<const MemoryRef> batch) {
-            for (const MemoryRef &ref : batch) {
-                if (ref.kind == AccessKind::IFetch)
-                    ++ilen;
-                else
-                    ++dlen;
-            }
-        },
-        run.resolvedBatchRefs());
-    source.reset();
-    const std::uint64_t length = ilen + dlen;
-    store.checkCompatible(ckpt::splitLivePointKey(source.name(), length,
-                                                  ilen, dlen, sample));
-
-    std::vector<std::unique_ptr<Cache>> icaches, dcaches;
-    std::vector<std::unique_ptr<SampledEngine<Cache>>> iengines, dengines;
-    icaches.reserve(sizes.size());
-    dcaches.reserve(sizes.size());
-    iengines.reserve(sizes.size());
-    dengines.reserve(sizes.size());
-    for (std::uint64_t size : sizes) {
-        CacheConfig config = base;
-        config.sizeBytes = size;
-        config.validate();
-        const ckpt::LivePointGroup &igroup =
-            store.group("icache", config.lineBytes, config.setCount(),
-                        config.effectiveAssociativity());
-        const ckpt::LivePointGroup &dgroup =
-            store.group("dcache", config.lineBytes, config.setCount(),
-                        config.effectiveAssociativity());
-        icaches.push_back(std::make_unique<Cache>(config));
-        dcaches.push_back(std::make_unique<Cache>(config));
-        iengines.push_back(std::make_unique<SampledEngine<Cache>>(
-            ilen, *icaches.back(), sample, run,
-            [](Cache &c) { return c.stats(); },
-            [&igroup](Cache &c, std::size_t idx, std::uint64_t &sp) {
-                igroup.restoreInto(c, idx, sp);
-            }));
-        dengines.push_back(std::make_unique<SampledEngine<Cache>>(
-            dlen, *dcaches.back(), sample, run,
-            [](Cache &c) { return c.stats(); },
-            [&dgroup](Cache &c, std::size_t idx, std::uint64_t &sp) {
-                dgroup.restoreInto(c, idx, sp);
-            }));
-    }
-
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::vector<MemoryRef> ibuf, dbuf;
-    ibuf.reserve(buffer.size());
-    dbuf.reserve(buffer.size());
-    std::uint64_t consumed = 0;
-    std::uint64_t content_hash = ckpt::kFnvOffset;
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        content_hash = ckpt::hashRefs(content_hash, batch);
-        consumed += got;
-        ibuf.clear();
-        dbuf.clear();
-        for (const MemoryRef &ref : batch) {
-            if (ref.kind == AccessKind::IFetch)
-                ibuf.push_back(ref);
-            else
-                dbuf.push_back(ref);
-        }
-        const std::span<const MemoryRef> ispan(ibuf.data(), ibuf.size());
-        const std::span<const MemoryRef> dspan(dbuf.data(), dbuf.size());
-        exec.parallelFor(sizes.size(), [&](std::size_t i) {
-            iengines[i]->feed(ispan);
-            dengines[i]->feed(dspan);
-        });
-    }
-    verifyStoreContent(store, consumed, length, content_hash);
-
-    std::vector<SplitSampledSweepPoint> out(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i)
-        out[i] = {sizes[i], iengines[i]->finish(), dengines[i]->finish()};
-    return out;
+    return splitPoints(sizes, sweepSampledStream(source, sizes, base, sample,
+                                                 run, &store, true));
 }
 
 } // namespace cachelab

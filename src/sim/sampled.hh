@@ -131,7 +131,8 @@ std::vector<SampledSweepPoint> sweepUnifiedSampled(
  * Out-of-core sweepSplitSampled(): a counting pass (kind tallies for
  * the per-side sampling plans) followed by one streamed pass that
  * partitions each batch into its I and D sub-streams and feeds the
- * per-size engines of both sides.  reset() support is required.
+ * per-size engines of both sides, until both sides' plans are done.
+ * reset() support is required.
  */
 std::vector<SplitSampledSweepPoint> sweepSplitSampled(
     TraceSource &source, const std::vector<std::uint64_t> &sizes,
@@ -146,7 +147,8 @@ std::vector<SplitSampledSweepPoint> sweepSplitSampled(
  * warming.  @p sample must carry WarmingPolicy::Checkpoint, and the
  * store must have been written with the same trace, plan and purge
  * schedule (checked up front by key hash, and again streamwise by the
- * full-trace content hash when the run consumes the whole stream).
+ * full-trace content hash — skipped only when the sequential stopping
+ * rule ends every size's run before the stream does).
  */
 std::vector<SampledSweepPoint> sweepUnifiedSampled(
     TraceSource &source, const std::vector<std::uint64_t> &sizes,

@@ -18,98 +18,12 @@
 #include "sim/sampled.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace cachelab
 {
 
-namespace detail
-{
-
-void
-sweepParallelFor(std::size_t n, const RunConfig &run,
-                 const std::function<void(std::size_t)> &fn)
-{
-    // A sweep reached from inside a pool task (e.g. a bench fanning
-    // out per-trace work) runs its size axis serially rather than
-    // deadlocking the fixed-size pool.
-    if (run.jobs == 1 || ThreadPool::onWorkerThread()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    if (run.jobs == 0) {
-        ThreadPool::shared().parallelFor(n, fn);
-        return;
-    }
-    ThreadPool pool(run.jobs);
-    pool.parallelFor(n, fn);
-    // The pool dies with this sweep; keep its utilization visible in
-    // the pool.* gauges (the manifest's thread_pool section records
-    // the process-wide shared pool).
-    obs::publishThreadPool(obs::Registry::global(), pool);
-}
-
-BatchExecutor::BatchExecutor(const RunConfig &run)
-{
-    if (run.jobs == 1 || ThreadPool::onWorkerThread())
-        return; // serial
-    if (run.jobs == 0) {
-        pool_ = &ThreadPool::shared();
-        return;
-    }
-    local_ = std::make_unique<ThreadPool>(run.jobs);
-    pool_ = local_.get();
-}
-
-BatchExecutor::~BatchExecutor()
-{
-    if (local_)
-        obs::publishThreadPool(obs::Registry::global(), *local_);
-}
-
-void
-BatchExecutor::parallelFor(std::size_t n,
-                           const std::function<void(std::size_t)> &fn)
-{
-    if (pool_ != nullptr) {
-        pool_->parallelFor(n, fn);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        fn(i);
-}
-
-} // namespace detail
-
 namespace
 {
-
-/** Run fn(i) for i in [0, n), parallel when the run config allows. */
-template <typename Fn>
-void
-sweepFor(std::size_t n, const RunConfig &run, Fn &&fn)
-{
-    detail::sweepParallelFor(n, run, fn);
-}
-
-/** @return @p base with sizeBytes = @p size, validated. */
-CacheConfig
-configAt(const CacheConfig &base, std::uint64_t size)
-{
-    CacheConfig config = base;
-    config.sizeBytes = size;
-    config.validate();
-    return config;
-}
-
-/** configAt() every size, so a bad size fails before any input is read. */
-void
-validateSizes(const CacheConfig &base, const std::vector<std::uint64_t> &sizes)
-{
-    for (std::uint64_t size : sizes)
-        configAt(base, size);
-}
 
 bool
 statsEqual(const CacheStats &a, const CacheStats &b)
@@ -134,7 +48,7 @@ probesForSizes(const std::vector<std::uint64_t> &sizes,
     probes.reserve(sizes.size());
     for (std::uint64_t size : sizes)
         probes.push_back(
-            run.probeFactory->probeFor(configAt(base, size), role));
+            run.probeFactory->probeFor(detail::configAt(base, size), role));
     return probes;
 }
 
@@ -157,6 +71,11 @@ reportMismatch(const char *what, std::uint64_t size, const CacheStats &per_size,
           "  single-pass: ", single_pass.summarize());
 }
 
+// Resident traces keep the point-major per-size engines: one whole
+// run per size, fanned out over the size axis.  Fanning batches of a
+// resident trace out instead measured 8-25% slower at jobs > 1
+// (DESIGN.md §4e).
+
 std::vector<SweepPoint>
 sweepUnifiedPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
                     const CacheConfig &base, const RunConfig &run)
@@ -164,12 +83,12 @@ sweepUnifiedPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     const auto probes = probesForSizes(sizes, base, run, "unified");
     std::vector<SweepPoint> out(sizes.size());
-    sweepFor(sizes.size(), run, [&](std::size_t i) {
+    detail::BatchExecutor(run).parallelFor(sizes.size(), [&](std::size_t i) {
         obs::ProfileScope profile("sweep.point");
         obs::TraceSpan span("sweep_point", "sweep",
                             {{"bytes", formatSize(sizes[i])},
                              {"trace", trace.name()}});
-        Cache cache(configAt(base, sizes[i]));
+        Cache cache(detail::configAt(base, sizes[i]));
         if (!probes.empty())
             cache.setProbe(probes[i]);
         out[i] = {sizes[i], runTrace(trace, cache, run)};
@@ -185,13 +104,13 @@ sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
     const auto iprobes = probesForSizes(sizes, base, run, "icache");
     const auto dprobes = probesForSizes(sizes, base, run, "dcache");
     std::vector<SplitSweepPoint> out(sizes.size());
-    sweepFor(sizes.size(), run, [&](std::size_t i) {
+    detail::BatchExecutor(run).parallelFor(sizes.size(), [&](std::size_t i) {
         obs::ProfileScope profile("sweep.point");
         obs::TraceSpan span("sweep_point", "sweep",
                             {{"bytes", formatSize(sizes[i])},
                              {"trace", trace.name()},
                              {"organization", "split"}});
-        const CacheConfig config = configAt(base, sizes[i]);
+        const CacheConfig config = detail::configAt(base, sizes[i]);
         SplitCache split(config, config);
         if (!iprobes.empty())
             split.setProbes(iprobes[i], dprobes[i]);
@@ -201,47 +120,79 @@ sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
     return out;
 }
 
+/**
+ * The streamed per-size engine: one input pass whose every batch fans
+ * out over @p systems.  Each system sees the exact reference sequence
+ * a dedicated full run would feed it, so the results are bitwise
+ * those of the point-major engines.
+ */
+template <typename System>
+void
+driveStreamed(TraceSource &source, const RunConfig &run,
+              std::vector<std::unique_ptr<System>> &systems)
+{
+    std::vector<detail::DriveState> states(systems.size(),
+                                           detail::DriveState(run));
+    const detail::DriveObs ob;
+    detail::streamPass(
+        source, run,
+        [&](std::span<const MemoryRef> batch, detail::BatchExecutor &exec) {
+            exec.parallelFor(systems.size(), [&](std::size_t i) {
+                detail::driveSpan(batch, *systems[i], run, states[i], ob);
+            });
+            return true;
+        });
+    for (const detail::DriveState &state : states)
+        detail::driveFinish(state, run);
+}
+
 std::vector<SweepPoint>
-sweepUnifiedPerSizeStream(TraceSource &source,
-                          const std::vector<std::uint64_t> &sizes,
-                          const CacheConfig &base, const RunConfig &run)
+sweepUnifiedPerSize(TraceSource &source,
+                    const std::vector<std::uint64_t> &sizes,
+                    const CacheConfig &base, const RunConfig &run)
 {
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.stream");
     obs::TraceSpan span("sweep_stream", "sweep",
                         {{"trace", source.name()}});
-
     const auto probes = probesForSizes(sizes, base, run, "unified");
     std::vector<std::unique_ptr<Cache>> caches;
-    caches.reserve(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-        caches.push_back(std::make_unique<Cache>(configAt(base, sizes[i])));
+        caches.push_back(
+            std::make_unique<Cache>(detail::configAt(base, sizes[i])));
         if (!probes.empty())
             caches.back()->setProbe(probes[i]);
     }
-    std::vector<detail::DriveState> states(sizes.size(),
-                                           detail::DriveState(run));
-    const detail::DriveObs ob;
-
-    // One input pass: each batch fans out over the size axis.  Every
-    // cache sees the exact reference sequence a dedicated full run
-    // would feed it, so the results are bitwise those of the
-    // materialized per-size sweep.
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(sizes.size(), [&](std::size_t i) {
-            detail::driveSpan(batch, *caches[i], run, states[i], ob);
-        });
-    }
-
+    driveStreamed(source, run, caches);
     std::vector<SweepPoint> out(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        detail::driveFinish(states[i], run, ob);
+    for (std::size_t i = 0; i < sizes.size(); ++i)
         out[i] = {sizes[i], caches[i]->stats()};
+    return out;
+}
+
+std::vector<SplitSweepPoint>
+sweepSplitPerSize(TraceSource &source, const std::vector<std::uint64_t> &sizes,
+                  const CacheConfig &base, const RunConfig &run)
+{
+    obs::Registry::global().counter("sweep.points").add(sizes.size());
+    obs::ProfileScope profile("sweep.stream");
+    obs::TraceSpan span("sweep_stream", "sweep",
+                        {{"trace", source.name()},
+                         {"organization", "split"}});
+    const auto iprobes = probesForSizes(sizes, base, run, "icache");
+    const auto dprobes = probesForSizes(sizes, base, run, "dcache");
+    std::vector<std::unique_ptr<SplitCache>> splits;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const CacheConfig config = detail::configAt(base, sizes[i]);
+        splits.push_back(std::make_unique<SplitCache>(config, config));
+        if (!iprobes.empty())
+            splits.back()->setProbes(iprobes[i], dprobes[i]);
     }
+    driveStreamed(source, run, splits);
+    std::vector<SplitSweepPoint> out(sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        out[i] = {sizes[i], splits[i]->icache().stats(),
+                  splits[i]->dcache().stats()};
     return out;
 }
 
@@ -253,7 +204,7 @@ sweepUnifiedSinglePass(TraceSource &source,
     CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
                     "single-pass sweep requires the Table 1 shape");
     rejectProbes(run, "single-pass Mattson");
-    validateSizes(base, sizes);
+    detail::validateSizes(base, sizes);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.single_pass");
     obs::TraceSpan span("single_pass", "sweep",
@@ -277,50 +228,6 @@ sweepUnifiedSinglePass(TraceSource &source,
 }
 
 std::vector<SplitSweepPoint>
-sweepSplitPerSizeStream(TraceSource &source,
-                        const std::vector<std::uint64_t> &sizes,
-                        const CacheConfig &base, const RunConfig &run)
-{
-    obs::Registry::global().counter("sweep.points").add(sizes.size());
-    obs::ProfileScope profile("sweep.stream");
-    obs::TraceSpan span("sweep_stream", "sweep",
-                        {{"trace", source.name()},
-                         {"organization", "split"}});
-
-    const auto iprobes = probesForSizes(sizes, base, run, "icache");
-    const auto dprobes = probesForSizes(sizes, base, run, "dcache");
-    std::vector<std::unique_ptr<SplitCache>> splits;
-    splits.reserve(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const CacheConfig config = configAt(base, sizes[i]);
-        splits.push_back(std::make_unique<SplitCache>(config, config));
-        if (!iprobes.empty())
-            splits.back()->setProbes(iprobes[i], dprobes[i]);
-    }
-    std::vector<detail::DriveState> states(sizes.size(),
-                                           detail::DriveState(run));
-    const detail::DriveObs ob;
-
-    detail::BatchExecutor exec(run);
-    std::vector<MemoryRef> buffer(run.resolvedBatchRefs());
-    std::size_t got;
-    while ((got = source.nextBatch(buffer)) != 0) {
-        const std::span<const MemoryRef> batch(buffer.data(), got);
-        exec.parallelFor(sizes.size(), [&](std::size_t i) {
-            detail::driveSpan(batch, *splits[i], run, states[i], ob);
-        });
-    }
-
-    std::vector<SplitSweepPoint> out(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        detail::driveFinish(states[i], run, ob);
-        out[i] = {sizes[i], splits[i]->icache().stats(),
-                  splits[i]->dcache().stats()};
-    }
-    return out;
-}
-
-std::vector<SplitSweepPoint>
 sweepSplitSinglePass(TraceSource &source,
                      const std::vector<std::uint64_t> &sizes,
                      const CacheConfig &base, const RunConfig &run)
@@ -328,7 +235,7 @@ sweepSplitSinglePass(TraceSource &source,
     CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
                     "single-pass sweep requires the Table 1 shape");
     rejectProbes(run, "single-pass Mattson");
-    validateSizes(base, sizes);
+    detail::validateSizes(base, sizes);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     obs::ProfileScope profile("sweep.single_pass");
     obs::TraceSpan span("single_pass", "sweep",
@@ -358,6 +265,104 @@ sweepSplitSinglePass(TraceSource &source,
         out.push_back({size, istream.table1StatsFor(size),
                        dstream.table1StatsFor(size)});
     return out;
+}
+
+/**
+ * The unified engine switch over either input: @p input picks the
+ * per-size engine (point-major for a resident trace, streamed for a
+ * source) and the sampled overload; @p source is what the single-pass
+ * engine reads (@p input itself, or a view of the resident trace).
+ */
+template <typename Input>
+std::vector<SweepPoint>
+sweepUnifiedOver(Input &input, TraceSource &source,
+                 const std::vector<std::uint64_t> &sizes,
+                 const CacheConfig &base, const RunConfig &run,
+                 SweepEngine engine)
+{
+    switch (engine) {
+      case SweepEngine::Auto:
+        // Probes force the per-size path: only real caches emit events.
+        return sweepSinglePassEligible(base, run) &&
+                run.probeFactory == nullptr
+            ? sweepUnifiedSinglePass(source, sizes, base, run)
+            : sweepUnifiedPerSize(input, sizes, base, run);
+      case SweepEngine::PerSize:
+        return sweepUnifiedPerSize(input, sizes, base, run);
+      case SweepEngine::SinglePass:
+        return sweepUnifiedSinglePass(source, sizes, base, run);
+      case SweepEngine::Verify: {
+        rejectProbes(run, "verify");
+        const auto per_size = sweepUnifiedPerSize(input, sizes, base, run);
+        source.reset();
+        const auto fast = sweepUnifiedSinglePass(source, sizes, base, run);
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            if (!statsEqual(per_size[i].stats, fast[i].stats))
+                reportMismatch("unified", sizes[i], per_size[i].stats,
+                               fast[i].stats);
+        }
+        return per_size;
+      }
+      case SweepEngine::Sampled: {
+        rejectProbes(run, "sampled");
+        const auto sampled =
+            sweepUnifiedSampled(input, sizes, base, SampleConfig{}, run);
+        std::vector<SweepPoint> out;
+        out.reserve(sampled.size());
+        for (const SampledSweepPoint &pt : sampled)
+            out.push_back({pt.cacheBytes, pt.result.estimated});
+        return out;
+      }
+    }
+    panic("unreachable sweep engine");
+}
+
+/** The split engine switch; see sweepUnifiedOver(). */
+template <typename Input>
+std::vector<SplitSweepPoint>
+sweepSplitOver(Input &input, TraceSource &source,
+               const std::vector<std::uint64_t> &sizes,
+               const CacheConfig &base, const RunConfig &run,
+               SweepEngine engine)
+{
+    switch (engine) {
+      case SweepEngine::Auto:
+        return sweepSinglePassEligible(base, run) &&
+                run.probeFactory == nullptr
+            ? sweepSplitSinglePass(source, sizes, base, run)
+            : sweepSplitPerSize(input, sizes, base, run);
+      case SweepEngine::PerSize:
+        return sweepSplitPerSize(input, sizes, base, run);
+      case SweepEngine::SinglePass:
+        return sweepSplitSinglePass(source, sizes, base, run);
+      case SweepEngine::Verify: {
+        rejectProbes(run, "verify");
+        const auto per_size = sweepSplitPerSize(input, sizes, base, run);
+        source.reset();
+        const auto fast = sweepSplitSinglePass(source, sizes, base, run);
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+            if (!statsEqual(per_size[i].icache, fast[i].icache))
+                reportMismatch("split icache", sizes[i], per_size[i].icache,
+                               fast[i].icache);
+            if (!statsEqual(per_size[i].dcache, fast[i].dcache))
+                reportMismatch("split dcache", sizes[i], per_size[i].dcache,
+                               fast[i].dcache);
+        }
+        return per_size;
+      }
+      case SweepEngine::Sampled: {
+        rejectProbes(run, "sampled");
+        const auto sampled =
+            sweepSplitSampled(input, sizes, base, SampleConfig{}, run);
+        std::vector<SplitSweepPoint> out;
+        out.reserve(sampled.size());
+        for (const SplitSampledSweepPoint &pt : sampled)
+            out.push_back({pt.cacheBytes, pt.icache.estimated,
+                           pt.dcache.estimated});
+        return out;
+      }
+    }
+    panic("unreachable sweep engine");
 }
 
 } // namespace
@@ -395,86 +400,16 @@ sweepUnified(const Trace &trace, const std::vector<std::uint64_t> &sizes,
              const CacheConfig &base, const RunConfig &run,
              SweepEngine engine)
 {
-    // The single-pass engine reads sources; this one views the trace.
-    MemorySource source(trace.refs(), trace.name());
-    switch (engine) {
-      case SweepEngine::Auto:
-        // Probes force the per-size path: only real caches emit events.
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepUnifiedSinglePass(source, sizes, base, run)
-            : sweepUnifiedPerSize(trace, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepUnifiedPerSize(trace, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size = sweepUnifiedPerSize(trace, sizes, base, run);
-        const auto fast = sweepUnifiedSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].stats, fast[i].stats))
-                reportMismatch("unified", sizes[i], per_size[i].stats,
-                               fast[i].stats);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepUnifiedSampled(trace, sizes, base, SampleConfig{}, run);
-        std::vector<SweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.result.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    MemorySource view(trace.refs(), trace.name());
+    return sweepUnifiedOver(trace, view, sizes, base, run, engine);
 }
 
 std::vector<SplitSweepPoint>
 sweepSplit(const Trace &trace, const std::vector<std::uint64_t> &sizes,
            const CacheConfig &base, const RunConfig &run, SweepEngine engine)
 {
-    MemorySource source(trace.refs(), trace.name());
-    switch (engine) {
-      case SweepEngine::Auto:
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepSplitSinglePass(source, sizes, base, run)
-            : sweepSplitPerSize(trace, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepSplitPerSize(trace, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepSplitSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size = sweepSplitPerSize(trace, sizes, base, run);
-        const auto fast = sweepSplitSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].icache, fast[i].icache))
-                reportMismatch("split icache", sizes[i], per_size[i].icache,
-                               fast[i].icache);
-            if (!statsEqual(per_size[i].dcache, fast[i].dcache))
-                reportMismatch("split dcache", sizes[i], per_size[i].dcache,
-                               fast[i].dcache);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepSplitSampled(trace, sizes, base, SampleConfig{}, run);
-        std::vector<SplitSweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SplitSampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.icache.estimated,
-                           pt.dcache.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    MemorySource view(trace.refs(), trace.name());
+    return sweepSplitOver(trace, view, sizes, base, run, engine);
 }
 
 std::vector<SweepPoint>
@@ -482,88 +417,14 @@ sweepUnified(TraceSource &source, const std::vector<std::uint64_t> &sizes,
              const CacheConfig &base, const RunConfig &run,
              SweepEngine engine)
 {
-    switch (engine) {
-      case SweepEngine::Auto:
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepUnifiedSinglePass(source, sizes, base, run)
-            : sweepUnifiedPerSizeStream(source, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepUnifiedPerSizeStream(source, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepUnifiedSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size =
-            sweepUnifiedPerSizeStream(source, sizes, base, run);
-        source.reset();
-        const auto fast =
-            sweepUnifiedSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].stats, fast[i].stats))
-                reportMismatch("unified", sizes[i], per_size[i].stats,
-                               fast[i].stats);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepUnifiedSampled(source, sizes, base, SampleConfig{}, run);
-        std::vector<SweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.result.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    return sweepUnifiedOver(source, source, sizes, base, run, engine);
 }
 
 std::vector<SplitSweepPoint>
 sweepSplit(TraceSource &source, const std::vector<std::uint64_t> &sizes,
            const CacheConfig &base, const RunConfig &run, SweepEngine engine)
 {
-    switch (engine) {
-      case SweepEngine::Auto:
-        return sweepSinglePassEligible(base, run) &&
-                run.probeFactory == nullptr
-            ? sweepSplitSinglePass(source, sizes, base, run)
-            : sweepSplitPerSizeStream(source, sizes, base, run);
-      case SweepEngine::PerSize:
-        return sweepSplitPerSizeStream(source, sizes, base, run);
-      case SweepEngine::SinglePass:
-        return sweepSplitSinglePass(source, sizes, base, run);
-      case SweepEngine::Verify: {
-        rejectProbes(run, "verify");
-        const auto per_size =
-            sweepSplitPerSizeStream(source, sizes, base, run);
-        source.reset();
-        const auto fast =
-            sweepSplitSinglePass(source, sizes, base, run);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (!statsEqual(per_size[i].icache, fast[i].icache))
-                reportMismatch("split icache", sizes[i], per_size[i].icache,
-                               fast[i].icache);
-            if (!statsEqual(per_size[i].dcache, fast[i].dcache))
-                reportMismatch("split dcache", sizes[i], per_size[i].dcache,
-                               fast[i].dcache);
-        }
-        return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepSplitSampled(source, sizes, base, SampleConfig{}, run);
-        std::vector<SplitSweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SplitSampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.icache.estimated,
-                           pt.dcache.estimated});
-        return out;
-      }
-    }
-    panic("unreachable sweep engine");
+    return sweepSplitOver(source, source, sizes, base, run, engine);
 }
 
 } // namespace cachelab

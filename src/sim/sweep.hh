@@ -24,8 +24,6 @@
 #define CACHELAB_SIM_SWEEP_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/config.hh"
@@ -35,42 +33,6 @@
 
 namespace cachelab
 {
-
-class ThreadPool;
-
-namespace detail
-{
-
-/**
- * Run fn(0) .. fn(n-1), fanned out per RunConfig::jobs (serial when
- * jobs = 1 or when already on a pool worker).  Shared by the sweep
- * engines and the sampled sweep drivers.
- */
-void sweepParallelFor(std::size_t n, const RunConfig &run,
-                      const std::function<void(std::size_t)> &fn);
-
-/**
- * Fan-out helper for the chunk-synchronous streaming engines: the
- * same serial / shared-pool / local-pool policy as sweepParallelFor,
- * but holding any local pool open across *all* batches of a stream
- * instead of rebuilding it per batch.
- */
-class BatchExecutor
-{
-  public:
-    explicit BatchExecutor(const RunConfig &run);
-    ~BatchExecutor();
-
-    /** Run fn(0) .. fn(n-1) under the policy chosen at construction. */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn);
-
-  private:
-    ThreadPool *pool_ = nullptr;
-    std::unique_ptr<ThreadPool> local_;
-};
-
-} // namespace detail
 
 /** @return powers of two from @p lo to @p hi inclusive. */
 std::vector<std::uint64_t> powersOfTwo(std::uint64_t lo, std::uint64_t hi);

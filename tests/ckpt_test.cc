@@ -632,6 +632,49 @@ TEST(LivePointStore, RejectsMismatchedPlanAndTrace)
     }, "content hash");
 }
 
+TEST(LivePointStore, ImpostorCaughtWhenThePlanEndsBeforeTheLastBatch)
+{
+    // With 4096-reference batches the 12-interval plan ends (at 111000)
+    // inside a batch well before the stream's last one, so every engine
+    // is done early.  The sweep must still hash the rest of the stream
+    // and check it: only a sequential-rule stop may skip the check.
+    Trace trace = testTrace("ZGREP");
+    const SampleConfig sample = sampleTenPercent(WarmingPolicy::Checkpoint);
+    const std::vector<std::uint64_t> sizes = {1024};
+    const CacheConfig base = table1Config(sizes.front());
+    RunConfig serial; // serial for the same reason as the case above
+    serial.jobs = 1;
+    serial.batchRefs = 4096;
+
+    const std::string unified_dir = freshDir("lvpt-impostor-unified");
+    trace.reset();
+    ckpt::writeLivePoints(trace, unified_dir, unifiedSpec(sizes, sample));
+    const ckpt::LivePointStore unified =
+        ckpt::LivePointStore::load(unified_dir);
+    Trace impostor = testTrace("VSPICE", kTestRefs);
+    Trace renamed(trace.name(),
+                  std::vector<MemoryRef>(impostor.begin(), impostor.end()));
+    EXPECT_DEATH({
+        sweepUnifiedSampled(renamed, sizes, base, sample, serial, unified);
+    }, "content hash");
+
+    // A split store keys on the per-side lengths too, so its impostor
+    // keeps every reference kind and moves every address.
+    const std::string split_dir = freshDir("lvpt-impostor-split");
+    ckpt::LivePointWriteSpec split_spec = unifiedSpec(sizes, sample);
+    split_spec.split = true;
+    trace.reset();
+    ckpt::writeLivePoints(trace, split_dir, split_spec);
+    const ckpt::LivePointStore split = ckpt::LivePointStore::load(split_dir);
+    std::vector<MemoryRef> moved(trace.begin(), trace.end());
+    for (MemoryRef &ref : moved)
+        ref.addr += 0x100000;
+    Trace shifted(trace.name(), std::move(moved));
+    EXPECT_DEATH({
+        sweepSplitSampled(shifted, sizes, base, sample, serial, split);
+    }, "content hash");
+}
+
 TEST(LivePointStore, PlainRunSampledRejectsCheckpointWarming)
 {
     const Trace trace = testTrace();

@@ -15,9 +15,13 @@
  *  - analyzeTrace(), runTrace(), lruMissRatioCurve(), every
  *    SweepEngine of sweepUnified()/sweepSplit(), runSampled(), and
  *    the sampled sweeps — streamed vs materialized;
- *  - the unknown-length fallback (counting pass) for sampled runs;
+ *  - the unknown-length fallback (counting pass) for sampled runs,
+ *    and the split sampled sweep stopping its reads once both sides'
+ *    plans are done;
+ *  - progress credit: every driven reference counted exactly once;
  *  - the whole-run warm-up rule (fatal when nothing would be
- *    measured) on both driver flavours.
+ *    measured) on both driver flavours, and size checks that fire
+ *    before any input is read.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +38,8 @@
 #include "cache/cache.hh"
 #include "cache/organization.hh"
 #include "cache/stack_analysis.hh"
+#include "obs/progress.hh"
+#include "sample/sampler.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
 #include "sim/sampled.hh"
@@ -474,6 +480,40 @@ TEST(StreamingDrivers, SweepSplitBitwiseForEveryEngine)
     }
 }
 
+TEST(StreamingDrivers, ProgressCreditsEveryDrivenReferenceOnce)
+{
+    // The length is not a multiple of the 64 Ki default span, so a
+    // driver that credited only whole spans would fall short.
+    const Trace trace = testTrace("VSPICE");
+    const std::uint64_t n = trace.size();
+    ASSERT_NE(n % TraceSource::kDefaultBatchRefs, 0u);
+    obs::ProgressMeter &meter = obs::ProgressMeter::global();
+    meter.setSink([](const std::string &) {});
+    meter.start(0, "test");
+
+    std::uint64_t before = meter.processed();
+    Cache materialized(table1Config(4096));
+    runTrace(trace, materialized);
+    EXPECT_EQ(meter.processed() - before, n) << "materialized runTrace";
+
+    before = meter.processed();
+    Cache streamed(table1Config(4096));
+    MemorySource run_source(trace.refs(), trace.name());
+    RunConfig run;
+    run.batchRefs = 7;
+    runTrace(static_cast<TraceSource &>(run_source), streamed, run);
+    EXPECT_EQ(meter.processed() - before, n) << "streamed runTrace";
+
+    before = meter.processed();
+    MemorySource sweep_source(trace.refs(), trace.name());
+    sweepUnified(static_cast<TraceSource &>(sweep_source), {1024, 2048, 4096},
+                 table1Config(1024), RunConfig{}, SweepEngine::PerSize);
+    EXPECT_EQ(meter.processed() - before, 3 * n) << "streamed sweep";
+
+    meter.stop();
+    meter.setSink(nullptr);
+}
+
 // ---------------------------------------------------------------------
 // Streamed sampled simulation
 // ---------------------------------------------------------------------
@@ -586,6 +626,82 @@ TEST(StreamingSampled, SampledSweepsBitwise)
                                       want_split[i].icache.estimated));
 }
 
+/** Pass-through source that counts the references it delivers. */
+class CountingSource : public TraceSource
+{
+  public:
+    explicit CountingSource(const Trace &trace)
+        : inner_(trace.refs(), trace.name())
+    {}
+
+    const std::string &name() const override { return inner_.name(); }
+    std::size_t
+    nextBatch(std::span<MemoryRef> out) override
+    {
+        const std::size_t got = inner_.nextBatch(out);
+        delivered_ += got;
+        return got;
+    }
+    void reset() override { inner_.reset(); }
+    std::uint64_t
+    knownLength() const override
+    {
+        return inner_.knownLength();
+    }
+    std::uint64_t delivered() const { return delivered_; }
+
+  private:
+    MemorySource inner_;
+    std::uint64_t delivered_ = 0;
+};
+
+TEST(StreamingSampled, SplitSweepStopsReadingOnceBothPlansEnd)
+{
+    const Trace trace = testTrace("ZGREP");
+    const std::vector<std::uint64_t> sizes = {1024, 4096};
+    const CacheConfig base = table1Config(1024);
+    const SampleConfig sample = tenPercentPlan(WarmingPolicy::Functional);
+    RunConfig run;
+    run.batchRefs = 1000;
+
+    // Precondition: each side's plan ends before its sub-stream does.
+    std::uint64_t ilen = 0;
+    for (const MemoryRef &ref : trace)
+        ilen += ref.kind == AccessKind::IFetch;
+    const std::uint64_t dlen = trace.size() - ilen;
+    ASSERT_LT(selectIntervals(ilen, sample).back().end, ilen);
+    ASSERT_LT(selectIntervals(dlen, sample).back().end, dlen);
+
+    const std::vector<SplitSampledSweepPoint> want =
+        sweepSplitSampled(trace, sizes, base, sample, run);
+    CountingSource source(trace);
+    const std::vector<SplitSampledSweepPoint> got = sweepSplitSampled(
+        static_cast<TraceSource &>(source), sizes, base, sample, run);
+
+    // The counting pass reads the whole stream; the measured pass must
+    // stop once both sides' plans are done.
+    EXPECT_LT(source.delivered(), 2 * trace.size());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(statsBitwiseEqual(got[i].icache.measured,
+                                      want[i].icache.measured))
+            << "split icache " << sizes[i];
+        EXPECT_TRUE(statsBitwiseEqual(got[i].icache.estimated,
+                                      want[i].icache.estimated))
+            << "split icache " << sizes[i];
+        EXPECT_TRUE(statsBitwiseEqual(got[i].dcache.measured,
+                                      want[i].dcache.measured))
+            << "split dcache " << sizes[i];
+        EXPECT_TRUE(statsBitwiseEqual(got[i].dcache.estimated,
+                                      want[i].dcache.estimated))
+            << "split dcache " << sizes[i];
+        EXPECT_EQ(got[i].icache.intervalsMeasured,
+                  want[i].icache.intervalsMeasured);
+        EXPECT_EQ(got[i].dcache.intervalsMeasured,
+                  want[i].dcache.intervalsMeasured);
+    }
+}
+
 // ---------------------------------------------------------------------
 // The warm-up rule
 // ---------------------------------------------------------------------
@@ -655,6 +771,33 @@ TEST(StreamingDeathTest, SinglePassSweepChecksSizesBeforeReading)
             },
             "cache size 3000 is not a power of two");
     }
+}
+
+TEST(StreamingDeathTest, SampledSweepsCheckSizesBeforeReading)
+{
+    // The sampled sweeps must read their input to plan (a counting
+    // pass when the length is unknown); a bad size fails before that.
+    const CacheConfig base = table1Config(1024);
+    const std::vector<std::uint64_t> sizes = {1024, 3000};
+    EXPECT_DEATH(
+        {
+            UnreadableSource source;
+            sweepUnifiedSampled(source, sizes, base, SampleConfig{});
+        },
+        "cache size 3000 is not a power of two");
+    EXPECT_DEATH(
+        {
+            UnreadableSource source;
+            sweepSplitSampled(source, sizes, base, SampleConfig{});
+        },
+        "cache size 3000 is not a power of two");
+    EXPECT_DEATH(
+        {
+            UnreadableSource source;
+            sweepUnified(source, sizes, base, RunConfig{},
+                         SweepEngine::Sampled);
+        },
+        "cache size 3000 is not a power of two");
 }
 
 TEST(StreamingDeathTest, WarmupJustUnderLengthStillRuns)

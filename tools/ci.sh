@@ -511,14 +511,17 @@ run_config build-ci-asan -DCACHELAB_WERROR=ON \
 
 # TSan pass over the concurrency-sensitive layers: the worker pool,
 # the observability primitives (registry, recorder, progress meter)
-# that sweeps hammer from every worker slot, and the live-point
-# writer's group fan-out.
+# that sweeps hammer from every worker slot, the live-point writer's
+# group fan-out, and the streamed pass that hands every batch of a
+# streamed sweep to the pool (the non-death streaming, sweep and
+# checkpoint-sweep tests).
 echo "==> configure build-ci-tsan (thread sanitizer, concurrency tests)"
 cmake -B build-ci-tsan -S . -DCACHELAB_WERROR=ON -DCACHELAB_SANITIZE=thread
 cmake --build build-ci-tsan -j "${jobs}" \
     --target obs_test thread_pool_test telemetry_test policy_test \
-    timing_test perf_counters_test ckpt_test
+    timing_test perf_counters_test ckpt_test streaming_test \
+    sweep_equivalence_test
 ctest --test-dir build-ci-tsan --output-on-failure -j "${jobs}" \
-    -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|LatencyHistogram|PerfCounters|LivePointStore.ParallelWriterMatchesSerialBytes'
+    -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|LatencyHistogram|PerfCounters|LivePointStore.ParallelWriterMatchesSerialBytes|StreamingDrivers|StreamingSampled|SweepSeeds|CheckpointSweep'
 
 echo "==> ci passed (default + address,undefined + thread)"
