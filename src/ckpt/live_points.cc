@@ -36,7 +36,7 @@ namespace cachelab::ckpt
 namespace
 {
 
-constexpr std::uint32_t kStoreVersion = 1;
+constexpr std::uint32_t kStoreVersion = 2;
 constexpr char kStoreSchema[] = "cachelab.ckpt_store";
 constexpr char kGroupMagic[4] = {'L', 'V', 'P', 'T'};
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -106,6 +106,24 @@ readPod(std::istream &is)
     T v;
     readBytes(is, &v, sizeof(T));
     return v;
+}
+
+/**
+ * Chain one reference into a content hash.  The address goes through
+ * an odd multiplier (a bijection on 64 bits), size and kind fill the
+ * low 40 bits, and each step after the XOR is a bijection of the
+ * chain value, so changing any one field of one reference changes the
+ * final hash.  Only one multiply sits on the dependent chain: the
+ * writer and every store-backed sweep run this once per reference.
+ */
+std::uint64_t
+hashRef(std::uint64_t hash, const MemoryRef &ref)
+{
+    const std::uint64_t word =
+        ref.addr * 0xff51afd7ed558ccdULL ^
+        (std::uint64_t{ref.size} << 8 | static_cast<std::uint64_t>(ref.kind));
+    hash = (hash ^ word) * 0x9e3779b97f4a7c15ULL;
+    return hash ^ (hash >> 29);
 }
 
 /** One group's recency stacks, fed every line a reference spans. */
@@ -388,6 +406,19 @@ parseSelection(const std::string &name)
     fatal("live points: unknown interval selection '", name, "'");
 }
 
+/**
+ * The purge-schedule carry GroupWriter::feed() reaches at channel
+ * position @p begin: the count since the last purge, which runs up to
+ * @p purge_interval before the next reference purges.
+ */
+std::uint64_t
+carryAt(std::uint64_t begin, std::uint64_t purge_interval)
+{
+    if (purge_interval == 0 || begin == 0)
+        return begin;
+    return (begin - 1) % purge_interval + 1;
+}
+
 } // namespace
 
 std::uint64_t
@@ -455,15 +486,6 @@ requireLivePointEligible(const CacheConfig &config)
         fatal("live points serve only fetch-on-write allocation "
               "(no-allocate makes residency depend on the write stream "
               "shape) — use ckpt/state_io exact snapshots instead");
-}
-
-std::uint64_t
-hashRef(std::uint64_t hash, const MemoryRef &ref)
-{
-    hash = fnv1aU64(hash, ref.addr);
-    hash = fnv1aU64(hash, ref.size);
-    hash = fnv1aU64(hash, static_cast<std::uint64_t>(ref.kind));
-    return hash;
 }
 
 std::uint64_t
@@ -621,7 +643,7 @@ writeLivePoints(TraceSource &source, const std::string &dir,
     std::vector<MemoryRef> buf(TraceSource::kDefaultBatchRefs);
     std::vector<MemoryRef> ibuf;
     std::vector<MemoryRef> dbuf;
-    std::uint64_t content_hash = kFnvOffset;
+    std::uint64_t content_hash = kContentHashSeed;
     std::uint64_t streamed = 0;
     while (const std::size_t got = source.nextBatch(buf)) {
         const std::span<const MemoryRef> refs(buf.data(), got);
@@ -786,9 +808,26 @@ LivePointStore::load(const std::string &dir)
               hexU64(store.keyHash_), " — store corrupt or written by an "
               "incompatible build");
 
+    // The sampled engine trusts an image's begin and purge carry (it
+    // purges only when the carry reaches the interval exactly), so each
+    // image must sit on the plan the key selects, carrying what the
+    // writer's schedule reaches there.  The plan is rebuilt from key
+    // fields, which the key hash has just verified.
+    SampleConfig plan_sample;
+    plan_sample.unitRefs = store.key_.unitRefs;
+    plan_sample.fraction = store.key_.fraction;
+    plan_sample.selection = store.key_.selection;
+    plan_sample.seed = store.key_.seed;
+
     for (const JsonValue &channel : doc->at("channels").items()) {
         const std::string &role = channel.at("role").asString();
         const std::uint64_t intervals = channel.at("intervals").asUint();
+        std::uint64_t channel_refs = store.key_.traceRefs;
+        if (store.key_.split)
+            channel_refs = role == "icache" ? store.key_.ifetchRefs
+                                            : store.key_.dataRefs;
+        const std::vector<SampleInterval> plan =
+            selectIntervals(channel_refs, plan_sample);
         for (const JsonValue &group : channel.at("groups").items()) {
             LivePointGroup g;
             g.role_ = role;
@@ -845,10 +884,27 @@ LivePointStore::load(const std::string &dir)
                           interval_count, " intervals, more than its ",
                           left, " image bytes hold");
             }
+            if (interval_count != plan.size())
+                fatal("live points: '", path, "' holds ", interval_count,
+                      " intervals, but the plan its key selects has ",
+                      plan.size());
             g.images_.reserve(interval_count);
-            for (std::uint64_t i = 0; i < interval_count; ++i)
-                g.images_.push_back(
-                    readImage(gis, g.setCount_, g.maxAssoc_));
+            for (std::uint64_t i = 0; i < interval_count; ++i) {
+                LivePointImage image =
+                    readImage(gis, g.setCount_, g.maxAssoc_);
+                if (image.begin != plan[i].begin)
+                    fatal("live points: '", path, "' image ", i,
+                          " begins at ", image.begin, ", but planned "
+                          "interval ", i, " begins at ", plan[i].begin);
+                const std::uint64_t carry =
+                    carryAt(image.begin, store.key_.purgeInterval);
+                if (image.sincePurge != carry)
+                    fatal("live points: '", path, "' image ", i,
+                          " carries ", image.sincePurge, " references "
+                          "since the last purge, but the schedule reaches ",
+                          carry, " at ", image.begin);
+                g.images_.push_back(std::move(image));
+            }
             store.groups_.push_back(std::move(g));
         }
     }

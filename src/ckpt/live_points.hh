@@ -112,13 +112,20 @@ LivePointKey splitLivePointKey(const std::string &trace_name,
  */
 void requireLivePointEligible(const CacheConfig &config);
 
-/** FNV-1a accumulation of one reference into a trace content hash. */
-std::uint64_t hashRef(std::uint64_t hash, const MemoryRef &ref);
-
-/** hashRef() over a whole batch. */
+/**
+ * Chain @p refs into the trace content hash @p hash.  Each reference's
+ * address, size and kind fold into one 64-bit word, and the word
+ * enters the chain through one multiply.  The hash is computed on
+ * values, not bytes, so it does not depend on how a stream is cut into
+ * batches or on the host's byte order.  Start a chain at
+ * kContentHashSeed.
+ */
 std::uint64_t hashRefs(std::uint64_t hash, std::span<const MemoryRef> refs);
 
-/** FNV-1a offset basis (initial value for hashRef chains). */
+/** Initial value of a trace content hash chain (hashRefs()). */
+inline constexpr std::uint64_t kContentHashSeed = 0x6a09e667f3bcc908ULL;
+
+/** FNV-1a offset basis (initial value of the key hash). */
 inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 
 /** One resident line of a live-point image: a line of the core. */
@@ -234,7 +241,12 @@ LivePointWriteSummary writeLivePoints(TraceSource &source,
 class LivePointStore
 {
   public:
-    /** Parse @p dir/store.json and load every group file. */
+    /**
+     * Parse @p dir/store.json and load every group file.  fatal()
+     * unless every image sits on the plan its key selects: one image
+     * per planned interval, each beginning where its interval does and
+     * carrying the purge-schedule count the writer reaches there.
+     */
     static LivePointStore load(const std::string &dir);
 
     /**
@@ -257,7 +269,7 @@ class LivePointStore
     const LivePointKey &key() const { return key_; }
     std::uint64_t keyHash() const { return keyHash_; }
 
-    /** Full-trace FNV-1a content hash recorded by the producer. */
+    /** Full-trace content hash (hashRefs()) recorded by the producer. */
     std::uint64_t contentHash() const { return contentHash_; }
 
     /** Directory this store was loaded from. */

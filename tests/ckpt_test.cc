@@ -11,7 +11,10 @@
  *  - checkpoint-warming sampled sweeps are bitwise identical to
  *    functional-warming sweeps, unified and split, with and without a
  *    purge schedule;
- *  - incompatible stores and impostor traces are rejected loudly;
+ *  - incompatible stores and impostor traces are rejected loudly, and
+ *    so are stores of another version or with images off their plan;
+ *  - the trace content hash ignores batch cuts and changes when any
+ *    field of one reference changes or two references swap;
  *  - warmToInterval() edge cases around the checkpoint overload.
  */
 
@@ -770,10 +773,10 @@ TEST(LivePointStore, FileBytesArePinned)
         ckpt::writeLivePoints(trace, unified, multiGroupSpec());
     EXPECT_EQ(written.groups, 3u);
     const std::map<std::string, std::uint64_t> unified_hashes = {
-        {"store.json", 0x76b7ad0ae3347c39ULL},
-        {"unified-l16-s1.lvpt", 0x72c88a46362d63ccULL},
-        {"unified-l16-s16.lvpt", 0xe3059363fa63b771ULL},
-        {"unified-l16-s64.lvpt", 0x8d9aa9768a9a30c2ULL},
+        {"store.json", 0x37cbe589926a5798ULL},
+        {"unified-l16-s1.lvpt", 0x19ccd2eb985f72c3ULL},
+        {"unified-l16-s16.lvpt", 0xbd3a862f8b68ad4eULL},
+        {"unified-l16-s64.lvpt", 0xc45fe2a301428d8dULL},
     };
     EXPECT_EQ(storeFileHashes(unified), unified_hashes);
 
@@ -781,9 +784,9 @@ TEST(LivePointStore, FileBytesArePinned)
     const std::string split = freshDir("lvpt-pin-split");
     ckpt::writeLivePoints(trace, split, splitSpec());
     const std::map<std::string, std::uint64_t> split_hashes = {
-        {"store.json", 0xaf9fbce581a0fdc0ULL},
-        {"icache-l16-s1.lvpt", 0x71432aa89e19769bULL},
-        {"dcache-l16-s1.lvpt", 0xf0e9cf16b1d55b45ULL},
+        {"store.json", 0x7c42df4968b2d3d3ULL},
+        {"icache-l16-s1.lvpt", 0xf58e29ff966ebd10ULL},
+        {"dcache-l16-s1.lvpt", 0x11923330a4edadceULL},
     };
     EXPECT_EQ(storeFileHashes(split), split_hashes);
 }
@@ -878,6 +881,162 @@ TEST(LivePointStore, LoadRejectsCountsTheFileCannotHold)
     EXPECT_EXIT(ckpt::LivePointStore::load(sets),
                 testing::ExitedWithCode(1),
                 "live points: .* declares 4611686018427387904 sets");
+}
+
+/** Overwrite the host-order u32 at byte @p offset of @p path. */
+void
+pokeU32(const std::string &path, std::streamoff offset, std::uint32_t value)
+{
+    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+    fs.seekp(offset);
+    fs.write(reinterpret_cast<const char *>(&value), sizeof(value));
+    EXPECT_TRUE(fs.good()) << path;
+}
+
+/** A copy of store directory @p good at a fresh directory @p leaf. */
+std::string
+copyStore(const std::string &good, const char *leaf)
+{
+    const std::string dir = freshDir(leaf);
+    std::filesystem::copy(good, dir);
+    return dir;
+}
+
+TEST(LivePointStore, LoadRejectsImagesOffThePlan)
+{
+    // The engine purges only when the carry equals the purge interval
+    // exactly, so a corrupt carry would silently skip purges.  The
+    // first image's begin is at byte 40 of a group file, its carry at
+    // byte 48; the plan starts at 0 with a carry of 0.
+    Trace trace = testTrace();
+    const std::string good = freshDir("lvpt-plan");
+    ckpt::writeLivePoints(
+        trace, good,
+        unifiedSpec({1024}, sampleTenPercent(WarmingPolicy::Checkpoint),
+                    kPurgeInterval, 4));
+    const std::string group = "/unified-l16-s16.lvpt";
+
+    const std::string carry = copyStore(good, "lvpt-plan-carry");
+    pokeU64(carry + group, 48, kPurgeInterval + 5);
+    EXPECT_EXIT(ckpt::LivePointStore::load(carry),
+                testing::ExitedWithCode(1),
+                "live points: .* image 0 carries 20005 references since "
+                "the last purge, but the schedule reaches 0 at 0");
+
+    const std::string begin = copyStore(good, "lvpt-plan-begin");
+    pokeU64(begin + group, 40, 1000);
+    EXPECT_EXIT(ckpt::LivePointStore::load(begin),
+                testing::ExitedWithCode(1),
+                "live points: .* image 0 begins at 1000, but planned "
+                "interval 0 begins at 0");
+}
+
+TEST(LivePointStore, LoadRejectsVersionOneStores)
+{
+    // Version 1 hashed trace content byte-wise; its stores are not
+    // read, whichever file says so.  The group version is the u32 at
+    // byte 4.
+    Trace trace = testTrace();
+    const std::string good = freshDir("lvpt-version");
+    ckpt::writeLivePoints(
+        trace, good,
+        unifiedSpec({1024}, sampleTenPercent(WarmingPolicy::Checkpoint), 0,
+                    4));
+
+    const std::string json = copyStore(good, "lvpt-version-json");
+    pokeStoreJson(json, "version", 1);
+    EXPECT_EXIT(ckpt::LivePointStore::load(json), testing::ExitedWithCode(1),
+                "live points: .*store.json' is version 1, this build reads "
+                "version 2");
+
+    const std::string header = copyStore(good, "lvpt-version-header");
+    pokeU32(header + "/unified-l16-s16.lvpt", 4, 1);
+    EXPECT_EXIT(ckpt::LivePointStore::load(header),
+                testing::ExitedWithCode(1),
+                "live points: .*lvpt' is version 1, this build reads "
+                "version 2");
+}
+
+// ---------------------------------------------------------------- //
+//  Trace content hash                                               //
+// ---------------------------------------------------------------- //
+
+std::uint64_t
+contentHash(std::span<const MemoryRef> refs)
+{
+    return ckpt::hashRefs(ckpt::kContentHashSeed, refs);
+}
+
+TEST(ContentHash, BatchCutsDoNotChangeTheHash)
+{
+    const Trace trace = testTrace("VSPICE", 10000);
+    const std::span<const MemoryRef> refs = trace.refs();
+    const std::uint64_t whole = contentHash(refs);
+    for (const std::size_t batch : {1, 7, 4096}) {
+        std::uint64_t hash = ckpt::kContentHashSeed;
+        for (std::size_t i = 0; i < refs.size(); i += batch)
+            hash = ckpt::hashRefs(
+                hash, refs.subspan(i, std::min(batch, refs.size() - i)));
+        EXPECT_EQ(hash, whole) << "batches of " << batch;
+    }
+}
+
+TEST(ContentHash, EveryFieldAndTheOrderCount)
+{
+    const Trace trace = testTrace("VSPICE", 1000);
+    const std::vector<MemoryRef> refs(trace.begin(), trace.end());
+    const std::uint64_t original = contentHash(refs);
+
+    std::vector<MemoryRef> changed = refs;
+    for (const std::size_t at : {std::size_t{0}, refs.size() / 2,
+                                 refs.size() - 1}) {
+        MemoryRef &ref = changed[at];
+        for (unsigned bit = 0; bit < 64; ++bit) {
+            ref.addr ^= Addr{1} << bit;
+            EXPECT_NE(contentHash(changed), original)
+                << "ref " << at << ", address bit " << bit;
+            ref.addr = refs[at].addr;
+        }
+        for (unsigned bit = 0; bit < 32; ++bit) {
+            ref.size ^= std::uint32_t{1} << bit;
+            EXPECT_NE(contentHash(changed), original)
+                << "ref " << at << ", size bit " << bit;
+            ref.size = refs[at].size;
+        }
+        for (const AccessKind kind :
+             {AccessKind::IFetch, AccessKind::Read, AccessKind::Write}) {
+            if (kind == refs[at].kind)
+                continue;
+            ref.kind = kind;
+            EXPECT_NE(contentHash(changed), original)
+                << "ref " << at << " as " << toString(kind);
+        }
+        ref.kind = refs[at].kind;
+    }
+    ASSERT_EQ(changed, refs);
+
+    std::size_t swaps = 0;
+    for (std::size_t i = 0; i + 1 < refs.size(); ++i) {
+        if (refs[i] == refs[i + 1])
+            continue;
+        std::swap(changed[i], changed[i + 1]);
+        EXPECT_NE(contentHash(changed), original) << "swap at " << i;
+        std::swap(changed[i], changed[i + 1]);
+        ++swaps;
+    }
+    EXPECT_GT(swaps, 900u);
+}
+
+TEST(ContentHash, IsPinned)
+{
+    // Every store records this hash; a change to it must bump the
+    // store version.
+    const std::vector<MemoryRef> refs = {
+        {0x1000, 4, AccessKind::IFetch},
+        {0xdeadbeef, 8, AccessKind::Write},
+        {~Addr{0}, 1, AccessKind::Read},
+    };
+    EXPECT_EQ(contentHash(refs), 0x47d6c2dbf280f1dcULL);
 }
 
 // ---------------------------------------------------------------- //

@@ -6,11 +6,12 @@
  * Registers named scenarios that wrap the engine hot paths — the
  * single-pass Mattson sweep, the parallel per-size sweep, the
  * streamed out-of-core run, the sampled sweep, per-policy access
- * cost, checkpoint fan-out, and KV workload generation — and times
- * each with untimed warm-up repetitions followed by N measured
- * repetitions.  Reported statistics are robust (median + median
- * absolute deviation): one cold-page or scheduler outlier must not
- * move the number a regression gate compares against.
+ * cost, the live-point store write, checkpoint fan-out, and KV
+ * workload generation — and times each with untimed warm-up
+ * repetitions followed by N measured repetitions.  Reported
+ * statistics are robust (median + median absolute deviation): one
+ * cold-page or scheduler outlier must not move the number a
+ * regression gate compares against.
  *
  * Each scenario emits a schema-versioned `cachelab.bench` v1 JSON
  * document (`BENCH_<scenario>.json`) stamped with git SHA, hostname,
@@ -70,7 +71,7 @@ the baseline/current inputs of `cachelab_report --bench-compare`.
 
 scenarios (--list for descriptions):
   throughput per_size_sweep streamed_run sampled_sweep policy_access
-  checkpoint_fanout kv_generate
+  livepoint_write checkpoint_fanout kv_generate
 
 options:
   --list                print the scenario registry and exit
@@ -124,6 +125,19 @@ Trace
 benchTrace(const BenchContext &ctx)
 {
     return generateTraceExactly(*findTraceProfile("VSPICE"), ctx.refs);
+}
+
+/** The live-point store the checkpoint scenarios write. */
+ckpt::LivePointWriteSpec
+benchStoreSpec()
+{
+    ckpt::LivePointWriteSpec spec;
+    spec.sample = SampleConfig{};
+    spec.base = CacheConfig{};
+    spec.sizes = benchSizes();
+    spec.jobs = 1;
+    spec.createdBy = "cachelab_bench";
+    return spec;
 }
 
 const std::vector<Scenario> &
@@ -200,19 +214,24 @@ scenarios()
                  return trace->size();
              };
          }},
+        {"livepoint_write",
+         "live-point store write (the producer checkpoint_fanout reads)",
+         [](const BenchContext &ctx) {
+             auto trace = std::make_shared<Trace>(benchTrace(ctx));
+             return [trace, dir = ctx.outDir + "/.bench_ckpt_write",
+                     spec = benchStoreSpec()] {
+                 trace->reset();
+                 ckpt::writeLivePoints(*trace, dir, spec);
+                 return trace->size();
+             };
+         }},
         {"checkpoint_fanout",
          "store-backed sampled sweep (load live points + fan out)",
          [](const BenchContext &ctx) {
              auto trace = std::make_shared<Trace>(benchTrace(ctx));
              const std::string dir = ctx.outDir + "/.bench_ckpt_store";
-             ckpt::LivePointWriteSpec spec;
-             spec.sample = SampleConfig{};
-             spec.base = CacheConfig{};
-             spec.sizes = benchSizes();
-             spec.jobs = 1;
-             spec.createdBy = "cachelab_bench";
              trace->reset();
-             ckpt::writeLivePoints(*trace, dir, spec); // untimed setup
+             ckpt::writeLivePoints(*trace, dir, benchStoreSpec()); // untimed
              SampleConfig sample;
              sample.warming = WarmingPolicy::Checkpoint;
              RunConfig run;

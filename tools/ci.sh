@@ -158,27 +158,50 @@ ckpt_leg fa
 ckpt_leg 4way --assoc 4
 
 # A corrupt store is a one-line diagnostic (exit 1), never an uncaught
-# std::length_error (exit 134): flip bit 62 of the first image's entry
-# count (byte 56 of a group file).
-corrupt_dir=build-ci/smoke-ckpt-corrupt-store
-rm -rf "${corrupt_dir}"
-cp -r build-ci/smoke-ckpt-4way-store "${corrupt_dir}"
-python3 - "${corrupt_dir}/unified-l16-s4.lvpt" <<'EOF'
+# std::length_error (exit 134) or a silently wrong result.  Each case
+# corrupts a fresh copy of the 4-way store with the Python read from
+# stdin, which gets the copy's directory as argv[1].
+corrupt_case() {
+    local name="$1"
+    local dir="build-ci/smoke-ckpt-corrupt-${name}"
+    rm -rf "${dir}"
+    cp -r build-ci/smoke-ckpt-4way-store "${dir}"
+    python3 - "${dir}"
+    local status=0
+    ${sim} "${ckpt_flags[@]}" --assoc 4 --ckpt "${dir}" \
+        > /dev/null 2> "${dir}.log" || status=$?
+    if [ "${status}" -ne 1 ]; then
+        echo "    ERROR: ${name} store exited ${status}, expected 1"; exit 1
+    fi
+    grep -q "live points:" "${dir}.log"
+    echo "    corrupt ${name}: exit 1, $(head -n 1 "${dir}.log")"
+}
+# Flip bit 62 of the first image's entry count (byte 56 of a group file).
+corrupt_case entry-count <<'EOF'
 import struct, sys
-with open(sys.argv[1], "r+b") as f:
+with open(sys.argv[1] + "/unified-l16-s4.lvpt", "r+b") as f:
     f.seek(56)
     count, = struct.unpack("=Q", f.read(8))
     f.seek(56)
     f.write(struct.pack("=Q", count ^ (1 << 62)))
 EOF
-status=0
-${sim} "${ckpt_flags[@]}" --assoc 4 --ckpt "${corrupt_dir}" \
-    > /dev/null 2> build-ci/smoke-ckpt-corrupt.log || status=$?
-if [ "${status}" -ne 1 ]; then
-    echo "    ERROR: corrupt store exited ${status}, expected 1"; exit 1
-fi
-grep -q "live points:" build-ci/smoke-ckpt-corrupt.log
-echo "    corrupt entry count: exit 1, $(head -n 1 build-ci/smoke-ckpt-corrupt.log)"
+# A version-1 store.json (byte-wise content hash): no longer read.
+corrupt_case version-1 <<'EOF'
+import re, sys
+path = sys.argv[1] + "/store.json"
+text = open(path).read()
+open(path, "w").write(re.sub(r'"version": \d+', '"version": 1', text, 1))
+EOF
+# The first image's purge carry (byte 48) moved off the writer's
+# schedule, which the engine would otherwise trust.
+corrupt_case carry <<'EOF'
+import struct, sys
+with open(sys.argv[1] + "/unified-l16-s4.lvpt", "r+b") as f:
+    f.seek(48)
+    carry, = struct.unpack("=Q", f.read(8))
+    f.seek(48)
+    f.write(struct.pack("=Q", carry + 5))
+EOF
 
 echo "==> policy zoo + timing smoke (sweep per policy, AMAT manifest)"
 # Classic-trio parity: --replacement lru must be byte-identical to the
