@@ -339,7 +339,7 @@ Cache::importState(const CacheState &state)
     policy_->importWords(state.policyWords);
     if (admission_ != nullptr) {
         if (state.admissionWords.empty())
-            admission_->reset(); // legacy snapshot: cold sketch
+            admission_->reset(); // no admission words: cold sketch
         else
             admission_->importWords(state.admissionWords);
     } else if (!state.admissionWords.empty()) {

@@ -55,7 +55,9 @@ class CacheObserver
  * geometry and continuing the reference stream reproduces the original
  * run bit for bit, for every replacement/write/fetch policy (way
  * identity and the random-replacement generator state are preserved).
- * Serialization lives in src/ckpt (state_io).
+ * It is an in-memory value only: the live-point restore
+ * (ckpt/live_points.hh) builds one from a stored image and imports it,
+ * and tests compare caches through exportState().
  */
 struct CacheState
 {
@@ -93,8 +95,8 @@ struct CacheState
     /**
      * Extra replacement-policy state beyond the recency permutation
      * (ReplacementPolicy::exportWords).  Empty for the classic trio,
-     * which keeps their serialized snapshots byte-identical to the
-     * pre-policy-API format.
+     * whose whole state is the permutation; the live-point restore
+     * relies on that when it builds LRU states with no words.
      */
     std::vector<std::uint64_t> policyWords;
 

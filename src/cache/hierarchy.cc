@@ -71,23 +71,6 @@ TwoLevelCache::resetStats()
     globalMisses_ = 0;
 }
 
-TwoLevelCacheState
-TwoLevelCache::exportState() const
-{
-    // l2MissedDuringRef_ is scratch within one access(); snapshots are
-    // taken between references, where its value is dead.
-    return {l1_.exportState(), l2_.exportState(), refs_, globalMisses_};
-}
-
-void
-TwoLevelCache::importState(const TwoLevelCacheState &state)
-{
-    l1_.importState(state.l1);
-    l2_.importState(state.l2);
-    refs_ = state.refs;
-    globalMisses_ = state.globalMisses;
-}
-
 double
 TwoLevelCache::globalMissRatio() const
 {

@@ -29,18 +29,6 @@ namespace cachelab
 {
 
 /**
- * Exact dynamic state of a TwoLevelCache: both levels plus the global
- * hierarchy counters (see CacheState).
- */
-struct TwoLevelCacheState
-{
-    CacheState l1;
-    CacheState l2;
-    std::uint64_t refs = 0;
-    std::uint64_t globalMisses = 0;
-};
-
-/**
  * An L1 + L2 pair.
  *
  * Statistics: l1().stats() counts the reference stream; l2().stats()
@@ -101,13 +89,6 @@ class TwoLevelCache : private CacheObserver
 
     /** References processed since construction / resetStats(). */
     std::uint64_t refCount() const { return refs_; }
-
-    /** @return an exact snapshot of both levels and the global
-     *  counters (snapshots are taken between references). */
-    TwoLevelCacheState exportState() const;
-
-    /** Restore a snapshot; fatal() on geometry mismatch. */
-    void importState(const TwoLevelCacheState &state);
 
   private:
     void onFill(Addr line_addr, bool prefetched) override;

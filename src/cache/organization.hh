@@ -68,13 +68,6 @@ class UnifiedCache : public CacheSystem
     Cache cache_;
 };
 
-/** Exact dynamic state of a SplitCache (see CacheState). */
-struct SplitCacheState
-{
-    CacheState icache;
-    CacheState dcache;
-};
-
 /**
  * Separate instruction and data caches; ifetches go to the I-cache,
  * reads and writes to the D-cache.
@@ -105,19 +98,6 @@ class SplitCache : public CacheSystem
     {
         icache_.setProbe(iprobe);
         dcache_.setProbe(dprobe);
-    }
-
-    /** @return exact snapshots of both sides (see CacheState). */
-    SplitCacheState exportState() const
-    {
-        return {icache_.exportState(), dcache_.exportState()};
-    }
-
-    /** Restore both sides; fatal() on geometry mismatch. */
-    void importState(const SplitCacheState &state)
-    {
-        icache_.importState(state.icache);
-        dcache_.importState(state.dcache);
     }
 
   private:

@@ -325,7 +325,7 @@ namespace
 /**
  * Intrusive per-set recency list — exactly the machinery the cache
  * core used before policies were pluggable, preserved verbatim so the
- * classic policies stay checkpoint-byte-identical: ways init in way
+ * classic policies keep their exported recency order: ways init in way
  * order (so way 0 sits at the LRU tail), invalid ways are on the list
  * too, and export walks MRU to LRU.
  */

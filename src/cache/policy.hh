@@ -11,8 +11,8 @@
  *    `name:key=value,key=value` syntax every consumer uses (the
  *    `--replacement` flag, serve-spec JSON, manifests, CSV labels).
  *  - ReplacementPolicy — the per-set *behaviour*: victim choice plus
- *    onFill/onHit/onEvict bookkeeping, with serializable state so
- *    exact checkpoints (src/ckpt) keep working for every policy.
+ *    onFill/onHit/onEvict bookkeeping, with exportable state so
+ *    Cache::exportState()/importState() stay exact for every policy.
  *  - AdmissionPolicy — an optional filter consulted before a missing
  *    line is installed (the TinyLFU-style frequency sketch lives
  *    here).  The "millions of users" KV/CDN regime is
@@ -22,7 +22,7 @@
  * The classic trio (lru, fifo, random) is implemented on the same
  * interface via the intrusive per-set recency list the cache always
  * used, and is bitwise identical to the pre-API behaviour: same
- * statistics, same probe event streams, same checkpoint bytes.  The
+ * statistics, same probe event streams, same exported state.  The
  * modern zoo (slru, lfu, lfuda, 2q, arc) keeps per-way metadata and
  * per-set ghost lists instead and selects victims with an O(assoc)
  * scan — fine for a simulator, trivial to serialize, and easy to
@@ -144,10 +144,11 @@ class PolicyHost
  * State model: exportRecency() must emit, per set, a permutation of
  * the set's ways (MRU-ish first — whatever order the policy wants
  * back), and exportWords() any additional state as uint64 words.
- * Together with the cache's own snapshot these make checkpoint
- * restore exact for every policy.  Policies whose whole state is the
- * recency permutation leave exportWords() empty, which keeps the
- * on-disk checkpoint format byte-identical to the pre-API encoding.
+ * Together with the cache's own state these make
+ * Cache::importState() exact for every policy.  Policies whose whole
+ * state is the recency permutation leave exportWords() empty, so a
+ * state built from a permutation alone (the live-point restore)
+ * restores them.
  */
 class ReplacementPolicy
 {
@@ -201,7 +202,7 @@ class ReplacementPolicy
     /** Restore from an exportRecency() image (sets * assoc entries). */
     virtual void importRecency(std::span<const std::uint32_t> recency) = 0;
 
-    /** Additional serialized state; empty keeps checkpoints legacy. */
+    /** State beyond the recency permutation; empty when there is none. */
     virtual std::vector<std::uint64_t> exportWords() const { return {}; }
 
     /** Restore exportWords() output; fatal() on malformed input. */

@@ -240,71 +240,6 @@ SectorCache::purge()
     ++stats_.purges;
 }
 
-SectorCacheState
-SectorCache::exportState() const
-{
-    SectorCacheState state;
-    state.sizeBytes = config_.sizeBytes;
-    state.sectorBytes = config_.sectorBytes;
-    state.subblockBytes = config_.subblockBytes;
-    state.sectors.reserve(sectors_.size());
-    for (std::uint32_t idx = head_; idx != kInvalid; idx = sectors_[idx].next)
-        state.sectors.push_back({sectors_[idx].sectorAddr,
-                                 sectors_[idx].validMask,
-                                 sectors_[idx].dirtyMask});
-    CACHELAB_ASSERT(state.sectors.size() == sectors_.size(),
-                    "sector recency list covers ", state.sectors.size(),
-                    " of ", sectors_.size(), " sectors");
-    state.clock = clock_;
-    state.stats = stats_;
-    return state;
-}
-
-void
-SectorCache::importState(const SectorCacheState &state)
-{
-    if (state.sizeBytes != config_.sizeBytes ||
-        state.sectorBytes != config_.sectorBytes ||
-        state.subblockBytes != config_.subblockBytes) {
-        fatal("sector cache state import: snapshot geometry ",
-              state.sizeBytes, "B/", state.sectorBytes, "B sectors/",
-              state.subblockBytes, "B sub-blocks does not match cache ",
-              config_.sizeBytes, "B/", config_.sectorBytes, "B sectors/",
-              config_.subblockBytes, "B sub-blocks");
-    }
-    CACHELAB_ASSERT(state.sectors.size() == sectors_.size(),
-                    "sector cache state import: ", state.sectors.size(),
-                    " sectors for ", sectors_.size(), " slots");
-
-    // Slot i holds the i-th most recently used sector; recency order
-    // is then simply ascending slot order (slot identity is
-    // behaviourally invisible in a fully associative LRU cache).
-    index_.clear();
-    head_ = kInvalid;
-    tail_ = kInvalid;
-    for (std::size_t i = 0; i < state.sectors.size(); ++i) {
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(state.sectors.size() - 1 - i);
-        Sector &s = sectors_[idx];
-        s.sectorAddr = state.sectors[idx].sectorAddr;
-        s.validMask = state.sectors[idx].validMask;
-        s.dirtyMask = state.sectors[idx].dirtyMask;
-        s.prev = kInvalid;
-        s.next = kInvalid;
-        pushMru(idx);
-        if (s.validMask != 0) {
-            const bool inserted = index_.emplace(s.sectorAddr, idx).second;
-            CACHELAB_ASSERT(inserted,
-                            "sector cache state import: duplicate sector ",
-                            s.sectorAddr);
-        }
-    }
-    clock_ = state.clock;
-    stats_ = state.stats;
-    if (!probeMeta_.empty())
-        probeMeta_.assign(sectors_.size(), ProbeMeta{});
-}
-
 bool
 SectorCache::contains(Addr addr) const
 {

@@ -48,34 +48,6 @@ struct SectorCacheConfig
 };
 
 /**
- * Exact dynamic state of a SectorCache: every sector's tag and
- * validity/dirtiness masks in recency order (MRU first).  Sector slot
- * identity is not preserved — the cache is fully associative and
- * victim choice depends only on recency, so a slot permutation is
- * behaviourally invisible.
- */
-struct SectorCacheState
-{
-    // Geometry echo, checked on import.
-    std::uint64_t sizeBytes = 0;
-    std::uint32_t sectorBytes = 0;
-    std::uint32_t subblockBytes = 0;
-
-    struct Sector
-    {
-        Addr sectorAddr = 0;
-        std::uint64_t validMask = 0;
-        std::uint64_t dirtyMask = 0;
-    };
-
-    /** All sectors, MRU first (allocated or not; validMask tells). */
-    std::vector<Sector> sectors;
-
-    std::uint64_t clock = 0;
-    CacheStats stats;
-};
-
-/**
  * Fully associative LRU sector cache with demand sub-block fetch.
  *
  * Write policy is copy-back with fetch-on-write at sub-block
@@ -114,12 +86,6 @@ class SectorCache
 
     /** @return number of access() calls so far (the event clock). */
     std::uint64_t accessClock() const { return clock_; }
-
-    /** @return an exact snapshot (sectors in recency order). */
-    SectorCacheState exportState() const;
-
-    /** Restore a snapshot; fatal() on geometry mismatch. */
-    void importState(const SectorCacheState &state);
 
   private:
     struct Sector

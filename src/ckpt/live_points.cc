@@ -226,8 +226,15 @@ writeImage(std::ostream &os, const LivePointImage &image,
     }
 }
 
+/**
+ * Read one image of a group whose line size and set count are powers
+ * of two.  Besides the counts, each entry is checked for what
+ * Cache::importState() asserts of a restored line: it is line-aligned,
+ * it maps to the set whose run holds it, and no set holds it twice.
+ */
 LivePointImage
-readImage(std::istream &is, std::uint64_t set_count, std::uint32_t max_assoc)
+readImage(std::istream &is, std::uint32_t line_bytes, std::uint64_t set_count,
+          std::uint32_t max_assoc)
 {
     LivePointImage image;
     image.begin = readPod<std::uint64_t>(is);
@@ -246,18 +253,34 @@ readImage(std::istream &is, std::uint64_t set_count, std::uint32_t max_assoc)
     image.setOffsets.reserve(set_count + 1);
     image.setOffsets.push_back(0);
     image.entries.reserve(entry_count);
+    const unsigned line_shift = floorLog2(line_bytes);
+    std::vector<Addr> sorted; // one run's addresses, for the twice check
     for (std::uint64_t s = 0; s < set_count; ++s) {
         const auto run = readPod<std::uint32_t>(is);
         if (run > max_assoc)
             fatal("live points: set ", s, " holds ", run,
                   " lines, above the group bound ", max_assoc);
+        sorted.clear();
         for (std::uint32_t i = 0; i < run; ++i) {
             LivePointEntry e;
             e.lineAddr = readPod<Addr>(is);
             e.maxDepth = readPod<std::uint32_t>(is);
             e.written = readPod<std::uint8_t>(is) != 0;
+            if ((e.lineAddr & (line_bytes - 1)) != 0)
+                fatal("live points: set ", s, " holds address ", e.lineAddr,
+                      ", not aligned to its ", line_bytes, "-byte lines");
+            const std::uint64_t home = (e.lineAddr >> line_shift) &
+                (set_count - 1);
+            if (home != s)
+                fatal("live points: set ", s, " holds line ", e.lineAddr,
+                      ", which maps to set ", home);
             image.entries.push_back(e);
+            sorted.push_back(e.lineAddr);
         }
+        std::sort(sorted.begin(), sorted.end());
+        const auto twice = std::adjacent_find(sorted.begin(), sorted.end());
+        if (twice != sorted.end())
+            fatal("live points: set ", s, " holds line ", *twice, " twice");
         image.setOffsets.push_back(image.entries.size());
     }
     if (image.entries.size() != entry_count)
@@ -477,15 +500,15 @@ requireLivePointEligible(const CacheConfig &config)
     if (config.replacement.toString() != "lru" || !config.admission.empty())
         fatal("live points serve only LRU replacement (stack inclusion "
               "does not hold for ", config.describe(),
-              ") — use ckpt/state_io exact snapshots instead");
+              ") — use functional warming instead");
     if (config.fetchPolicy != FetchPolicy::Demand)
         fatal("live points serve only demand fetch (prefetching makes "
-              "residency configuration-dependent) — use ckpt/state_io "
-              "exact snapshots instead");
+              "residency configuration-dependent) — use functional "
+              "warming instead");
     if (config.writeMiss != WriteMissPolicy::FetchOnWrite)
         fatal("live points serve only fetch-on-write allocation "
               "(no-allocate makes residency depend on the write stream "
-              "shape) — use ckpt/state_io exact snapshots instead");
+              "shape) — use functional warming instead");
 }
 
 std::uint64_t
@@ -868,6 +891,10 @@ LivePointStore::load(const std::string &dir)
                       "store.json (", g.lineBytes_, "B x ", g.setCount_,
                       " sets, assoc ", g.maxAssoc_, ", ", intervals,
                       " intervals)");
+            if (!isPowerOfTwo(line_bytes) || !isPowerOfTwo(set_count))
+                fatal("live points: '", path, "' header (", line_bytes,
+                      "B x ", set_count, " sets) is not a power-of-two "
+                      "geometry");
             // An image is at least begin, sincePurge and its entry count
             // (24 bytes) plus a 4-byte run per set.  Check both counts
             // against the bytes left before allocating by them.
@@ -891,7 +918,7 @@ LivePointStore::load(const std::string &dir)
             g.images_.reserve(interval_count);
             for (std::uint64_t i = 0; i < interval_count; ++i) {
                 LivePointImage image =
-                    readImage(gis, g.setCount_, g.maxAssoc_);
+                    readImage(gis, g.lineBytes_, g.setCount_, g.maxAssoc_);
                 if (image.begin != plan[i].begin)
                     fatal("live points: '", path, "' image ", i,
                           " begins at ", image.begin, ", but planned "

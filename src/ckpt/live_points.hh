@@ -34,10 +34,11 @@
  *
  * Eligibility: inclusion holds for LRU replacement, demand fetch and
  * fetch-on-write allocation (both write policies).  FIFO/Random
- * replacement, prefetch-always and no-allocate all make residency
- * depend on the configuration, so those targets must use the exact
- * per-instance snapshots of state_io.hh instead; the store rejects
- * them with a diagnostic.
+ * replacement, an admission filter, prefetch-always and no-allocate
+ * all make residency depend on the configuration, so no shared image
+ * can serve them; the store rejects those targets with a diagnostic
+ * that points them to functional warming, which replays the trace
+ * through each cache.
  *
  * Compatibility: a store is keyed by (trace identity, sampling-plan
  * parameters, purge schedule).  The key hash gates restoration up

@@ -1,18 +1,19 @@
 /**
  * @file
- * Acceptance tests for the checkpoint subsystem (ISSUE 6):
+ * Acceptance tests for the checkpoint subsystem:
  *
- *  - exact state snapshots: a cache restored midstream continues
- *    bitwise identically to one that never stopped, for every
- *    replacement/write policy and for the composite organizations;
- *  - state_io round-trips snapshots through streams and files;
+ *  - in-memory cache state: a cache restored midstream through
+ *    exportState()/importState() continues bitwise identically to one
+ *    that never stopped, for every replacement/write policy and per
+ *    side of a split organization;
  *  - live-point restores reproduce the functionally-warmed state of
  *    every associativity a store's groups serve, dirty bits included;
  *  - checkpoint-warming sampled sweeps are bitwise identical to
  *    functional-warming sweeps, unified and split, with and without a
  *    purge schedule;
  *  - incompatible stores and impostor traces are rejected loudly, and
- *    so are stores of another version or with images off their plan;
+ *    so are stores of another version, with images off their plan or
+ *    entries off their set, and every ineligible configuration;
  *  - the trace content hash ignores batch cuts and changes when any
  *    field of one reference changes or two references swap;
  *  - warmToInterval() edge cases around the checkpoint overload.
@@ -25,15 +26,12 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
-#include "cache/hierarchy.hh"
 #include "cache/organization.hh"
-#include "cache/sector_cache.hh"
 #include "ckpt/live_points.hh"
-#include "ckpt/state_io.hh"
 #include "sample/warming.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
@@ -104,7 +102,7 @@ canonicalState(const Cache &cache)
 }
 
 // ---------------------------------------------------------------- //
-//  Exact snapshots: export/import mid-stream                        //
+//  In-memory state: export/import mid-stream                        //
 // ---------------------------------------------------------------- //
 
 TEST(CacheState, MidstreamRestoreContinuesBitwise)
@@ -180,7 +178,8 @@ TEST(CompositeState, SplitMidstreamRestoreContinuesBitwise)
     for (std::uint64_t i = 0; i < half; ++i)
         first.access(trace[i]);
     SplitCache second(config, config);
-    second.importState(first.exportState());
+    second.icache().importState(first.icache().exportState());
+    second.dcache().importState(first.dcache().exportState());
     for (std::uint64_t i = half; i < trace.size(); ++i)
         second.access(trace[i]);
 
@@ -188,136 +187,6 @@ TEST(CompositeState, SplitMidstreamRestoreContinuesBitwise)
                                   reference.icache().stats()));
     EXPECT_TRUE(statsBitwiseEqual(second.dcache().stats(),
                                   reference.dcache().stats()));
-}
-
-TEST(CompositeState, TwoLevelMidstreamRestoreContinuesBitwise)
-{
-    const Trace trace = testTrace("MVS1");
-    const std::uint64_t half = trace.size() / 2;
-    const CacheConfig l1 = table1Config(1024);
-    const CacheConfig l2 = table1Config(8192);
-
-    TwoLevelCache reference(l1, l2);
-    for (std::uint64_t i = 0; i < trace.size(); ++i)
-        reference.access(trace[i]);
-
-    TwoLevelCache first(l1, l2);
-    for (std::uint64_t i = 0; i < half; ++i)
-        first.access(trace[i]);
-    TwoLevelCache second(l1, l2);
-    second.importState(first.exportState());
-    for (std::uint64_t i = half; i < trace.size(); ++i)
-        second.access(trace[i]);
-
-    EXPECT_TRUE(statsBitwiseEqual(second.l1().stats(),
-                                  reference.l1().stats()));
-    EXPECT_TRUE(statsBitwiseEqual(second.l2().stats(),
-                                  reference.l2().stats()));
-    EXPECT_EQ(second.globalMissRatio(), reference.globalMissRatio());
-}
-
-TEST(CompositeState, SectorMidstreamRestoreContinuesBitwise)
-{
-    const Trace trace = testTrace("ZSORT");
-    const std::uint64_t half = trace.size() / 2;
-    SectorCacheConfig config;
-    config.sizeBytes = 2048;
-
-    SectorCache reference(config);
-    for (std::uint64_t i = 0; i < trace.size(); ++i)
-        reference.access(trace[i]);
-
-    SectorCache first(config);
-    for (std::uint64_t i = 0; i < half; ++i)
-        first.access(trace[i]);
-    SectorCache second(config);
-    second.importState(first.exportState());
-    for (std::uint64_t i = half; i < trace.size(); ++i)
-        second.access(trace[i]);
-
-    EXPECT_TRUE(statsBitwiseEqual(second.stats(), reference.stats()));
-}
-
-// ---------------------------------------------------------------- //
-//  state_io: stream and file round-trips                            //
-// ---------------------------------------------------------------- //
-
-TEST(StateIo, StreamRoundtripsEveryRecordType)
-{
-    const Trace trace = testTrace();
-    const std::uint64_t third = trace.size() / 3;
-    const CacheConfig config = table1Config(2048);
-
-    Cache cache(config);
-    applyRange(trace, cache, 0, third);
-    SplitCache split(config, config);
-    TwoLevelCache two(table1Config(1024), table1Config(8192));
-    SectorCacheConfig sector_config;
-    sector_config.sizeBytes = 2048;
-    SectorCache sector(sector_config);
-    for (std::uint64_t i = 0; i < third; ++i) {
-        split.access(trace[i]);
-        two.access(trace[i]);
-        sector.access(trace[i]);
-    }
-
-    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-    ckpt::writeCacheState(ss, cache.exportState());
-    ckpt::writeSplitCacheState(ss, split.exportState());
-    ckpt::writeTwoLevelCacheState(ss, two.exportState());
-    ckpt::writeSectorCacheState(ss, sector.exportState());
-
-    Cache cache2(config);
-    cache2.importState(ckpt::readCacheState(ss));
-    SplitCache split2(config, config);
-    split2.importState(ckpt::readSplitCacheState(ss));
-    TwoLevelCache two2(table1Config(1024), table1Config(8192));
-    two2.importState(ckpt::readTwoLevelCacheState(ss));
-    SectorCacheConfig sector_config2 = sector_config;
-    SectorCache sector2(sector_config2);
-    sector2.importState(ckpt::readSectorCacheState(ss));
-
-    for (std::uint64_t i = third; i < trace.size(); ++i) {
-        cache.access(trace[i]);
-        cache2.access(trace[i]);
-        split.access(trace[i]);
-        split2.access(trace[i]);
-        two.access(trace[i]);
-        two2.access(trace[i]);
-        sector.access(trace[i]);
-        sector2.access(trace[i]);
-    }
-    EXPECT_TRUE(statsBitwiseEqual(cache2.stats(), cache.stats()));
-    EXPECT_TRUE(statsBitwiseEqual(split2.combinedStats(),
-                                  split.combinedStats()));
-    EXPECT_TRUE(statsBitwiseEqual(two2.l2().stats(), two.l2().stats()));
-    EXPECT_TRUE(statsBitwiseEqual(sector2.stats(), sector.stats()));
-}
-
-TEST(StateIo, FileRoundtrip)
-{
-    const Trace trace = testTrace();
-    Cache cache(table1Config(1024));
-    applyRange(trace, cache, 0, trace.size() / 4);
-
-    const std::string path =
-        (std::filesystem::path(testing::TempDir()) / "state.cks").string();
-    const CacheState state = cache.exportState();
-    ckpt::saveCacheState(state, path);
-    const CacheState loaded = ckpt::loadCacheState(path);
-    EXPECT_EQ(state.lines, loaded.lines);
-    EXPECT_EQ(state.recency, loaded.recency);
-    EXPECT_EQ(state.rngState, loaded.rngState);
-    EXPECT_EQ(state.clock, loaded.clock);
-    EXPECT_TRUE(statsBitwiseEqual(state.stats, loaded.stats));
-}
-
-TEST(StateIo, RejectsWrongMagic)
-{
-    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-    Cache cache(table1Config(1024));
-    ckpt::writeCacheState(ss, cache.exportState());
-    EXPECT_DEATH({ ckpt::readSplitCacheState(ss); }, "SplitCacheState");
 }
 
 // ---------------------------------------------------------------- //
@@ -388,6 +257,46 @@ TEST(LivePoints, RestoreReproducesFunctionallyWarmedState)
     }
 }
 
+/** A configuration live points cannot serve, and its diagnostic. */
+struct IneligibleCase
+{
+    std::string label;
+    CacheConfig config;
+    std::string message; ///< regex, matched up to "functional warming"
+};
+
+/** @return every ineligible variation of @p base. */
+std::vector<IneligibleCase>
+ineligibleCases(const CacheConfig &base)
+{
+    const std::string replacement =
+        "live points serve only LRU replacement \\(stack inclusion does "
+        "not hold for .*\\) — use functional warming";
+    std::vector<IneligibleCase> cases;
+    for (const char *name : {"fifo", "random"}) {
+        CacheConfig config = base;
+        config.replacement = policySpec(name);
+        cases.push_back({name, config, replacement});
+    }
+    CacheConfig tinylfu = base;
+    EXPECT_EQ(parseAdmissionPolicy("tinylfu:counters=64", tinylfu.admission),
+              std::nullopt);
+    cases.push_back({"lru+tinylfu", tinylfu, replacement});
+    CacheConfig prefetch = base;
+    prefetch.fetchPolicy = FetchPolicy::PrefetchAlways;
+    cases.push_back({"prefetch-always", prefetch,
+                     "live points serve only demand fetch \\(prefetching "
+                     "makes residency configuration-dependent\\) — use "
+                     "functional warming"});
+    CacheConfig no_allocate = base;
+    no_allocate.writeMiss = WriteMissPolicy::NoAllocate;
+    cases.push_back({"no-allocate", no_allocate,
+                     "live points serve only fetch-on-write allocation "
+                     "\\(no-allocate makes residency depend on the write "
+                     "stream shape\\) — use functional warming"});
+    return cases;
+}
+
 TEST(LivePoints, RestoreRejectsIneligibleAndMismatchedCaches)
 {
     Trace trace = testTrace();
@@ -401,11 +310,12 @@ TEST(LivePoints, RestoreRejectsIneligibleAndMismatchedCaches)
                     config.effectiveAssociativity());
 
     std::uint64_t since_purge = 0;
-    CacheConfig fifo = config;
-    fifo.replacement = policySpec("fifo");
-    Cache fifo_cache(fifo);
-    EXPECT_DEATH({ group.restoreInto(fifo_cache, 0, since_purge); },
-                 "only LRU");
+    for (const IneligibleCase &ineligible : ineligibleCases(config)) {
+        Cache cache(ineligible.config);
+        EXPECT_DEATH({ group.restoreInto(cache, 0, since_purge); },
+                     ineligible.message)
+            << ineligible.label;
+    }
 
     CacheConfig wrong_line = config;
     wrong_line.lineBytes = 32;
@@ -690,12 +600,16 @@ TEST(LivePointStore, PlainRunSampledRejectsCheckpointWarming)
 TEST(LivePointStore, WriterRejectsIneligibleBaseConfig)
 {
     Trace trace = testTrace();
-    ckpt::LivePointWriteSpec spec = unifiedSpec(
+    const ckpt::LivePointWriteSpec good = unifiedSpec(
         {1024}, sampleTenPercent(WarmingPolicy::Checkpoint));
-    spec.base.replacement = policySpec("random");
-    EXPECT_DEATH({
-        ckpt::writeLivePoints(trace, freshDir("lvpt-bad"), spec);
-    }, "only LRU");
+    for (const IneligibleCase &ineligible : ineligibleCases(good.base)) {
+        ckpt::LivePointWriteSpec spec = good;
+        spec.base = ineligible.config;
+        EXPECT_DEATH({
+            ckpt::writeLivePoints(trace, freshDir("lvpt-bad"), spec);
+        }, ineligible.message)
+            << ineligible.label;
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -929,6 +843,84 @@ TEST(LivePointStore, LoadRejectsImagesOffThePlan)
                 testing::ExitedWithCode(1),
                 "live points: .* image 0 begins at 1000, but planned "
                 "interval 0 begins at 0");
+}
+
+TEST(LivePointStore, LoadRejectsEntriesOffTheirSet)
+{
+    // A restore imports each entry as a resident line, which
+    // Cache::importState() asserts is in its set and held once, and an
+    // unaligned address would silently skew results.  So the loader
+    // checks every entry.  A group file has a 40-byte header; an image
+    // is begin, carry and entry count (u64 each), then per set a u32
+    // run of 13-byte entries (u64 line address, u32 maxDepth, u8
+    // written).  Image 0 begins at 0 and is empty.
+    Trace trace = testTrace();
+    const std::string good = freshDir("lvpt-entries");
+    ckpt::writeLivePoints(
+        trace, good,
+        unifiedSpec({1024}, sampleTenPercent(WarmingPolicy::Checkpoint), 0,
+                    4));
+    const std::string group = "/unified-l16-s16.lvpt";
+    constexpr std::uint64_t kSets = 16;
+    const std::string bytes = fileBytes(good + group);
+    const auto u32At = [&](std::size_t at) {
+        std::uint32_t v;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    const auto u64At = [&](std::size_t at) {
+        std::uint64_t v;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    ASSERT_EQ(u64At(40), 0u);      // image 0 begins at 0
+    ASSERT_EQ(u64At(40 + 16), 0u); // and holds no entries
+
+    // The first set of image 1 that holds two or more lines.
+    std::size_t run_at = 40 + 24 + 4 * kSets + 24;
+    std::uint64_t set = 0;
+    while (set < kSets && u32At(run_at) < 2) {
+        run_at += 4 + 13 * u32At(run_at);
+        ++set;
+    }
+    ASSERT_LT(set, kSets);
+    const std::size_t entry_at = run_at + 4;
+    const Addr line = u64At(entry_at);
+    const Addr second = u64At(entry_at + 13);
+
+    const std::string next_set = copyStore(good, "lvpt-entries-set");
+    pokeU64(next_set + group, entry_at, line + 16);
+    EXPECT_EXIT(ckpt::LivePointStore::load(next_set),
+                testing::ExitedWithCode(1),
+                "live points: set " + std::to_string(set) + " holds line " +
+                    std::to_string(line + 16) + ", which maps to set " +
+                    std::to_string((set + 1) % kSets));
+
+    const std::string twice = copyStore(good, "lvpt-entries-twice");
+    pokeU64(twice + group, entry_at, second);
+    EXPECT_EXIT(ckpt::LivePointStore::load(twice),
+                testing::ExitedWithCode(1),
+                "live points: set " + std::to_string(set) + " holds line " +
+                    std::to_string(second) + " twice");
+
+    const std::string unaligned = copyStore(good, "lvpt-entries-unaligned");
+    pokeU64(unaligned + group, entry_at, line + 1);
+    EXPECT_EXIT(ckpt::LivePointStore::load(unaligned),
+                testing::ExitedWithCode(1),
+                "live points: set " + std::to_string(set) +
+                    " holds address " + std::to_string(line + 1) +
+                    ", not aligned to its 16-byte lines");
+
+    // The checks mask by the header's geometry, so a line size that is
+    // not a power of two (the u32 at byte 16, mirrored in store.json)
+    // is refused before any image is read.
+    const std::string geometry = copyStore(good, "lvpt-entries-geometry");
+    pokeStoreJson(geometry, "line_bytes", 24);
+    pokeU32(geometry + group, 16, 24);
+    EXPECT_EXIT(ckpt::LivePointStore::load(geometry),
+                testing::ExitedWithCode(1),
+                "live points: .* header \\(24B x 16 sets\\) is not a "
+                "power-of-two geometry");
 }
 
 TEST(LivePointStore, LoadRejectsVersionOneStores)

@@ -202,6 +202,23 @@ with open(sys.argv[1] + "/unified-l16-s4.lvpt", "r+b") as f:
     f.seek(48)
     f.write(struct.pack("=Q", carry + 5))
 EOF
+# The first stored line moved to the next set (+16 at 16 B lines): a
+# restore would build a cache state with a line outside its set.
+corrupt_case entry-set <<'EOF'
+import struct, sys
+with open(sys.argv[1] + "/unified-l16-s4.lvpt", "r+b") as f:
+    data = f.read()
+    sets, = struct.unpack_from("=Q", data, 20)
+    at = 40  # the first image with an entry, then its first non-empty set
+    while struct.unpack_from("=Q", data, at + 16)[0] == 0:
+        at += 24 + 4 * sets
+    at += 24
+    while struct.unpack_from("=I", data, at)[0] == 0:
+        at += 4
+    addr, = struct.unpack_from("=Q", data, at + 4)
+    f.seek(at + 4)
+    f.write(struct.pack("=Q", addr + 16))
+EOF
 
 echo "==> policy zoo + timing smoke (sweep per policy, AMAT manifest)"
 # Classic-trio parity: --replacement lru must be byte-identical to the
