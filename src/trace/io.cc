@@ -1,19 +1,20 @@
 /**
  * @file
- * Implementation of trace readers, writers, and streaming sources.
+ * Implementation of trace readers, writers, and the decoding source.
  *
- * The low-level record codecs are shared between the materialized
- * readers/writers and the streaming TraceSource implementations so the
- * two paths cannot drift: a record is encoded and decoded by exactly
- * one function per format.
+ * Each format has exactly one record encoder and one record decoder.
+ * Every write runs one per-format loop over a TraceSource, and every
+ * read runs EncodedSource, which decodes a trace's bytes (a file
+ * mapping, or bytes the caller holds) with explicit bounds, so the
+ * materialized and streaming paths cannot drift.
  */
 
 #include "trace/io.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -37,6 +38,13 @@ constexpr std::array<char, 4> kMagicCompressed = {'C', 'L', 'T', '2'};
  *  field with no padding. */
 constexpr std::size_t kBinaryRecordBytes = 13;
 
+/** The shortest CLT2 record: a tag byte and a one-byte varint. */
+constexpr std::size_t kMinCompressedRecordBytes = 2;
+
+/** The shortest din record line, `0 0` and its newline.  The last line
+ *  may lack the newline, so N records need at least 4N - 1 bytes. */
+constexpr std::size_t kMinDinLineBytes = 4;
+
 /** LEB128 unsigned varint. */
 void
 writeVarint(std::ostream &os, std::uint64_t v)
@@ -49,22 +57,19 @@ writeVarint(std::ostream &os, std::uint64_t v)
 }
 
 std::uint64_t
-readVarint(std::istream &is)
+decodeVarint(const char *&p, const char *end)
 {
     std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-        const int c = is.get();
-        if (c == std::char_traits<char>::eof())
-            fatal("compressed trace: unexpected end of stream");
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if ((c & 0x80) == 0)
-            break;
-        shift += 7;
+    for (int shift = 0;; shift += 7) {
         if (shift > 63)
             fatal("compressed trace: varint overflow");
+        if (p == end)
+            fatal("compressed trace: unexpected end of stream");
+        const auto c = static_cast<unsigned char>(*p++);
+        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
+        if ((c & 0x80) == 0)
+            return v;
     }
-    return v;
 }
 
 /** Zigzag-encode a signed delta into an unsigned varint payload. */
@@ -119,15 +124,17 @@ writeRaw(std::ostream &os, const T &value)
     os.write(reinterpret_cast<const char *>(&value), sizeof(T));
 }
 
-template <typename T>
-T
-readRaw(std::istream &is)
+/** @return the line at @p p (p != end), without its newline, and move
+ *  @p p past it. */
+std::string_view
+nextLine(const char *&p, const char *end)
 {
-    T value{};
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-    if (!is)
-        fatal("binary trace: unexpected end of stream");
-    return value;
+    const auto *nl = static_cast<const char *>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char *stop = nl != nullptr ? nl : end;
+    const std::string_view line(p, static_cast<std::size_t>(stop - p));
+    p = nl != nullptr ? nl + 1 : end;
+    return line;
 }
 
 /**
@@ -178,17 +185,22 @@ emitBinaryRecord(std::ostream &os, const MemoryRef &ref)
     writeRaw(os, static_cast<std::uint8_t>(ref.kind));
 }
 
-/** Decode one packed CLT1 record from @p bytes (kBinaryRecordBytes). */
+/** Decode one packed CLT1 record at @p p and move @p p past it. */
 MemoryRef
-decodeBinaryRecord(const unsigned char *bytes)
+decodeBinaryRecord(const char *&p, const char *end)
 {
+    if (static_cast<std::size_t>(end - p) < kBinaryRecordBytes)
+        fatal("binary trace: unexpected end of stream");
     MemoryRef ref;
-    std::memcpy(&ref.addr, bytes, sizeof(ref.addr));
-    std::memcpy(&ref.size, bytes + 8, sizeof(ref.size));
-    const std::uint8_t kind_raw = bytes[12];
+    std::memcpy(&ref.addr, p, sizeof(ref.addr));
+    std::memcpy(&ref.size, p + 8, sizeof(ref.size));
+    const auto kind_raw = static_cast<std::uint8_t>(p[12]);
     if (kind_raw > 2)
         fatal("binary trace: bad access kind ", unsigned{kind_raw});
+    if (ref.size == 0)
+        fatal("binary trace: zero access size");
     ref.kind = static_cast<AccessKind>(kind_raw);
+    p += kBinaryRecordBytes;
     return ref;
 }
 
@@ -196,7 +208,8 @@ decodeBinaryRecord(const unsigned char *bytes)
  * Per-kind delta state of the CLT2 codec.  Deltas are tracked per
  * access kind: the instruction stream and each data stream are
  * individually near-sequential, so per-kind deltas stay tiny even
- * though the merged stream jumps around.
+ * though the merged stream jumps around.  Deltas are taken modulo
+ * 2^64, so addresses any distance apart round-trip.
  */
 struct Clt2State
 {
@@ -214,32 +227,30 @@ emitCompressedRecord(std::ostream &os, Clt2State &state,
     const std::uint8_t tag = static_cast<std::uint8_t>(
         static_cast<unsigned>(ref.kind) | (size_changed ? 4u : 0u));
     os.put(static_cast<char>(tag));
-    writeVarint(os,
-                zigzag(static_cast<std::int64_t>(ref.addr) -
-                       static_cast<std::int64_t>(state.lastAddr[k])));
+    writeVarint(os, zigzag(static_cast<std::int64_t>(
+                        ref.addr - state.lastAddr[k])));
     if (size_changed)
         writeVarint(os, ref.size);
     state.lastAddr[k] = ref.addr;
     state.lastSize[k] = ref.size;
 }
 
+/** Decode one CLT2 record at @p p and move @p p past it. */
 MemoryRef
-readCompressedRecord(std::istream &is, Clt2State &state)
+decodeCompressedRecord(const char *&p, const char *end, Clt2State &state)
 {
-    const int tag = is.get();
-    if (tag == std::char_traits<char>::eof())
+    if (p == end)
         fatal("compressed trace: truncated record");
-    const unsigned kind_raw = static_cast<unsigned>(tag) & 3u;
+    const auto tag = static_cast<unsigned char>(*p++);
+    const unsigned kind_raw = tag & 3u;
     if (kind_raw > 2)
         fatal("compressed trace: bad access kind ", kind_raw);
     const auto k = static_cast<std::size_t>(kind_raw);
-    const std::int64_t delta = unzigzag(readVarint(is));
-    const Addr addr =
-        static_cast<Addr>(static_cast<std::int64_t>(state.lastAddr[k]) +
-                          delta);
+    const Addr addr = state.lastAddr[k] +
+        static_cast<Addr>(unzigzag(decodeVarint(p, end)));
     std::uint32_t size = state.lastSize[k];
-    if ((static_cast<unsigned>(tag) & 4u) != 0)
-        size = static_cast<std::uint32_t>(readVarint(is));
+    if ((tag & 4u) != 0)
+        size = static_cast<std::uint32_t>(decodeVarint(p, end));
     if (size == 0)
         fatal("compressed trace: zero access size");
     state.lastAddr[k] = addr;
@@ -267,24 +278,6 @@ writePackedHeader(std::ostream &os, const std::array<char, 4> &magic,
     writeRaw(os, count);
 }
 
-/** @return the embedded name after validating @p magic. */
-std::string
-readPackedHeader(std::istream &is, const std::array<char, 4> &magic,
-                 const char *what, std::uint64_t &count)
-{
-    std::array<char, 4> got{};
-    is.read(got.data(), got.size());
-    if (!is || got != magic)
-        fatal(what, ": bad magic");
-    const auto name_len = readRaw<std::uint32_t>(is);
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    if (!is)
-        fatal(what, ": truncated name");
-    count = readRaw<std::uint64_t>(is);
-    return name;
-}
-
 bool
 hasExtension(const std::string &path, const char *ext)
 {
@@ -304,123 +297,11 @@ baseName(const std::string &path)
     return base;
 }
 
-} // namespace
-
-std::string_view
-toString(TraceFormat format)
-{
-    switch (format) {
-      case TraceFormat::Din:
-        return "din";
-      case TraceFormat::Binary:
-        return "binary";
-      case TraceFormat::Compressed:
-        return "compressed";
-    }
-    return "?";
-}
-
-TraceFormat
-formatForPath(const std::string &path)
-{
-    if (hasExtension(path, ".din"))
-        return TraceFormat::Din;
-    if (hasExtension(path, ".ctr"))
-        return TraceFormat::Compressed;
-    return TraceFormat::Binary;
-}
-
+/** Encode what is left of @p source to @p os: one loop per format. */
 void
-writeTrace(const Trace &trace, std::ostream &os, TraceFormat format)
-{
-    switch (format) {
-      case TraceFormat::Din:
-        writeDinHeader(os, trace.name(), trace.size(), true);
-        for (const MemoryRef &ref : trace.refs())
-            emitDinRecord(os, ref);
-        return;
-      case TraceFormat::Binary:
-        writePackedHeader(os, kMagic, trace.name(), trace.size());
-        for (const MemoryRef &ref : trace.refs())
-            emitBinaryRecord(os, ref);
-        return;
-      case TraceFormat::Compressed: {
-        writePackedHeader(os, kMagicCompressed, trace.name(), trace.size());
-        Clt2State state;
-        for (const MemoryRef &ref : trace.refs())
-            emitCompressedRecord(os, state, ref);
-        return;
-      }
-    }
-    panic("unreachable trace format");
-}
-
-Trace
-readTrace(std::istream &is, TraceFormat format, std::string name)
-{
-    switch (format) {
-      case TraceFormat::Din: {
-        Trace trace(std::move(name));
-        std::string line;
-        std::uint64_t line_no = 0;
-        MemoryRef ref;
-        while (std::getline(is, line)) {
-            ++line_no;
-            if (parseDinLine(line, line_no, ref))
-                trace.append(ref);
-        }
-        return trace;
-      }
-      case TraceFormat::Binary: {
-        std::uint64_t count = 0;
-        Trace trace(readPackedHeader(is, kMagic, "binary trace", count));
-        trace.reserve(count);
-        std::array<unsigned char, kBinaryRecordBytes> rec{};
-        for (std::uint64_t i = 0; i < count; ++i) {
-            is.read(reinterpret_cast<char *>(rec.data()), rec.size());
-            if (!is)
-                fatal("binary trace: unexpected end of stream");
-            trace.append(decodeBinaryRecord(rec.data()));
-        }
-        return trace;
-      }
-      case TraceFormat::Compressed: {
-        std::uint64_t count = 0;
-        Trace trace(readPackedHeader(is, kMagicCompressed,
-                                     "compressed trace", count));
-        trace.reserve(count);
-        Clt2State state;
-        for (std::uint64_t i = 0; i < count; ++i)
-            trace.append(readCompressedRecord(is, state));
-        return trace;
-      }
-    }
-    panic("unreachable trace format");
-}
-
-void
-saveTrace(const Trace &trace, const std::string &path, TraceFormat format)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open '", path, "' for writing");
-    writeTrace(trace, os, format);
-    if (!os)
-        fatal("write to '", path, "' failed");
-}
-
-void
-saveTrace(TraceSource &source, const std::string &path, TraceFormat format)
+encodeTrace(TraceSource &source, std::ostream &os, TraceFormat format)
 {
     const bool known = source.lengthKnown();
-    if (format != TraceFormat::Din && !known)
-        fatal("saveTrace: the ", toString(format), " header carries a "
-              "reference count; stream it from a source with a known "
-              "length or materialize first");
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open '", path, "' for writing");
-
     const std::uint64_t declared = known ? source.knownLength() : 0;
     Clt2State state;
     switch (format) {
@@ -454,326 +335,292 @@ saveTrace(TraceSource &source, const std::string &path, TraceFormat format)
     if (known && written != declared)
         fatal("saveTrace: source '", source.name(), "' declared ", declared,
               " refs but delivered ", written);
+}
+
+/** Unmaps a whole-file mapping. */
+struct Unmap
+{
+    std::size_t bytes = 0;
+
+    void
+    operator()(const char *addr) const
+    {
+        ::munmap(const_cast<char *>(addr), bytes);
+    }
+};
+
+/** A read-only file mapping; null for an empty file. */
+using Mapping = std::unique_ptr<const char, Unmap>;
+
+/**
+ * The one trace decoder: a TraceSource over a trace's encoded bytes,
+ * which are a file mapping it owns or bytes its caller holds.  Header
+ * counts are checked against the bytes at construction, before
+ * anything is sized by them.  Over a mapping, the whole pages behind
+ * the cursor are dropped after each batch, so resident memory stays
+ * O(batch) for every format; after a reset() they re-fault from the
+ * page cache.
+ */
+class EncodedSource final : public TraceSource
+{
+  public:
+    /**
+     * @param name the stream's name when the format embeds none (din).
+     * @param map the mapping that holds @p bytes, if the source owns it.
+     */
+    EncodedSource(std::string_view bytes, TraceFormat format,
+                  std::string name, Mapping map = {})
+        : map_(std::move(map)), begin_(bytes.data()),
+          end_(bytes.data() + bytes.size()), format_(format),
+          name_(std::move(name))
+    {
+        if (format_ == TraceFormat::Din)
+            parseDinHint();
+        else
+            parsePackedHeader();
+        reset();
+    }
+
+    const std::string &name() const override { return name_; }
+    std::uint64_t knownLength() const override { return count_; }
+
+    std::size_t nextBatch(std::span<MemoryRef> out) override;
+
+    void
+    reset() override
+    {
+        cursor_ = payload_;
+        dropped_ = begin_;
+        delivered_ = 0;
+        lineNo_ = 0;
+        state_ = {};
+    }
+
+    std::uint64_t
+    skip(std::uint64_t n) override
+    {
+        if (format_ != TraceFormat::Binary)
+            return TraceSource::skip(n);
+        const std::uint64_t step = std::min(n, count_ - delivered_);
+        cursor_ += step * kBinaryRecordBytes;
+        delivered_ += step;
+        return step;
+    }
+
+  private:
+    void parsePackedHeader();
+    void parseDinHint();
+    void dropPagesBehindCursor();
+
+    Mapping map_;
+    const char *begin_;
+    const char *end_;
+    TraceFormat format_;
+    std::string name_;
+    const char *payload_ = nullptr;
+    /** Header count; for din, the `# refs: N` hint or kUnknownLength. */
+    std::uint64_t count_ = kUnknownLength;
+
+    const char *cursor_ = nullptr;
+    const char *dropped_ = nullptr; ///< pages before this are dropped
+    std::uint64_t delivered_ = 0;
+    std::uint64_t lineNo_ = 0; ///< din
+    Clt2State state_;          ///< CLT2
+};
+
+void
+EncodedSource::parsePackedHeader()
+{
+    const bool binary = format_ == TraceFormat::Binary;
+    const char *what = binary ? "binary trace" : "compressed trace";
+    const auto &magic = binary ? kMagic : kMagicCompressed;
+    const auto bytes = static_cast<std::size_t>(end_ - begin_);
+    std::uint32_t name_len = 0;
+    std::size_t off = magic.size() + sizeof(name_len);
+    if (bytes < off ||
+        std::memcmp(begin_, magic.data(), magic.size()) != 0)
+        fatal(what, ": bad magic");
+    std::memcpy(&name_len, begin_ + magic.size(), sizeof(name_len));
+    if (bytes - off < std::size_t{name_len} + sizeof(count_))
+        fatal(what, ": truncated header");
+    name_.assign(begin_ + off, name_len);
+    off += name_len;
+    std::memcpy(&count_, begin_ + off, sizeof(count_));
+    off += sizeof(count_);
+    payload_ = begin_ + off;
+    const std::size_t least =
+        binary ? kBinaryRecordBytes : kMinCompressedRecordBytes;
+    if (count_ > (bytes - off) / least)
+        fatal(what, ": header declares ", count_, " refs, more than its ",
+              bytes - off, " payload bytes can hold");
+}
+
+void
+EncodedSource::parseDinHint()
+{
+    // The writer's `# refs: N` line sits in the leading comment block.
+    constexpr std::string_view kRefsTag = "# refs: ";
+    payload_ = begin_;
+    const char *p = begin_;
+    for (std::uint64_t line_no = 1; p != end_; ++line_no) {
+        const std::string_view line = nextLine(p, end_);
+        if (line.empty() || line[0] != '#')
+            return;
+        if (!line.starts_with(kRefsTag))
+            continue;
+        try {
+            count_ = std::stoull(std::string(line.substr(kRefsTag.size())));
+        } catch (const std::exception &) {
+            return; // a malformed hint leaves the length unknown
+        }
+        const auto bytes = static_cast<std::size_t>(end_ - begin_);
+        if (count_ > (bytes + 1) / kMinDinLineBytes)
+            fatal("din line ", line_no, ": refs hint ", count_,
+                  " is more than ", bytes, " bytes can hold");
+        return;
+    }
+}
+
+std::size_t
+EncodedSource::nextBatch(std::span<MemoryRef> out)
+{
+    const char *p = cursor_;
+    std::size_t n = 0;
+    switch (format_) {
+      case TraceFormat::Din: {
+        std::string line;
+        MemoryRef ref;
+        while (n < out.size() && p != end_) {
+            line = nextLine(p, end_);
+            if (parseDinLine(line, ++lineNo_, ref))
+                out[n++] = ref;
+        }
+        if (n == 0 && count_ != kUnknownLength && delivered_ != count_)
+            fatal("din trace '", name_, "': header declared ", count_,
+                  " refs but the stream held ", delivered_);
+        break;
+      }
+      case TraceFormat::Binary:
+        n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(out.size(), count_ - delivered_));
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = decodeBinaryRecord(p, end_);
+        break;
+      case TraceFormat::Compressed:
+        n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(out.size(), count_ - delivered_));
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = decodeCompressedRecord(p, end_, state_);
+        break;
+    }
+    cursor_ = p;
+    delivered_ += n;
+    dropPagesBehindCursor();
+    return n;
+}
+
+void
+EncodedSource::dropPagesBehindCursor()
+{
+    if (!map_)
+        return;
+    static const auto page =
+        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const char *edge =
+        begin_ + static_cast<std::size_t>(cursor_ - begin_) / page * page;
+    if (edge <= dropped_)
+        return;
+    ::madvise(const_cast<char *>(dropped_),
+              static_cast<std::size_t>(edge - dropped_), MADV_DONTNEED);
+    dropped_ = edge;
+}
+
+} // namespace
+
+std::string_view
+toString(TraceFormat format)
+{
+    switch (format) {
+      case TraceFormat::Din:
+        return "din";
+      case TraceFormat::Binary:
+        return "binary";
+      case TraceFormat::Compressed:
+        return "compressed";
+    }
+    return "?";
+}
+
+TraceFormat
+formatForPath(const std::string &path)
+{
+    if (hasExtension(path, ".din"))
+        return TraceFormat::Din;
+    if (hasExtension(path, ".ctr"))
+        return TraceFormat::Compressed;
+    return TraceFormat::Binary;
+}
+
+void
+writeTrace(const Trace &trace, std::ostream &os, TraceFormat format)
+{
+    MemorySource view(trace.refs(), trace.name());
+    encodeTrace(view, os, format);
+}
+
+Trace
+readTrace(std::string_view bytes, TraceFormat format, std::string name)
+{
+    return EncodedSource(bytes, format, std::move(name)).materialize();
+}
+
+void
+saveTrace(const Trace &trace, const std::string &path, TraceFormat format)
+{
+    MemorySource view(trace.refs(), trace.name());
+    saveTrace(view, path, format);
+}
+
+void
+saveTrace(TraceSource &source, const std::string &path, TraceFormat format)
+{
+    if (format != TraceFormat::Din && !source.lengthKnown())
+        fatal("saveTrace: the ", toString(format), " header carries a "
+              "reference count; stream it from a source with a known "
+              "length or materialize first");
+    std::ofstream os(path, std::ios::binary);
+    if (!os)
+        fatal("cannot open '", path, "' for writing");
+    encodeTrace(source, os, format);
     if (!os)
         fatal("write to '", path, "' failed");
 }
 
-// ---------------------------------------------------------------------------
-// Streaming sources.
-
-namespace
-{
-
-/**
- * Zero-copy CLT1 reader: the file is mapped read-only and records are
- * decoded straight out of the mapping, so resident memory is the
- * kernel's page cache working set, not the trace.  skip() is a cursor
- * move, which makes skipping warming policies (sample/warming.hh)
- * O(1) per skipped range.
- */
-class MmapBinarySource : public TraceSource
-{
-  public:
-    MmapBinarySource(const std::string &path, int fd, std::size_t file_bytes)
-        : path_(path), fileBytes_(file_bytes)
-    {
-        map_ = ::mmap(nullptr, fileBytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd);
-        if (map_ == MAP_FAILED)
-            fatal("cannot mmap '", path, "'");
-        ::madvise(map_, fileBytes_, MADV_SEQUENTIAL);
-        parseHeader();
-    }
-
-    MmapBinarySource(const MmapBinarySource &) = delete;
-    MmapBinarySource &operator=(const MmapBinarySource &) = delete;
-
-    ~MmapBinarySource() override
-    {
-        if (map_ != MAP_FAILED)
-            ::munmap(map_, fileBytes_);
-    }
-
-    const std::string &name() const override { return name_; }
-
-    std::size_t
-    nextBatch(std::span<MemoryRef> out) override
-    {
-        const std::uint64_t left = count_ - cursor_;
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size(), left));
-        const unsigned char *bytes = payload_ + cursor_ * kBinaryRecordBytes;
-        for (std::size_t i = 0; i < n; ++i, bytes += kBinaryRecordBytes)
-            out[i] = decodeBinaryRecord(bytes);
-        cursor_ += n;
-        return n;
-    }
-
-    void reset() override { cursor_ = 0; }
-    std::uint64_t knownLength() const override { return count_; }
-
-    std::uint64_t
-    skip(std::uint64_t n) override
-    {
-        const std::uint64_t step = std::min(n, count_ - cursor_);
-        cursor_ += step;
-        return step;
-    }
-
-  private:
-    void
-    parseHeader()
-    {
-        const unsigned char *bytes = static_cast<unsigned char *>(map_);
-        if (fileBytes_ < kMagic.size() + sizeof(std::uint32_t) ||
-            std::memcmp(bytes, kMagic.data(), kMagic.size()) != 0)
-            fatal("binary trace: bad magic");
-        std::size_t off = kMagic.size();
-        std::uint32_t name_len = 0;
-        std::memcpy(&name_len, bytes + off, sizeof(name_len));
-        off += sizeof(name_len);
-        if (fileBytes_ < off + name_len + sizeof(std::uint64_t))
-            fatal("binary trace: truncated name");
-        name_.assign(reinterpret_cast<const char *>(bytes + off), name_len);
-        off += name_len;
-        std::memcpy(&count_, bytes + off, sizeof(count_));
-        off += sizeof(count_);
-        if (fileBytes_ - off < count_ * kBinaryRecordBytes)
-            fatal("binary trace: unexpected end of stream");
-        payload_ = bytes + off;
-    }
-
-    std::string path_;
-    std::size_t fileBytes_;
-    void *map_ = MAP_FAILED;
-    std::string name_;
-    std::uint64_t count_ = 0;
-    const unsigned char *payload_ = nullptr;
-    std::uint64_t cursor_ = 0;
-};
-
-/** Buffered-stream CLT1 reader (fallback when mmap is unavailable). */
-class BinaryStreamSource : public TraceSource
-{
-  public:
-    explicit BinaryStreamSource(const std::string &path)
-        : path_(path), is_(path, std::ios::binary)
-    {
-        if (!is_)
-            fatal("cannot open '", path, "' for reading");
-        name_ = readPackedHeader(is_, kMagic, "binary trace", count_);
-        payloadOff_ = is_.tellg();
-    }
-
-    const std::string &name() const override { return name_; }
-
-    std::size_t
-    nextBatch(std::span<MemoryRef> out) override
-    {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size(), count_ - cursor_));
-        std::array<unsigned char, kBinaryRecordBytes> rec{};
-        for (std::size_t i = 0; i < n; ++i) {
-            is_.read(reinterpret_cast<char *>(rec.data()), rec.size());
-            if (!is_)
-                fatal("binary trace: unexpected end of stream");
-            out[i] = decodeBinaryRecord(rec.data());
-        }
-        cursor_ += n;
-        return n;
-    }
-
-    void
-    reset() override
-    {
-        is_.clear();
-        is_.seekg(payloadOff_);
-        if (!is_)
-            fatal("cannot rewind '", path_, "'");
-        cursor_ = 0;
-    }
-
-    std::uint64_t knownLength() const override { return count_; }
-
-    std::uint64_t
-    skip(std::uint64_t n) override
-    {
-        const std::uint64_t step = std::min(n, count_ - cursor_);
-        is_.seekg(static_cast<std::streamoff>(step * kBinaryRecordBytes),
-                  std::ios::cur);
-        if (!is_)
-            fatal("binary trace: unexpected end of stream");
-        cursor_ += step;
-        return step;
-    }
-
-  private:
-    std::string path_;
-    std::ifstream is_;
-    std::string name_;
-    std::uint64_t count_ = 0;
-    std::streampos payloadOff_;
-    std::uint64_t cursor_ = 0;
-};
-
-/**
- * Incremental din text decoder.  knownLength() is exact when the file
- * carries the writer's `# refs: N` comment (verified against the
- * actual record count when the stream drains); unknown otherwise.
- */
-class DinStreamSource : public TraceSource
-{
-  public:
-    explicit DinStreamSource(const std::string &path)
-        : path_(path), is_(path), name_(baseName(path))
-    {
-        if (!is_)
-            fatal("cannot open '", path, "' for reading");
-        // Scan the leading comment block for the length hint, then
-        // rewind; parsing skips comments anyway.
-        std::string line;
-        while (std::getline(is_, line) && !line.empty() && line[0] == '#') {
-            constexpr std::string_view kRefsTag = "# refs: ";
-            if (line.rfind(kRefsTag, 0) == 0) {
-                try {
-                    count_ = std::stoull(line.substr(kRefsTag.size()));
-                    haveCount_ = true;
-                } catch (const std::exception &) {
-                    // Malformed hint: treat the length as unknown.
-                }
-                break;
-            }
-        }
-        rewind();
-    }
-
-    const std::string &name() const override { return name_; }
-
-    std::size_t
-    nextBatch(std::span<MemoryRef> out) override
-    {
-        std::size_t n = 0;
-        std::string line;
-        MemoryRef ref;
-        while (n < out.size() && std::getline(is_, line)) {
-            ++lineNo_;
-            if (parseDinLine(line, lineNo_, ref)) {
-                out[n++] = ref;
-                ++delivered_;
-            }
-        }
-        if (n == 0 && haveCount_ && delivered_ != count_)
-            fatal("din trace '", path_, "': header declared ", count_,
-                  " refs but the stream held ", delivered_);
-        return n;
-    }
-
-    void
-    reset() override
-    {
-        rewind();
-        lineNo_ = 0;
-        delivered_ = 0;
-    }
-
-    std::uint64_t
-    knownLength() const override
-    {
-        return haveCount_ ? count_ : kUnknownLength;
-    }
-
-  private:
-    void
-    rewind()
-    {
-        is_.clear();
-        is_.seekg(0);
-        if (!is_)
-            fatal("cannot rewind '", path_, "'");
-    }
-
-    std::string path_;
-    std::ifstream is_;
-    std::string name_;
-    std::uint64_t lineNo_ = 0;
-    std::uint64_t delivered_ = 0;
-    std::uint64_t count_ = 0;
-    bool haveCount_ = false;
-};
-
-/** Incremental CLT2 decoder: per-kind delta state, seekable reset. */
-class CompressedStreamSource : public TraceSource
-{
-  public:
-    explicit CompressedStreamSource(const std::string &path)
-        : path_(path), is_(path, std::ios::binary)
-    {
-        if (!is_)
-            fatal("cannot open '", path, "' for reading");
-        name_ = readPackedHeader(is_, kMagicCompressed, "compressed trace",
-                                 count_);
-        payloadOff_ = is_.tellg();
-    }
-
-    const std::string &name() const override { return name_; }
-
-    std::size_t
-    nextBatch(std::span<MemoryRef> out) override
-    {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size(), count_ - cursor_));
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = readCompressedRecord(is_, state_);
-        cursor_ += n;
-        return n;
-    }
-
-    void
-    reset() override
-    {
-        is_.clear();
-        is_.seekg(payloadOff_);
-        if (!is_)
-            fatal("cannot rewind '", path_, "'");
-        state_ = {};
-        cursor_ = 0;
-    }
-
-    std::uint64_t knownLength() const override { return count_; }
-
-  private:
-    std::string path_;
-    std::ifstream is_;
-    std::string name_;
-    std::uint64_t count_ = 0;
-    std::streampos payloadOff_;
-    Clt2State state_;
-    std::uint64_t cursor_ = 0;
-};
-
-} // namespace
-
 std::unique_ptr<TraceSource>
 openTraceSource(const std::string &path, TraceFormat format)
 {
-    switch (format) {
-      case TraceFormat::Din:
-        return std::make_unique<DinStreamSource>(path);
-      case TraceFormat::Compressed:
-        return std::make_unique<CompressedStreamSource>(path);
-      case TraceFormat::Binary: {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            fatal("cannot open '", path, "' for reading");
-        struct stat st{};
-        if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0)
-            return std::make_unique<MmapBinarySource>(
-                path, fd, static_cast<std::size_t>(st.st_size));
-        ::close(fd);
-        return std::make_unique<BinaryStreamSource>(path);
-      }
-    }
-    panic("unreachable trace format");
+    // O_NONBLOCK keeps open() from waiting on a FIFO's writer; the
+    // regular-file check then rejects the FIFO.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+    if (fd < 0)
+        fatal("cannot open '", path, "' for reading");
+    struct stat st{};
+    const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    const auto bytes = regular ? static_cast<std::size_t>(st.st_size) : 0;
+    void *addr = bytes == 0
+        ? nullptr
+        : ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (!regular)
+        fatal("cannot map '", path, "': not a regular file");
+    if (addr == MAP_FAILED)
+        fatal("cannot mmap '", path, "'");
+    if (addr != nullptr)
+        ::madvise(addr, bytes, MADV_SEQUENTIAL);
+    Mapping map(static_cast<const char *>(addr), Unmap{bytes});
+    const std::string_view view(map.get(), bytes);
+    return std::make_unique<EncodedSource>(view, format, baseName(path),
+                                           std::move(map));
 }
 
 std::unique_ptr<TraceSource>

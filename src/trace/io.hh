@@ -20,14 +20,14 @@
  *     encoded sizes.  Local traces compress to a fraction of the
  *     packed format (typically 3-6x smaller).
  *
- * Two access styles:
+ * One decoder reads every format: a TraceSource over a trace's bytes
+ * that decodes on demand with explicit bounds, in O(batch) memory.
  *
- *  - Materialized: writeTrace()/readTrace() move whole Trace objects
- *    through streams; saveTrace() writes one to a path, and
- *    openTraceSource(path)->materialize() reads one back.
- *  - Streaming: openTraceSource() returns a TraceSource that decodes
- *    on demand in O(batch) memory — an mmap-backed zero-copy reader
- *    for Binary, incremental decoders for Din and Compressed — and
+ *  - Materialized: writeTrace()/saveTrace() encode a whole Trace;
+ *    readTrace() decodes one from bytes the caller holds, and
+ *    openTraceSource(path)->materialize() reads one from a file.
+ *  - Streaming: openTraceSource() maps a regular file read-only and
+ *    decodes it batch by batch, dropping the pages behind its cursor;
  *    saveTrace(TraceSource&, ...) writes a stream without ever
  *    materializing it.
  */
@@ -38,6 +38,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "trace/source.hh"
 #include "trace/trace.hh"
@@ -64,13 +65,14 @@ TraceFormat formatForPath(const std::string &path);
 void writeTrace(const Trace &trace, std::ostream &os, TraceFormat format);
 
 /**
- * Parse one trace from @p is in @p format.
+ * Decode one trace from @p bytes in @p format.
  *
  * @param name name for the trace when the format does not embed one
  *        (Din); Binary/Compressed carry their own and ignore it.
  * @throws via fatal() on malformed input.
  */
-Trace readTrace(std::istream &is, TraceFormat format, std::string name);
+Trace readTrace(std::string_view bytes, TraceFormat format,
+                std::string name);
 
 /** Write @p trace to @p path in @p format. */
 void saveTrace(const Trace &trace, const std::string &path,
@@ -85,15 +87,16 @@ void saveTrace(TraceSource &source, const std::string &path,
                TraceFormat format);
 
 /**
- * Open @p path as a streaming TraceSource in O(batch) memory:
- *
- *  - Binary: a zero-copy mmap reader (falls back to buffered stream
- *    reads when the file cannot be mapped), O(1) skip();
- *  - Din / Compressed: incremental decoders over a file stream.
+ * Open @p path as a streaming TraceSource in O(batch) memory.  The
+ * file must be a regular file; it is mapped read-only and decoded in
+ * place, and the pages behind the cursor are dropped after each batch
+ * (the mapping still counts against `ulimit -v`).  A header count the
+ * file cannot hold is fatal at open.
  *
  * knownLength() is exact for Binary/Compressed (header count) and for
  * Din files carrying the writer's `# refs: N` comment; otherwise
- * unknown.  All returned sources support reset().
+ * unknown.  reset() moves the cursor back; skip() is O(1) for Binary
+ * and decodes and discards for Din and Compressed.
  */
 std::unique_ptr<TraceSource> openTraceSource(const std::string &path);
 

@@ -18,14 +18,15 @@
  *    (sources may batch along internal boundaries), so consumers loop
  *    until a zero return.
  *  - reset() rewinds to the first reference.  Every packaged source
- *    supports it (files seek, generators re-seed deterministically),
- *    which is what lets multi-pass engines (SweepEngine::Verify, the
- *    split sampled sweep's counting pass) run over a stream.
+ *    supports it (files move a cursor, generators re-seed
+ *    deterministically), which is what lets multi-pass engines
+ *    (SweepEngine::Verify, the split sampled sweep's counting pass)
+ *    run over a stream.
  *  - knownLength() is a hint: the exact total reference count when the
  *    source knows it cheaply (file headers, generator parameters), or
  *    kUnknownLength.  Sampling plans require a known length.
  *  - skip(n) advances the cursor without delivering references.
- *    Random-access sources (in-memory, mmap) override it with O(1)
+ *    Random-access sources (in-memory, CLT1 files) override it with O(1)
  *    cursor moves; the default decodes and discards.
  *
  * A Trace *is* a TraceSource (a trivial one over its vector), so any

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "cache/config.hh"
 #include "cache/sector_cache.hh"
@@ -77,44 +82,98 @@ TEST(SectorConfigValidation, RejectsTooManySubblocks)
 TEST(TraceIo, RejectsBadDinLabel)
 {
     std::stringstream ss("7 1000\n");
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Din, "bad"); }, "unknown access label");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Din, "bad"); }, "unknown access label");
 }
 
 TEST(TraceIo, RejectsMalformedDinLine)
 {
     std::stringstream ss("read 0x10\n");
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Din, "bad"); }, "expected");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Din, "bad"); }, "expected");
 }
 
 TEST(TraceIo, RejectsBadHexAddress)
 {
     std::stringstream ss("0 zzzz\n");
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Din, "bad"); }, "bad address");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Din, "bad"); }, "bad address");
 }
 
 TEST(TraceIo, RejectsZeroSizeAccess)
 {
     std::stringstream ss("0 1000 0\n");
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Din, "bad"); }, "zero access size");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Din, "bad"); }, "zero access size");
+    // The same reference as a CLT1 and as a CLT2 record.
+    Trace zero("bad");
+    zero.append(0x1000, 0, AccessKind::Read);
+    for (const TraceFormat format :
+         {TraceFormat::Binary, TraceFormat::Compressed}) {
+        std::stringstream packed;
+        writeTrace(zero, packed, format);
+        EXPECT_DEATH({ readTrace(packed.str(), format, {}); },
+                     "zero access size")
+            << toString(format);
+    }
 }
 
 TEST(TraceIo, RejectsBadBinaryMagic)
 {
     std::stringstream ss("NOPE....");
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Binary, {}); }, "bad magic");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Binary, {}); }, "bad magic");
 }
 
 TEST(TraceIo, RejectsTruncatedBinary)
 {
     // Valid magic, then nothing.
     std::stringstream ss(std::string("CLT1"), std::ios::in);
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Binary, {}); }, "");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Binary, {}); }, "");
 }
 
 TEST(TraceIo, RejectsMissingFile)
 {
     EXPECT_DEATH({ openTraceSource("/nonexistent/path/trace.din"); },
                  "cannot open");
+}
+
+TEST(TraceIo, RejectsCountsTheFileCannotHold)
+{
+    // A header count (or din hint) the file cannot hold is a one-line
+    // exit 1 at open, before anything is sized by it.
+    Trace t("poke");
+    for (Addr addr = 0x1000; addr < 0x1010; addr += 4)
+        t.append(addr, 4, AccessKind::Read);
+    struct Case
+    {
+        const char *leaf; ///< the extension picks the format
+        std::uint64_t count;
+        const char *message;
+    };
+    // 1418980313362273202 * 13 wraps to 10 modulo 2^64.
+    for (const Case &c :
+         {Case{"poke.trace", 1418980313362273202u,
+               "binary trace: header declares"},
+          Case{"poke.ctr", std::uint64_t{1} << 62,
+               "compressed trace: header declares"},
+          Case{"poke.din", std::uint64_t{1} << 62, "din line 2: refs hint"}}) {
+        const std::string path = testing::TempDir() + "/" + c.leaf;
+        const TraceFormat format = formatForPath(path);
+        saveTrace(t, path, format);
+        std::ifstream in(path, std::ios::binary);
+        std::string bytes(std::istreambuf_iterator<char>(in), {});
+        in.close();
+        if (format == TraceFormat::Din) {
+            const std::string hint = "# refs: 4";
+            bytes.replace(bytes.find(hint), hint.size(),
+                          "# refs: " + std::to_string(c.count));
+        } else {
+            // The count follows the magic, the name length and the name.
+            std::memcpy(bytes.data() + 8 + t.name().size(), &c.count,
+                        sizeof(c.count));
+        }
+        std::ofstream(path, std::ios::binary) << bytes;
+        EXPECT_EXIT(openTraceSource(path)->materialize(),
+                    testing::ExitedWithCode(1), c.message)
+            << c.leaf;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(WorkloadValidation, RejectsZeroRefCount)

@@ -158,7 +158,7 @@ TEST(Integration, GeneratedTraceSurvivesIoRoundTrip)
     const Trace t = generateTrace(*findTraceProfile("ZOD"), 20000);
     std::stringstream ss;
     writeTrace(t, ss, TraceFormat::Binary);
-    const Trace back = readTrace(ss, TraceFormat::Binary, {});
+    const Trace back = readTrace(ss.str(), TraceFormat::Binary, {});
     ASSERT_EQ(back.size(), t.size());
     Cache a(table1Config(1024)), b(table1Config(1024));
     EXPECT_DOUBLE_EQ(runTrace(t, a).missRatio(),

@@ -207,7 +207,9 @@ TEST(TraceSourceContract, LimitAndOffsetSources)
 
 TEST(StreamingIo, RoundTripAllFormats)
 {
-    const Trace trace = testTrace("VSPICE", 5000);
+    // 200k references span many pages in every format, so batches end
+    // mid-page and the source drops the pages behind its cursor.
+    const Trace trace = testTrace("VSPICE", 200000);
     for (const TraceFormat format : {TraceFormat::Din, TraceFormat::Binary,
                                      TraceFormat::Compressed}) {
         const std::string path =
@@ -224,12 +226,40 @@ TEST(StreamingIo, RoundTripAllFormats)
         source->reset();
         expectSameRefs(source->materialize(), trace);
 
-        // skip() then read resumes at the right reference.
+        // Every batch size reads the same references, each pass after a
+        // reset() that follows a partial read: the dropped pages
+        // re-fault.
+        for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{4096}}) {
+            std::vector<MemoryRef> buf(batch);
+            source->reset();
+            for (std::uint64_t read = 0; read < trace.size() / 2;) {
+                const std::size_t got = source->nextBatch(buf);
+                ASSERT_NE(got, 0u) << toString(format);
+                read += got;
+            }
+            source->reset();
+            std::vector<MemoryRef> seen;
+            while (const std::size_t got = source->nextBatch(buf))
+                seen.insert(seen.end(), buf.begin(),
+                            buf.begin() + static_cast<std::ptrdiff_t>(got));
+            ASSERT_EQ(seen.size(), trace.size())
+                << toString(format) << " batch " << batch;
+            for (std::size_t i = 0; i < seen.size(); ++i)
+                ASSERT_EQ(seen[i], trace[i])
+                    << toString(format) << " batch " << batch;
+        }
+
+        // skip() then read resumes at the right reference, also after a
+        // skip across many pages.
         source->reset();
         EXPECT_EQ(source->skip(1234), 1234u) << toString(format);
         std::vector<MemoryRef> buf(1);
         ASSERT_EQ(source->nextBatch(buf), 1u) << toString(format);
         EXPECT_EQ(buf[0], trace[1234]) << toString(format);
+        EXPECT_EQ(source->skip(100000), 100000u) << toString(format);
+        ASSERT_EQ(source->nextBatch(buf), 1u) << toString(format);
+        EXPECT_EQ(buf[0], trace[101235]) << toString(format);
         std::filesystem::remove(path);
     }
 }

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "sim/experiments.hh"
@@ -182,7 +183,7 @@ TEST(CompressedTrace, RoundTripExact)
     const Trace t = generateTrace(*findTraceProfile("VSPICE"), 30000);
     std::stringstream ss;
     writeTrace(t, ss, TraceFormat::Compressed);
-    const Trace back = readTrace(ss, TraceFormat::Compressed, {});
+    const Trace back = readTrace(ss.str(), TraceFormat::Compressed, {});
     ASSERT_EQ(back.size(), t.size());
     EXPECT_EQ(back.name(), t.name());
     for (std::size_t i = 0; i < t.size(); ++i)
@@ -212,7 +213,7 @@ TEST(CompressedTrace, HandlesMixedSizes)
     t.append(0x2008, 8, AccessKind::Write);
     std::stringstream ss;
     writeTrace(t, ss, TraceFormat::Compressed);
-    const Trace back = readTrace(ss, TraceFormat::Compressed, {});
+    const Trace back = readTrace(ss.str(), TraceFormat::Compressed, {});
     ASSERT_EQ(back.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_EQ(back[i], t[i]) << "ref " << i;
@@ -220,16 +221,23 @@ TEST(CompressedTrace, HandlesMixedSizes)
 
 TEST(CompressedTrace, BackwardDeltasSurvive)
 {
-    Trace t("backward");
-    t.append(0xffff0000, 4, AccessKind::Read);
-    t.append(0x00000010, 4, AccessKind::Read); // large negative delta
-    t.append(0xffff0000, 4, AccessKind::Read);
-    std::stringstream ss;
-    writeTrace(t, ss, TraceFormat::Compressed);
-    const Trace back = readTrace(ss, TraceFormat::Compressed, {});
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[1].addr, 0x00000010u);
-    EXPECT_EQ(back[2].addr, 0xffff0000u);
+    // A large negative delta, and reads 2^63 or more apart, whose
+    // deltas do not fit a signed 64-bit difference.
+    const std::vector<std::vector<Addr>> inputs = {
+        {0xffff0000, 0x00000010, 0xffff0000},
+        {0xfffffffffffffff0, 0x7ffffffffffffff0, 0x10},
+    };
+    for (const std::vector<Addr> &addrs : inputs) {
+        Trace t("backward");
+        for (const Addr addr : addrs)
+            t.append(addr, 4, AccessKind::Read);
+        std::stringstream ss;
+        writeTrace(t, ss, TraceFormat::Compressed);
+        const Trace back = readTrace(ss.str(), TraceFormat::Compressed, {});
+        ASSERT_EQ(back.size(), 3u);
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+            EXPECT_EQ(back[i].addr, addrs[i]) << "ref " << i;
+    }
 }
 
 TEST(CompressedTrace, SaveLoadByExtension)
@@ -246,7 +254,7 @@ TEST(CompressedTrace, SaveLoadByExtension)
 TEST(CompressedTrace, RejectsBadMagic)
 {
     std::stringstream ss("CLT1....");
-    EXPECT_DEATH({ readTrace(ss, TraceFormat::Compressed, {}); }, "bad magic");
+    EXPECT_DEATH({ readTrace(ss.str(), TraceFormat::Compressed, {}); }, "bad magic");
 }
 
 TEST(CompressedTrace, RejectsTruncation)
@@ -256,7 +264,7 @@ TEST(CompressedTrace, RejectsTruncation)
     writeTrace(t, ss, TraceFormat::Compressed);
     const std::string whole = ss.str();
     std::stringstream cut(whole.substr(0, whole.size() / 2));
-    EXPECT_DEATH({ readTrace(cut, TraceFormat::Compressed, {}); }, "");
+    EXPECT_DEATH({ readTrace(cut.str(), TraceFormat::Compressed, {}); }, "");
 }
 
 } // namespace

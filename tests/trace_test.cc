@@ -68,7 +68,7 @@ TEST(TraceIo, DinRoundTrip)
     const Trace t = smallTrace();
     std::stringstream ss;
     writeTrace(t, ss, TraceFormat::Din);
-    const Trace back = readTrace(ss, TraceFormat::Din, "small");
+    const Trace back = readTrace(ss.str(), TraceFormat::Din, "small");
     ASSERT_EQ(back.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_EQ(back[i], t[i]) << "ref " << i;
@@ -90,7 +90,7 @@ TEST(TraceIo, DinLabelsMatchDineroConvention)
 TEST(TraceIo, DinDefaultsSizeToFour)
 {
     std::stringstream ss("0 ff\n2 100\n");
-    const Trace t = readTrace(ss, TraceFormat::Din, "x");
+    const Trace t = readTrace(ss.str(), TraceFormat::Din, "x");
     ASSERT_EQ(t.size(), 2u);
     EXPECT_EQ(t[0].size, 4u);
     EXPECT_EQ(t[0].addr, 0xffu);
@@ -100,7 +100,7 @@ TEST(TraceIo, DinDefaultsSizeToFour)
 TEST(TraceIo, DinSkipsCommentsAndBlankLines)
 {
     std::stringstream ss("# header\n\n0 10\n# mid\n1 20\n");
-    const Trace t = readTrace(ss, TraceFormat::Din, "x");
+    const Trace t = readTrace(ss.str(), TraceFormat::Din, "x");
     EXPECT_EQ(t.size(), 2u);
 }
 
@@ -109,7 +109,7 @@ TEST(TraceIo, BinaryRoundTrip)
     const Trace t = smallTrace();
     std::stringstream ss;
     writeTrace(t, ss, TraceFormat::Binary);
-    const Trace back = readTrace(ss, TraceFormat::Binary, {});
+    const Trace back = readTrace(ss.str(), TraceFormat::Binary, {});
     ASSERT_EQ(back.size(), t.size());
     EXPECT_EQ(back.name(), t.name());
     for (std::size_t i = 0; i < t.size(); ++i)

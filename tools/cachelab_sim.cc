@@ -81,15 +81,15 @@ input (one required):
                         standalone and write its manifest to
                         --metrics-json (default '-'); exclusive with
                         every other input/mode flag
-  --trace FILE          trace file: din text (.din), packed binary
-                        (.ctr) or delta-compressed; format picked by
-                        extension (see trace/io.hh)
+  --trace FILE          regular trace file: din text (.din),
+                        delta-compressed CLT2 (.ctr) or packed binary
+                        CLT1 (any other extension); see trace/io.hh
   --profile NAME        named corpus workload (see cachelab_gen --list)
   --refs N              run exactly N references: truncates a trace
                         file; for --profile the generator runs to N,
                         extending past the calibrated length if asked
-  --stream              out-of-core: stream the input (mmap/incremental
-                        decode for files, on-the-fly generation for
+  --stream              out-of-core: stream the input (mapped decode
+                        for files, on-the-fly generation for
                         profiles) instead of materializing it; memory
                         is O(batch), results are bit-identical.
                         Unsupported: --opt, --sector
@@ -1328,8 +1328,8 @@ main(int argc, char **argv)
     const auto wall_start = std::chrono::steady_clock::now();
 
     // --stream keeps the input out of core: a TraceSource is opened
-    // (mmap, incremental decode, or on-the-fly generation) and every
-    // driver consumes it in O(batch) memory.  The default path
+    // (a file mapped and decoded in place, or on-the-fly generation)
+    // and every driver consumes it in O(batch) memory.  The default path
     // materializes, which the random-access modes (--opt, --sector)
     // require.
     const bool stream = args.has("stream");
