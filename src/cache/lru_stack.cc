@@ -1,7 +1,7 @@
 /**
  * @file
- * Implementation of the per-set LRU stack core: the row layout, then
- * the tree layout.
+ * Implementation of the per-set LRU stack core: the row every set
+ * keeps, then the tree behind the rows of a deep or unbounded stack.
  */
 
 #include "cache/lru_stack.hh"
@@ -16,6 +16,10 @@ namespace cachelab
 
 namespace
 {
+
+// A set with a tree is bounded deeper than kMaxRowBound, or not at all,
+// so its full row leaves at least one line for the tree.
+static_assert(LruStack::kTreeRowLines <= LruStack::kMaxRowBound);
 
 /** Stamp space of an unbounded stack before its first doubling. */
 constexpr std::uint64_t kInitialUnboundedSpace = 1024;
@@ -33,33 +37,56 @@ retouch(LruLine &line, bool is_write, std::uint64_t depth)
     }
 }
 
+/**
+ * Apply the dirty rule to @p line, resident at @p depth (0: absent),
+ * slide @p row's lines above @p slot down one, onto it, and put the
+ * line on top.  @return @p depth.
+ */
+std::uint64_t
+promote(LruLine *row, std::uint64_t slot, LruLine line, std::uint64_t depth,
+        bool is_write, LruLine *before)
+{
+    if (depth != 0) {
+        if (before != nullptr)
+            *before = line;
+        retouch(line, is_write, depth);
+    }
+    for (; slot > 0; --slot)
+        row[slot] = row[slot - 1];
+    row[0] = line;
+    return depth;
+}
+
 } // namespace
 
 LruStack::LruStack(std::uint64_t set_count, std::uint64_t depth_bound)
     : sets_(set_count), bound_(depth_bound),
-      rows_(depth_bound != kUnbounded && depth_bound <= kMaxRowBound),
-      space_(rows_                       ? depth_bound
-             : depth_bound == kUnbounded ? kInitialUnboundedSpace
-                                         : 2 * depth_bound),
-      lines_(set_count * space_), live_(set_count, 0)
+      tree_(depth_bound == kUnbounded || depth_bound > kMaxRowBound),
+      rowSlots_(tree_ ? kTreeRowLines : depth_bound),
+      rows_(set_count * rowSlots_), fill_(set_count, 0)
 {
     CACHELAB_ASSERT(set_count > 0, "LRU stack needs at least one set");
+    if (!tree_)
+        return;
+    space_ = depth_bound == kUnbounded
+        ? kInitialUnboundedSpace
+        : 2 * (depth_bound - kTreeRowLines);
     CACHELAB_ASSERT(space_ < kReleased, "LRU stack depth bound ",
                     depth_bound, " too large");
-    if (rows_)
-        return;
+    lines_.resize(set_count * space_);
+    live_.assign(set_count, 0);
     fenwick_.assign(set_count * (space_ + 1), 0);
     clock_.assign(set_count, 0);
     if (bound_ != kUnbounded)
-        index_.reserve(2 * set_count * bound_);
+        index_.reserve(set_count * space_);
 }
 
 std::uint64_t
 LruStack::rowSlot(std::uint64_t set, Addr line_addr) const
 {
-    const LruLine *row = &lines_[set * space_];
+    const LruLine *row = &rows_[set * rowSlots_];
     std::uint64_t slot = 0;
-    while (slot < live_[set] && row[slot].lineAddr != line_addr)
+    while (slot < fill_[set] && row[slot].lineAddr != line_addr)
         ++slot;
     return slot;
 }
@@ -67,36 +94,67 @@ LruStack::rowSlot(std::uint64_t set, Addr line_addr) const
 bool
 LruStack::contains(std::uint64_t set, Addr line_addr) const
 {
-    return rows_ ? rowSlot(set, line_addr) < live_[set]
-                 : index_.contains(line_addr);
+    return rowSlot(set, line_addr) < fill_[set]
+        || (tree_ && index_.contains(line_addr));
 }
 
 std::uint64_t
-LruStack::touchRow(std::uint64_t set, Addr line_addr, bool is_write,
-                   LruLine *before)
+LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
+                LruLine *before)
 {
-    LruLine *row = &lines_[set * space_];
+    LruLine *row = &rows_[set * rowSlots_];
     std::uint64_t slot = rowSlot(set, line_addr);
     std::uint64_t depth = 0;
     LruLine line{line_addr, 0, is_write};
-    if (slot < live_[set]) {
+    if (slot < fill_[set]) {
         depth = slot + 1;
         line = row[slot];
-        if (before != nullptr)
-            *before = line;
-        retouch(line, is_write, depth);
-    } else if (live_[set] < bound_) {
-        ++live_[set];
+    } else if (fill_[set] < rowSlots_) {
+        ++fill_[set];
         ++rowLines_;
+    } else if (tree_) {
+        // A full row hands its LRU line to the tree.  As a tail call
+        // it leaves the row path no value to keep across a call.
+        return spill(set, line_addr, is_write, before);
     } else {
-        --slot; // a full row drops its LRU line
+        --slot; // a full row-only set drops its LRU line
     }
-    // Slide the lines above the slot down one, onto it, and put the
-    // line on top.
-    for (; slot > 0; --slot)
-        row[slot] = row[slot - 1];
-    row[0] = line;
-    return depth;
+    return promote(row, slot, line, depth, is_write, before);
+}
+
+std::uint64_t
+LruStack::spill(std::uint64_t set, Addr line_addr, bool is_write,
+                LruLine *before)
+{
+    LruLine *row = &rows_[set * rowSlots_];
+    const LruLine &spilled = row[rowSlots_ - 1];
+    std::uint64_t depth = 0;
+    LruLine line{line_addr, 0, is_write};
+    // The index node of the line leaving the tree carries the spilled
+    // line in, so a steady-state spill allocates nothing.
+    auto node = index_.extract(line_addr);
+    if (!node.empty()) {
+        const std::uint64_t stamp = node.mapped();
+        line = lines_[set * space_ + stamp - 1];
+        // Live stamps at or above the line's own, the line included.
+        depth = rowSlots_ + live_[set] - prefix(set, stamp) + 1;
+        release(set, stamp);
+    } else if (rowSlots_ + live_[set] == bound_) {
+        const std::uint64_t victim = lowestLive(set);
+        node = index_.extract(lines_[set * space_ + victim - 1].lineAddr);
+        release(set, victim);
+    }
+    // Release first: place() may renumber, and the renumbered set must
+    // not hold the line twice.
+    const std::uint64_t stamp = place(set, spilled);
+    if (node.empty()) {
+        index_.emplace(spilled.lineAddr, stamp);
+    } else {
+        node.key() = spilled.lineAddr;
+        node.mapped() = stamp;
+        index_.insert(std::move(node));
+    }
+    return promote(row, rowSlots_ - 1, line, depth, is_write, before);
 }
 
 void
@@ -195,41 +253,12 @@ LruStack::renumber(std::uint64_t set)
         pack(s, &old_lines[s * old_space], clock_[s]);
 }
 
-std::uint64_t
-LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
-                LruLine *before)
-{
-    if (rows_)
-        return touchRow(set, line_addr, is_write, before);
-    const auto [it, inserted] = index_.try_emplace(line_addr, 0);
-    if (!inserted) {
-        const std::uint64_t stamp = it->second;
-        LruLine line = lines_[set * space_ + stamp - 1];
-        // Live stamps at or above the line's own, the line included.
-        const std::uint64_t depth = live_[set] - prefix(set, stamp) + 1;
-        if (before != nullptr)
-            *before = line;
-        retouch(line, is_write, depth);
-        // Release first: place() may renumber, and the renumbered set
-        // must not hold the line twice.
-        release(set, stamp);
-        it->second = place(set, line);
-        return depth;
-    }
-    if (bound_ != kUnbounded && live_[set] == bound_) {
-        const std::uint64_t victim = lowestLive(set);
-        index_.erase(lines_[set * space_ + victim - 1].lineAddr);
-        release(set, victim);
-    }
-    it->second = place(set, LruLine{line_addr, 0, is_write});
-    return 0;
-}
-
 void
 LruStack::clear()
 {
-    std::fill(live_.begin(), live_.end(), 0);
+    std::fill(fill_.begin(), fill_.end(), 0);
     rowLines_ = 0;
+    std::fill(live_.begin(), live_.end(), 0);
     std::fill(fenwick_.begin(), fenwick_.end(), 0);
     std::fill(clock_.begin(), clock_.end(), 0);
     index_.clear();

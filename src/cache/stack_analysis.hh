@@ -10,8 +10,10 @@
  * where "computer time is a limited resource" (section 3.2).
  *
  * Distances come from the shared LRU stack core (cache/lru_stack.hh)
- * run as one unbounded set: O(log n) per access instead of the
- * O(depth) walk of a move-to-front list.
+ * run as one unbounded set: a touch within the top
+ * LruStack::kTreeRowLines lines is a short row scan, and a deeper one
+ * costs O(log n) in the tree behind the row, instead of the O(depth)
+ * walk of a move-to-front list.
  *
  * The distances this class records are per-line-touch distances for
  * the line containing each reference; a multi-line reference records

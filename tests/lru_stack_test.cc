@@ -189,6 +189,66 @@ TEST(LruStack, MatchesNaiveOracle)
     runDifferential(1, LruStack::kUnbounded, seed);
 }
 
+TEST(LruStack, RowAndTreeMeetAtDepthK)
+{
+    constexpr std::uint64_t k = LruStack::kTreeRowLines;
+    const auto lineOf = [](std::uint64_t i) { return Addr{0x1000 + 64 * i}; };
+
+    // Depths K (the row's last slot), K + 1 and K + 2 (the tree's top
+    // two lines): lines 1..K+2 touched in order put line i at depth
+    // K + 3 - i, and re-touching lines 3, 2, 1 keeps each at that depth.
+    LruStack stack(1);
+    for (std::uint64_t i = 1; i <= k + 2; ++i)
+        EXPECT_EQ(stack.touch(0, lineOf(i), i % 2 == 0), 0u);
+    for (std::uint64_t i = 3; i >= 1; --i) {
+        LruLine before;
+        EXPECT_EQ(stack.touch(0, lineOf(i), false, &before), k + 3 - i);
+        EXPECT_TRUE(before == (LruLine{lineOf(i), 0, i % 2 == 0}))
+            << "line " << i;
+    }
+
+    // The dirty rule across the boundary: a written line read back at
+    // depth K + 3 is dirty from K + 3 lines on.
+    LruStack dirty(1);
+    dirty.touch(0, lineOf(0), true);
+    for (std::uint64_t i = 1; i <= k + 2; ++i)
+        dirty.touch(0, lineOf(i), false);
+    EXPECT_EQ(dirty.touch(0, lineOf(0), false), k + 3);
+    std::vector<LruLine> walked;
+    dirty.forEachMru(0, [&](const LruLine &line) { walked.push_back(line); });
+    ASSERT_EQ(walked.size(), k + 3);
+    EXPECT_EQ(walked.front().lineAddr, lineOf(0));
+    EXPECT_EQ(LruStack::dirtyFrom(walked.front()), k + 3);
+
+    // Tree eviction: a full set bounded just past the rows evicts its
+    // LRU line from the tree, while the row's LRU line spills in.
+    constexpr std::uint64_t bound = LruStack::kMaxRowBound + 1;
+    LruStack bounded(1, bound);
+    for (std::uint64_t i = 1; i <= bound; ++i)
+        bounded.touch(0, lineOf(i), false);
+    const Addr spilled = lineOf(bound - k + 1);
+    EXPECT_EQ(bounded.touch(0, lineOf(bound + 1), false), 0u);
+    EXPECT_EQ(bounded.size(), bound);
+    EXPECT_FALSE(bounded.contains(0, lineOf(1)));
+    EXPECT_TRUE(bounded.contains(0, spilled));
+    EXPECT_EQ(bounded.touch(0, spilled, false), k + 1);
+
+    // clear() empties the row and the tree alike.
+    stack.clear();
+    StackOracle oracle(1, LruStack::kUnbounded);
+    LruLine ignored;
+    EXPECT_EQ(stack.touch(0, lineOf(1), false), 0u);
+    oracle.touch(0, lineOf(1), false, &ignored);
+    for (std::uint64_t i = 0; i < k + 5; ++i) {
+        const Addr line = lineOf((i * 7) % (k + 2));
+        const bool is_write = i % 3 == 0;
+        EXPECT_EQ(stack.touch(0, line, is_write),
+                  oracle.touch(0, line, is_write, &ignored))
+            << "touch " << i;
+    }
+    expectSameStacks(stack, oracle);
+}
+
 TEST(LruStack, DirtyFromFollowsTheWriteAndDepthHistory)
 {
     EXPECT_EQ(LruStack::dirtyFrom({0x40, 0, false}), LruStack::kClean);

@@ -232,7 +232,8 @@ TEST_P(PropertySeeds, Table1StatsMatchRealCacheFieldForField)
     StackAnalyzer analyzer(16);
     analyzer.accessAll(t);
 
-    for (std::uint64_t size : {32u, 128u, 512u, 2048u, 8192u, 32768u}) {
+    for (std::uint64_t size :
+         {16u, 32u, 128u, 256u, 512u, 2048u, 8192u, 32768u}) {
         Cache cache(table1Config(size));
         const CacheStats real = runTrace(t, cache);
         const CacheStats fast = analyzer.table1StatsFor(size);

@@ -1,13 +1,21 @@
 /**
  * @file
  * Unit tests for the synthetic workload model: mix control, branch
- * control, footprint bounds, recency pool behavior.
+ * control, footprint bounds, recency pool behavior, and the generated
+ * bytes of the benchmark's inputs pinned by content hash.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "ckpt/live_points.hh"
 #include "trace/analyzer.hh"
+#include "workload/kv_model.hh"
+#include "workload/profiles.hh"
 #include "workload/program_model.hh"
 #include "workload/recency.hh"
 
@@ -249,6 +257,47 @@ TEST(ProgramModel, CdcWorkloadHasLongSequentialRuns)
     const TraceCharacteristics cv =
         analyzeTrace(generateWorkload(vax, "vax"));
     EXPECT_GT(cc.meanSequentialRunBytes, 2.0 * cv.meanSequentialRunBytes);
+}
+
+// --- generated bytes ------------------------------------------------
+//
+// A faster generator must emit the same references.  These hashes pin
+// the benchmark's inputs at 250k references each.
+
+TEST(GeneratedBytes, KvServedTraceIsPinned)
+{
+    KvWorkloadParams kv; // the kv_served workload's input
+    kv.refCount = 250000;
+    kv.keyCount = 1u << 21;
+    kv.objectBytes = 64;
+    kv.refBytes = 8;
+    kv.zipfTheta = 0.9;
+    kv.readRatio = 0.7;
+    kv.scanFraction = 0.02;
+    kv.meanScanObjects = 32.0;
+    kv.driftRefs = 5000;
+    kv.seed = 1;
+    const Trace t = generateKvWorkload(kv, "kv");
+    ASSERT_EQ(t.size(), kv.refCount);
+    EXPECT_EQ(ckpt::hashRefs(ckpt::kContentHashSeed, t.refs()),
+              0xd36cbc3952ebb688ULL);
+}
+
+TEST(GeneratedBytes, CpuProfilesArePinned)
+{
+    // The cpu_ckpt_fanout profiles, each at its own seed.
+    const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+        {"VSPICE", 0xcedbc4c836e97842ULL},
+        {"LISP1", 0xc222a2ca9b9b166bULL},
+        {"MVS1", 0x22a253978e4ca986ULL},
+        {"TWOD1", 0xee8033a85067602cULL},
+    };
+    for (const auto &[name, hash] : pins) {
+        const Trace t = generateTraceExactly(*findTraceProfile(name), 250000);
+        ASSERT_EQ(t.size(), 250000u) << name;
+        EXPECT_EQ(ckpt::hashRefs(ckpt::kContentHashSeed, t.refs()), hash)
+            << name;
+    }
 }
 
 } // namespace

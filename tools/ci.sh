@@ -124,6 +124,19 @@ print(f"    .{sys.argv[3]}: peak rss {rss / 2**20:.1f} MiB")
 EOF
 done
 
+echo "==> single-pass parity at scale (verify engine, 1 M refs, 32 B to 64 KiB)"
+# The verify engine runs every size both per-size and single-pass and
+# panics on any field that differs.  At 1 M references the tree behind
+# the stack's full row renumbers and doubles many times, far past the
+# unit tests' traces.
+for profile in VSPICE LISP1 MVS1 TWOD1; do
+    ${sim} --profile "${profile}" --refs 1000000 --sweep 32:65536 \
+        --engine verify > /dev/null
+    ${sim} --profile "${profile}" --refs 1000000 --sweep 32:65536 \
+        --engine verify --split > /dev/null
+    echo "    ${profile}: unified and split sweeps agree at every size"
+done
+
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
 # reproduce the functional-warming sweep bit for bit, and the manifest
