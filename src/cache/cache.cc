@@ -22,11 +22,12 @@ Cache::Cache(const CacheConfig &config)
     setMask_ = sets_ - 1;
 
     const std::uint64_t n = config_.lineCount();
-    lines_.assign(n, Line{});
-    index_.reserve(n * 2);
+    lines_.assign(n, CacheLine{});
+    index_.reserve(n);
 
     policy_ = makeReplacementPolicy(config_.replacement);
-    policy_->bind(sets_, static_cast<std::uint32_t>(assoc_), this, &rng_);
+    policy_->bind(sets_, static_cast<std::uint32_t>(assoc_),
+                  PolicyHost(lines_.data()), &rng_);
     admission_ = makeAdmissionPolicy(config_.admission);
 }
 
@@ -39,7 +40,7 @@ Cache::setOf(Addr line_addr) const
 void
 Cache::evict(std::uint32_t idx, bool is_purge)
 {
-    Line &line = lines_[idx];
+    CacheLine &line = lines_[idx];
     if (!line.valid)
         return;
     if (is_purge) {
@@ -72,13 +73,13 @@ Cache::evict(std::uint32_t idx, bool is_purge)
         }
     }
     policy_->onEvict(idx / assoc_, idx, line.lineAddr, is_purge);
-    index_.erase(line.lineAddr);
+    index_.take(line.lineAddr);
     line.valid = false;
     line.dirty = false;
     --validLines_;
 }
 
-bool
+std::uint32_t
 Cache::install(Addr line_addr, bool prefetched)
 {
     const std::uint64_t set = setOf(line_addr);
@@ -86,14 +87,14 @@ Cache::install(Addr line_addr, bool prefetched)
     if (admission_ != nullptr &&
         !admission_->admit(line_addr, lines_[victim].lineAddr,
                            lines_[victim].valid))
-        return false;
+        return kInvalid;
     evict(victim, /*is_purge=*/false);
 
-    Line &line = lines_[victim];
+    CacheLine &line = lines_[victim];
     line.lineAddr = line_addr;
     line.valid = true;
     line.dirty = false;
-    index_.emplace(line_addr, victim);
+    index_.insert(line_addr, victim);
     ++validLines_;
 
     policy_->onFill(set, victim, line_addr);
@@ -116,7 +117,7 @@ Cache::install(Addr line_addr, bool prefetched)
         event.refIndex = clock_;
         probe_->onEvent(event);
     }
-    return true;
+    return victim;
 }
 
 template <bool kProbed>
@@ -126,11 +127,8 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
     if (admission_ != nullptr)
         admission_->onAccess(line_addr);
 
-    const auto it = index_.find(line_addr);
-    const bool hit = it != index_.end();
-
-    if (hit) {
-        const std::uint32_t idx = it->second;
+    const std::uint32_t idx = index_.find(line_addr);
+    if (idx != kInvalid) {
         policy_->onHit(setOf(line_addr), idx, line_addr);
         if constexpr (kProbed) {
             ++probeMeta_[idx].hitCount;
@@ -172,7 +170,8 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
         return false;
     }
 
-    if (!install(line_addr, /*prefetched=*/false)) {
+    const std::uint32_t way = install(line_addr, /*prefetched=*/false);
+    if (way == kInvalid) {
         // Admission rejected the fill: the reference is still served
         // (and its memory traffic still flows), the line just is not
         // cached — reads stream the line from memory, writes behave
@@ -187,7 +186,7 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
     }
     if (kind == AccessKind::Write) {
         if (config_.writePolicy == WritePolicy::CopyBack) {
-            lines_[index_.at(line_addr)].dirty = true;
+            lines_[way].dirty = true;
         } else {
             stats_.bytesToMemory += size;
             ++stats_.writeThroughs;
@@ -278,7 +277,7 @@ Cache::exportState() const
     state.sets = sets_;
     state.assoc = assoc_;
     state.lines.reserve(lines_.size());
-    for (const Line &line : lines_)
+    for (const CacheLine &line : lines_)
         state.lines.push_back({line.lineAddr, line.valid, line.dirty});
     state.recency.reserve(lines_.size());
     policy_->exportRecency(state.recency);
@@ -315,7 +314,7 @@ Cache::importState(const CacheState &state)
     index_.clear();
     validLines_ = 0;
     for (std::size_t idx = 0; idx < lines_.size(); ++idx) {
-        Line &line = lines_[idx];
+        CacheLine &line = lines_[idx];
         line.lineAddr = state.lines[idx].lineAddr;
         line.valid = state.lines[idx].valid;
         line.dirty = state.lines[idx].dirty;
@@ -324,9 +323,8 @@ Cache::importState(const CacheState &state)
                             "cache state import: line ", line.lineAddr,
                             " in way ", idx, " maps to set ",
                             setOf(line.lineAddr));
-            const bool inserted =
-                index_.emplace(line.lineAddr,
-                               static_cast<std::uint32_t>(idx)).second;
+            const bool inserted = index_.insert(
+                line.lineAddr, static_cast<std::uint32_t>(idx));
             CACHELAB_ASSERT(inserted, "cache state import: duplicate line ",
                             line.lineAddr);
             ++validLines_;
@@ -363,8 +361,8 @@ Cache::contains(Addr addr) const
 bool
 Cache::isDirty(Addr addr) const
 {
-    const auto it = index_.find(alignDown(addr, config_.lineBytes));
-    return it != index_.end() && lines_[it->second].dirty;
+    const std::uint32_t idx = index_.find(alignDown(addr, config_.lineBytes));
+    return idx != kInvalid && lines_[idx].dirty;
 }
 
 } // namespace cachelab

@@ -3,11 +3,11 @@
  * The cache model.
  *
  * A single cache parameterized by CacheConfig: direct-mapped through
- * fully associative, LRU/FIFO/random replacement, copy-back or
- * write-through, demand fetch or prefetch-always.  All bookkeeping is
- * O(1) per access (hash lookup plus intrusive per-set recency lists),
- * so the multi-hundred-million-reference sweeps behind Table 1 and
- * Figures 3-10 run quickly.
+ * fully associative, any replacement policy of cache/policy.hh with
+ * optional admission, copy-back or write-through, demand fetch or
+ * prefetch-always.  A reference costs one probe of a flat line index
+ * (util/flat_map.hh) plus the policy's bookkeeping: O(1) for the
+ * recency-list trio, an O(assoc) scan of the line array for the zoo.
  */
 
 #ifndef CACHELAB_CACHE_CACHE_HH
@@ -15,9 +15,7 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/config.hh"
@@ -25,6 +23,7 @@
 #include "cache/probe.hh"
 #include "cache/stats.hh"
 #include "trace/memory_ref.hh"
+#include "util/flat_map.hh"
 #include "util/random.hh"
 
 namespace cachelab
@@ -109,9 +108,9 @@ struct CacheState
  *
  * Thread-compatible (no internal synchronization): use one instance
  * per simulation thread.  Not copyable or movable: the replacement
- * policy object holds pointers back into this cache.
+ * policy holds a view of the line array and a pointer to the rng.
  */
-class Cache : private PolicyHost
+class Cache
 {
   public:
     /** Construct from a validated configuration. */
@@ -162,7 +161,7 @@ class Cache : private PolicyHost
      * Attach an introspection probe (not owned; nullptr detaches).
      * See probe.hh for the event vocabulary and the cost model.
      * First attachment allocates the per-line event metadata, which
-     * lives outside Line so probe-off runs keep the compact layout.
+     * lives outside CacheLine so probe-off runs keep the compact layout.
      */
     void setProbe(CacheProbe *probe)
     {
@@ -196,21 +195,13 @@ class Cache : private PolicyHost
     void importState(const CacheState &state);
 
   private:
-    static constexpr std::uint32_t kInvalid =
-        std::numeric_limits<std::uint32_t>::max();
-
-    /** One cache line's metadata. */
-    struct Line
-    {
-        Addr lineAddr = 0; ///< line-aligned address (tag + index)
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** No way: an index miss, or a fill the admission rejected. */
+    static constexpr std::uint32_t kInvalid = AddrIndex::kEmpty;
 
     /**
      * Per-line bookkeeping only events consume, kept in a parallel
      * array (indexed like lines_) and maintained only while a probe
-     * is attached, so the probe-off hot path keeps Line small.
+     * is attached, so the probe-off hot path keeps CacheLine small.
      */
     struct ProbeMeta
     {
@@ -220,26 +211,16 @@ class Cache : private PolicyHost
 
     std::uint64_t setOf(Addr line_addr) const;
 
-    // PolicyHost: the policy-facing view of the line array.
-    bool wayValid(std::uint32_t way) const override
-    {
-        return lines_[way].valid;
-    }
-
-    Addr wayLineAddr(std::uint32_t way) const override
-    {
-        return lines_[way].lineAddr;
-    }
-
     /** Evict (and account) the line in way @p idx if valid. */
     void evict(std::uint32_t idx, bool is_purge);
 
     /**
      * Fetch @p line_addr into its set. @p prefetched selects the
-     * traffic counter.  @return false when the admission policy
-     * rejected the fill (nothing was evicted or installed).
+     * traffic counter.  @return the filled way, or kInvalid when the
+     * admission policy rejected the fill (nothing was evicted or
+     * installed).
      */
-    bool install(Addr line_addr, bool prefetched);
+    std::uint32_t install(Addr line_addr, bool prefetched);
 
     /**
      * Reference one line.  @return true on hit.  On a write the
@@ -266,11 +247,11 @@ class Cache : private PolicyHost
     CacheConfig config_;
     CacheStats stats_;
 
-    std::vector<Line> lines_;       ///< sets * assoc entries
+    std::vector<CacheLine> lines_;  ///< sets * assoc entries, never resized
     std::vector<ProbeMeta> probeMeta_; ///< empty until a probe attaches
     std::unique_ptr<ReplacementPolicy> policy_;
     std::unique_ptr<AdmissionPolicy> admission_; ///< nullptr = admit all
-    std::unordered_map<Addr, std::uint32_t> index_; ///< lineAddr -> way
+    AddrIndex index_; ///< lineAddr -> way of every valid line
 
     std::uint64_t assoc_;
     std::uint64_t sets_;

@@ -69,6 +69,9 @@ CacheConfig::validate() const
         fatal("line size ", lineBytes, " is not a power of two");
     if (lineBytes > sizeBytes)
         fatal("line size ", lineBytes, " exceeds cache size ", sizeBytes);
+    if (lineCount() > kMaxLines)
+        fatal("line count ", lineCount(), " exceeds the limit of ",
+              kMaxLines, " lines");
     const std::uint64_t assoc = effectiveAssociativity();
     if (!isPowerOfTwo(assoc))
         fatal("associativity ", assoc, " is not a power of two");

@@ -85,6 +85,12 @@ struct CacheConfig
     /** Seed for stochastic replacement policies (random). */
     std::uint64_t randomSeed = 1;
 
+    /**
+     * Most lines a cache may hold.  Ways are numbered in 32 bits and
+     * ~0 marks "no way", so 2^31 keeps every way index a plain value.
+     */
+    static constexpr std::uint64_t kMaxLines = std::uint64_t{1} << 31;
+
     /** @return number of lines the cache holds. */
     std::uint64_t lineCount() const { return sizeBytes / lineBytes; }
 

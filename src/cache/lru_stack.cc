@@ -78,7 +78,7 @@ LruStack::LruStack(std::uint64_t set_count, std::uint64_t depth_bound)
     fenwick_.assign(set_count * (space_ + 1), 0);
     clock_.assign(set_count, 0);
     if (bound_ != kUnbounded)
-        index_.reserve(set_count * space_);
+        index_.reserve(set_count * (depth_bound - kTreeRowLines));
 }
 
 std::uint64_t
@@ -130,30 +130,21 @@ LruStack::spill(std::uint64_t set, Addr line_addr, bool is_write,
     const LruLine &spilled = row[rowSlots_ - 1];
     std::uint64_t depth = 0;
     LruLine line{line_addr, 0, is_write};
-    // The index node of the line leaving the tree carries the spilled
-    // line in, so a steady-state spill allocates nothing.
-    auto node = index_.extract(line_addr);
-    if (!node.empty()) {
-        const std::uint64_t stamp = node.mapped();
+    const std::uint32_t stamp = index_.take(line_addr);
+    if (stamp != AddrIndex::kEmpty) {
         line = lines_[set * space_ + stamp - 1];
         // Live stamps at or above the line's own, the line included.
         depth = rowSlots_ + live_[set] - prefix(set, stamp) + 1;
         release(set, stamp);
     } else if (rowSlots_ + live_[set] == bound_) {
         const std::uint64_t victim = lowestLive(set);
-        node = index_.extract(lines_[set * space_ + victim - 1].lineAddr);
+        index_.take(lines_[set * space_ + victim - 1].lineAddr);
         release(set, victim);
     }
     // Release first: place() may renumber, and the renumbered set must
     // not hold the line twice.
-    const std::uint64_t stamp = place(set, spilled);
-    if (node.empty()) {
-        index_.emplace(spilled.lineAddr, stamp);
-    } else {
-        node.key() = spilled.lineAddr;
-        node.mapped() = stamp;
-        index_.insert(std::move(node));
-    }
+    const std::uint64_t spill_stamp = place(set, spilled);
+    index_.insert(spilled.lineAddr, static_cast<std::uint32_t>(spill_stamp));
     return promote(row, rowSlots_ - 1, line, depth, is_write, before);
 }
 
@@ -217,7 +208,7 @@ LruStack::pack(std::uint64_t set, const LruLine *from, std::uint64_t clock)
         if (from[i].maxDepth == kReleased)
             continue;
         lines_[base + n] = from[i];
-        index_.find(from[i].lineAddr)->second = ++n;
+        index_.assign(from[i].lineAddr, static_cast<std::uint32_t>(++n));
     }
     CACHELAB_ASSERT(n == live_[set], "LRU stack: set ", set, " packed ", n,
                     " of ", live_[set], " lines");

@@ -26,8 +26,9 @@
  *    kTreeRowLines plus the number of live stamps at or above its own
  *    (O(log) per row miss, not the O(depth) walk of a move-to-front
  *    list).  A stamp->line array per set gives the LRU line for
- *    eviction and the MRU-first walk; all sets share one Addr-keyed
- *    index from tree line to stamp, so a row miss costs one probe.
+ *    eviction and the MRU-first walk; all sets share one flat
+ *    Addr-keyed index (util/flat_map.hh) from tree line to stamp, so
+ *    a row miss costs one probe.
  *
  * Two rules live here because every Mattson user needs them the same
  * way:
@@ -53,10 +54,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/memory_ref.hh"
+#include "util/flat_map.hh"
 
 namespace cachelab
 {
@@ -232,8 +233,8 @@ class LruStack
 
     std::vector<std::uint64_t> clock_; ///< last stamp handed out, per set
 
-    /** Tree line -> its stamp within its set. */
-    std::unordered_map<Addr, std::uint64_t> index_;
+    /** Tree line -> its stamp within its set (below kReleased). */
+    AddrIndex index_;
 };
 
 } // namespace cachelab

@@ -8,6 +8,7 @@
 #include "cache/policy.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cctype>
 #include <charconv>
@@ -449,7 +450,7 @@ class ListPolicy : public ReplacementPolicy
 {
   public:
     void
-    bind(std::uint64_t sets, std::uint32_t assoc, const PolicyHost *host,
+    bind(std::uint64_t sets, std::uint32_t assoc, PolicyHost host,
          Rng *rng) override
     {
         sets_ = sets;
@@ -481,7 +482,7 @@ class ListPolicy : public ReplacementPolicy
 
   protected:
     RecencyList list_;
-    const PolicyHost *host_ = nullptr;
+    PolicyHost host_;
     Rng *rng_ = nullptr;
     std::uint64_t sets_ = 0;
     std::uint32_t assoc_ = 0;
@@ -524,7 +525,7 @@ class RandomPolicy final : public ListPolicy
     victimWay(std::uint64_t set, Addr) override
     {
         const std::uint32_t lru = list_.tail(set);
-        if (!host_->wayValid(lru))
+        if (!host_.wayValid(lru))
             return lru;
         return static_cast<std::uint32_t>(set * assoc_ +
                                           rng_->uniformInt(assoc_));
@@ -539,8 +540,8 @@ class RandomPolicy final : public ListPolicy
 
 // ------------------------------------------------------------------
 // The modern zoo: per-way metadata plus O(assoc) victim scans.
-// Validity is read through the host, so the policies carry no
-// duplicate resident/absent state.
+// Validity is read from the cache's line array through the host view,
+// so the policies carry no duplicate resident/absent state.
 // ------------------------------------------------------------------
 
 /** Pack a byte-per-way flag vector into 64-bit words. */
@@ -571,7 +572,7 @@ class ScanPolicy : public ReplacementPolicy
 {
   public:
     void
-    bind(std::uint64_t sets, std::uint32_t assoc, const PolicyHost *host,
+    bind(std::uint64_t sets, std::uint32_t assoc, PolicyHost host,
          Rng *rng) override
     {
         sets_ = sets;
@@ -615,7 +616,7 @@ class ScanPolicy : public ReplacementPolicy
     {
         const auto base = static_cast<std::uint32_t>(set * assoc_);
         for (std::uint32_t w = base; w < base + assoc_; ++w)
-            if (!host_->wayValid(w))
+            if (!host_.wayValid(w))
                 return w;
         return kNoWay;
     }
@@ -629,7 +630,7 @@ class ScanPolicy : public ReplacementPolicy
                   " state words, snapshot has ", words.size());
     }
 
-    const PolicyHost *host_ = nullptr;
+    PolicyHost host_;
     Rng *rng_ = nullptr;
     std::uint64_t sets_ = 0;
     std::uint32_t assoc_ = 0;
@@ -726,7 +727,7 @@ class SlruPolicy final : public ScanPolicy
         const auto base = static_cast<std::uint32_t>(set * assoc_);
         std::uint32_t count = 0;
         for (std::uint32_t w = base; w < base + assoc_; ++w)
-            if (host_->wayValid(w) && protected_[w])
+            if (host_.wayValid(w) && protected_[w])
                 ++count;
         return count;
     }
@@ -738,7 +739,7 @@ class SlruPolicy final : public ScanPolicy
         const auto base = static_cast<std::uint32_t>(set * assoc_);
         std::uint32_t best = kNoWay;
         for (std::uint32_t w = base; w < base + assoc_; ++w) {
-            if (!host_->wayValid(w) ||
+            if (!host_.wayValid(w) ||
                 static_cast<bool>(protected_[w]) != is_protected)
                 continue;
             if (best == kNoWay || lastTouch_[w] < lastTouch_[best])
@@ -1134,7 +1135,7 @@ class ArcPolicy final : public ScanPolicy
             victim = coldest(set, !evictFromT1);
         CACHELAB_ASSERT(victim != kNoWay, "arc: empty set ", set);
         p.evicting = true;
-        p.victimAddr = host_->wayLineAddr(victim);
+        p.victimAddr = host_.wayLineAddr(victim);
         p.victimWasT1 = inT1_[victim] != 0;
         pending_ = p;
         return victim;
@@ -1258,7 +1259,7 @@ class ArcPolicy final : public ScanPolicy
         const auto base = static_cast<std::uint32_t>(set * assoc_);
         std::uint64_t count = 0;
         for (std::uint32_t w = base; w < base + assoc_; ++w)
-            if (host_->wayValid(w) && inT1_[w])
+            if (host_.wayValid(w) && inT1_[w])
                 ++count;
         return count;
     }
@@ -1270,7 +1271,7 @@ class ArcPolicy final : public ScanPolicy
         const auto base = static_cast<std::uint32_t>(set * assoc_);
         std::uint32_t best = kNoWay;
         for (std::uint32_t w = base; w < base + assoc_; ++w) {
-            if (!host_->wayValid(w) ||
+            if (!host_.wayValid(w) ||
                 static_cast<bool>(inT1_[w]) != want_t1)
                 continue;
             if (best == kNoWay || lastTouch_[w] < lastTouch_[best])
@@ -1323,13 +1324,17 @@ class TinyLfuAdmission final : public AdmissionPolicy
         window_ = static_cast<std::uint64_t>(
             spec.param("window", static_cast<double>(10 * width_)));
         counters_.assign(4 * width_, 0);
+        for (std::size_t row = 0; row < 4; ++row)
+            lastSlots_[row] = slot(row, lastLine_);
     }
 
     void
     onAccess(Addr line_addr) override
     {
+        lastLine_ = line_addr;
         for (std::size_t row = 0; row < 4; ++row) {
-            std::uint8_t &counter = cell(row, line_addr);
+            lastSlots_[row] = slot(row, line_addr);
+            std::uint8_t &counter = counters_[lastSlots_[row]];
             if (counter < 255)
                 ++counter;
         }
@@ -1343,7 +1348,8 @@ class TinyLfuAdmission final : public AdmissionPolicy
     bool
     admit(Addr line_addr, Addr victim_addr, bool victim_valid) override
     {
-        if (victim_valid && estimate(line_addr) <= estimate(victim_addr)) {
+        if (victim_valid &&
+            incomingEstimate(line_addr) <= estimate(victim_addr)) {
             ++rejected_;
             return false;
         }
@@ -1408,16 +1414,30 @@ class TinyLfuAdmission final : public AdmissionPolicy
         return row * width_ + (h & (width_ - 1));
     }
 
-    std::uint8_t &
-    cell(std::size_t row, Addr line_addr)
+    /**
+     * estimate() of the line admit() is asked about.  The cache calls
+     * onAccess() for a missing line just before it asks, so the slots
+     * kept there are usually this line's.  A slot depends only on the
+     * line and the width, so the kept slots stay right through aging,
+     * reset() and importWords().
+     */
+    std::uint32_t
+    incomingEstimate(Addr line_addr) const
     {
-        return counters_[slot(row, line_addr)];
+        if (line_addr != lastLine_)
+            return estimate(line_addr);
+        std::uint32_t low = 255;
+        for (std::size_t s : lastSlots_)
+            low = std::min<std::uint32_t>(low, counters_[s]);
+        return low;
     }
 
     std::uint64_t width_ = 0;
     std::uint64_t window_ = 0;
     std::uint64_t samples_ = 0;
     std::vector<std::uint8_t> counters_;
+    Addr lastLine_ = 0;                      ///< last onAccess() line
+    std::array<std::size_t, 4> lastSlots_{}; ///< its slot in each row
 };
 
 } // namespace

@@ -114,21 +114,38 @@ std::optional<std::string> checkReplacementPolicy(const PolicySpec &spec);
 /** checkReplacementPolicy()'s admission twin. */
 std::optional<std::string> checkAdmissionPolicy(const PolicySpec &spec);
 
+/** One cache line's metadata: an entry of the line array Cache owns. */
+struct CacheLine
+{
+    Addr lineAddr = 0; ///< line-aligned address (tag + index)
+    bool valid = false;
+    bool dirty = false;
+};
+
 /**
- * The cache-side services a policy may consult, implemented by Cache.
- * Ways are numbered globally: set s owns [s * assoc, (s + 1) * assoc).
+ * What a policy may read of its cache: a view of the cache's line
+ * array.  Ways are numbered globally: set s owns [s * assoc,
+ * (s + 1) * assoc).  The view holds a plain pointer, so a query is one
+ * load; Cache sizes its line array once at construction and never
+ * moves it (Cache is neither copyable nor movable).
  */
 class PolicyHost
 {
   public:
+    PolicyHost() = default;
+    explicit PolicyHost(const CacheLine *lines) : lines_(lines) {}
+
     /** @return true when @p way currently holds a valid line. */
-    virtual bool wayValid(std::uint32_t way) const = 0;
+    bool wayValid(std::uint32_t way) const { return lines_[way].valid; }
 
     /** @return the line address resident in @p way (valid ways only). */
-    virtual Addr wayLineAddr(std::uint32_t way) const = 0;
+    Addr wayLineAddr(std::uint32_t way) const
+    {
+        return lines_[way].lineAddr;
+    }
 
-  protected:
-    ~PolicyHost() = default;
+  private:
+    const CacheLine *lines_ = nullptr;
 };
 
 /**
@@ -157,7 +174,7 @@ class ReplacementPolicy
 
     /** Bind geometry and services; called exactly once, before use. */
     virtual void bind(std::uint64_t sets, std::uint32_t assoc,
-                      const PolicyHost *host, Rng *rng) = 0;
+                      PolicyHost host, Rng *rng) = 0;
 
     /**
      * Choose the way of @p set the next fill will occupy — an invalid

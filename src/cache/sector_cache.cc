@@ -33,6 +33,7 @@ SectorCache::SectorCache(const SectorCacheConfig &config) : config_(config)
 {
     config_.validate();
     sectors_.assign(config_.sectorCount(), Sector{});
+    index_.reserve(sectors_.size());
     for (std::uint32_t i = 0; i < sectors_.size(); ++i)
         pushMru(i);
 }
@@ -67,13 +68,6 @@ SectorCache::pushMru(std::uint32_t idx)
 }
 
 std::uint32_t
-SectorCache::lookupSector(Addr sector_addr) const
-{
-    const auto it = index_.find(sector_addr);
-    return it == index_.end() ? kInvalid : it->second;
-}
-
-std::uint32_t
 SectorCache::allocateSector(Addr sector_addr)
 {
     const std::uint32_t victim = tail_;
@@ -88,7 +82,7 @@ SectorCache::allocateSector(Addr sector_addr)
         probeMeta_[victim].fillClock = clock_;
         probeMeta_[victim].hitCount = 0;
     }
-    index_.emplace(sector_addr, victim);
+    index_.insert(sector_addr, victim);
     unlink(victim);
     pushMru(victim);
     return victim;
@@ -128,7 +122,7 @@ SectorCache::evictSector(std::uint32_t idx, bool is_purge)
             probe_->onEvent(event);
         }
     }
-    index_.erase(s.sectorAddr);
+    index_.take(s.sectorAddr);
     s.validMask = 0;
     s.dirtyMask = 0;
 }
@@ -142,7 +136,7 @@ SectorCache::touchSubblock(Addr addr, AccessKind kind)
         static_cast<std::uint32_t>((addr - sector_addr) / config_.subblockBytes);
     const std::uint64_t bit = 1ULL << sub;
 
-    std::uint32_t idx = lookupSector(sector_addr);
+    std::uint32_t idx = index_.find(sector_addr);
     bool hit = false;
     if (idx != kInvalid && (sectors_[idx].validMask & bit)) {
         hit = true;
@@ -244,7 +238,7 @@ bool
 SectorCache::contains(Addr addr) const
 {
     const Addr sector_addr = alignDown(addr, config_.sectorBytes);
-    const std::uint32_t idx = lookupSector(sector_addr);
+    const std::uint32_t idx = index_.find(sector_addr);
     if (idx == kInvalid)
         return false;
     const auto sub =

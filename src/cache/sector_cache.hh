@@ -14,13 +14,12 @@
 #define CACHELAB_CACHE_SECTOR_CACHE_HH
 
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/probe.hh"
 #include "cache/stats.hh"
 #include "trace/memory_ref.hh"
+#include "util/flat_map.hh"
 
 namespace cachelab
 {
@@ -105,12 +104,10 @@ class SectorCache
         std::uint64_t hitCount = 0;  ///< sub-block hits since then
     };
 
-    static constexpr std::uint32_t kInvalid =
-        std::numeric_limits<std::uint32_t>::max();
+    static constexpr std::uint32_t kInvalid = AddrIndex::kEmpty;
 
     void unlink(std::uint32_t idx);
     void pushMru(std::uint32_t idx);
-    std::uint32_t lookupSector(Addr sector_addr) const;
     std::uint32_t allocateSector(Addr sector_addr);
     void evictSector(std::uint32_t idx, bool is_purge);
     /** @tparam kProbed compiled-in probe dispatch: the false
@@ -129,7 +126,7 @@ class SectorCache
     CacheStats stats_;
     std::vector<Sector> sectors_;
     std::vector<ProbeMeta> probeMeta_; ///< empty until a probe attaches
-    std::unordered_map<Addr, std::uint32_t> index_;
+    AddrIndex index_; ///< sectorAddr -> slot of every valid sector
     std::uint32_t head_ = kInvalid;
     std::uint32_t tail_ = kInvalid;
     std::uint64_t clock_ = 0; ///< access() count (event timestamps)

@@ -331,6 +331,10 @@ checkCacheConfig(const CacheConfig &config)
         return "line size " + std::to_string(config.lineBytes) +
                " exceeds cache size " + std::to_string(config.sizeBytes);
     const std::uint64_t lines = config.sizeBytes / config.lineBytes;
+    if (lines > CacheConfig::kMaxLines)
+        return "line count " + std::to_string(lines) +
+               " exceeds the limit of " +
+               std::to_string(CacheConfig::kMaxLines) + " lines";
     const std::uint64_t assoc =
         config.associativity == 0 ? lines : config.associativity;
     if (!isPowerOfTwo(assoc))

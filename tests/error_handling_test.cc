@@ -15,6 +15,7 @@
 
 #include "cache/config.hh"
 #include "cache/sector_cache.hh"
+#include "serve/spec.hh"
 #include "trace/io.hh"
 #include "workload/program_model.hh"
 
@@ -60,6 +61,34 @@ TEST(ConfigValidation, RejectsAssociativityBeyondLineCount)
     c.lineBytes = 16;
     c.associativity = 8; // only 4 lines exist
     EXPECT_DEATH({ c.validate(); }, "exceeds line count");
+}
+
+TEST(ConfigValidation, RejectsMoreLinesThanWaysCanNumber)
+{
+    // 1 TiB of 64 B lines is 2^34 lines.  A served spec that asks for
+    // it gets a one-line diagnostic instead of a run that dies in the
+    // allocator, and validate() exits 1 with the same words.
+    const char *words =
+        "line count 17179869184 exceeds the limit of 2147483648 lines";
+    serve::ExperimentSpec spec;
+    const auto error = serve::parseExperimentSpec(
+        R"({"input": {"kind": "profile", "name": "VSPICE", "refs": 1000},
+            "cache": {"line_bytes": 64, "associativity": 8},
+            "sizes": [1099511627776]})",
+        spec);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(*error, words);
+
+    CacheConfig c;
+    c.sizeBytes = std::uint64_t{1} << 40;
+    c.lineBytes = 64;
+    c.associativity = 8;
+    EXPECT_EXIT({ c.validate(); }, testing::ExitedWithCode(1), words);
+
+    // The limit itself is legal (validate() allocates nothing).
+    c.sizeBytes = CacheConfig::kMaxLines * 64;
+    c.validate();
+    EXPECT_FALSE(serve::checkCacheConfig(c).has_value());
 }
 
 TEST(SectorConfigValidation, RejectsSubblockLargerThanSector)

@@ -29,11 +29,13 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/policy.hh"
 #include "serve/spec.hh"
+#include "workload/kv_model.hh"
 
 namespace cachelab
 {
@@ -746,6 +748,110 @@ TEST(PolicyZoo, ArcMatchesGhostListOracle)
                                   mixedAddresses(40000, 10));
 }
 
+/** Fold every CacheStats field, in declaration order, into one word. */
+std::uint64_t
+statsHash(const CacheStats &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto fold = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+        h ^= h >> 29;
+    };
+    for (std::uint64_t v : s.accesses)
+        fold(v);
+    for (std::uint64_t v : s.misses)
+        fold(v);
+    for (std::uint64_t v :
+         {s.demandFetches, s.prefetchFetches, s.bytesFromMemory,
+          s.bytesToMemory, s.replacementPushes, s.dirtyReplacementPushes,
+          s.purgePushes, s.dirtyPurgePushes, s.writeThroughs, s.purges})
+        fold(v);
+    return h;
+}
+
+// The model tests above use reads only and no admission, so they never
+// take the victim-scan-then-reject path.  This pins every policy, alone
+// and behind TinyLFU, on the kv_served input (Zipf reuse, scans and 30%
+// writes): copy-back, a purge every 10k references, set-associative and
+// fully associative.  The constants were computed before the policies
+// read the line array directly and TinyLFU reused the line's slots.
+// Without admission lru, slru and arc give the same statistics on this
+// prefix, and behind TinyLFU lru and slru still agree fully
+// associative; every other pair of cases differs.
+TEST(PolicyZoo, KvStatsArePinned)
+{
+    KvWorkloadParams kv; // GeneratedBytes.KvServedTraceIsPinned's input
+    kv.refCount = 250000;
+    kv.keyCount = 1u << 21;
+    kv.objectBytes = 64;
+    kv.refBytes = 8;
+    kv.zipfTheta = 0.9;
+    kv.readRatio = 0.7;
+    kv.scanFraction = 0.02;
+    kv.meanScanObjects = 32.0;
+    kv.driftRefs = 5000;
+    kv.seed = 1;
+    const Trace trace = generateKvWorkload(kv, "kv");
+    const std::span<const MemoryRef> refs = trace.refs().first(50000);
+
+    struct Pin
+    {
+        const char *policy;
+        const char *admission;
+        std::uint32_t assoc; ///< 0: fully associative
+        std::uint64_t size;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"lru", "", 8, 8192, 0xbcc7dade20288475ULL},
+        {"lru", "", 0, 4096, 0x3d91bd3414a406c1ULL},
+        {"lru", "tinylfu:counters=64", 8, 8192, 0x389a95be4ffd0b1eULL},
+        {"lru", "tinylfu:counters=64", 0, 4096, 0x9538356ac2d4de05ULL},
+        {"fifo", "", 8, 8192, 0x948e2954a6bf1516ULL},
+        {"fifo", "", 0, 4096, 0xc0ae3b0c46d6ea52ULL},
+        {"fifo", "tinylfu:counters=64", 8, 8192, 0x696131ca18026a9dULL},
+        {"fifo", "tinylfu:counters=64", 0, 4096, 0xf7d3fe5084ba7438ULL},
+        {"random", "", 8, 8192, 0xa8b5072c0007a11bULL},
+        {"random", "", 0, 4096, 0xa1f8adf138720012ULL},
+        {"random", "tinylfu:counters=64", 8, 8192, 0x9292cecaddcb9ffaULL},
+        {"random", "tinylfu:counters=64", 0, 4096, 0xef9387128257e313ULL},
+        {"slru", "", 8, 8192, 0xbcc7dade20288475ULL},
+        {"slru", "", 0, 4096, 0x3d91bd3414a406c1ULL},
+        {"slru", "tinylfu:counters=64", 8, 8192, 0xa9512fdb1e723305ULL},
+        {"slru", "tinylfu:counters=64", 0, 4096, 0x9538356ac2d4de05ULL},
+        {"lfu", "", 8, 8192, 0xc53c368b442bee01ULL},
+        {"lfu", "", 0, 4096, 0x3ab11b76b2b7b7ffULL},
+        {"lfu", "tinylfu:counters=64", 8, 8192, 0x0bdd325cb32715cbULL},
+        {"lfu", "tinylfu:counters=64", 0, 4096, 0xeb13f8c0daa66a56ULL},
+        {"lfuda", "", 8, 8192, 0x7017a749dbb1b022ULL},
+        {"lfuda", "", 0, 4096, 0xd3cd72cc0e5ce1a7ULL},
+        {"lfuda", "tinylfu:counters=64", 8, 8192, 0x9f29643821446b0eULL},
+        {"lfuda", "tinylfu:counters=64", 0, 4096, 0xffc6978611791a32ULL},
+        {"2q", "", 8, 8192, 0x61a7f70285327a8cULL},
+        {"2q", "", 0, 4096, 0x630878bff8ec239dULL},
+        {"2q", "tinylfu:counters=64", 8, 8192, 0x09b253556953b570ULL},
+        {"2q", "tinylfu:counters=64", 0, 4096, 0xe3760c5d2ba312e1ULL},
+        {"arc", "", 8, 8192, 0xbcc7dade20288475ULL},
+        {"arc", "", 0, 4096, 0x3d91bd3414a406c1ULL},
+        {"arc", "tinylfu:counters=64", 8, 8192, 0x0bd8988d47ecb065ULL},
+        {"arc", "tinylfu:counters=64", 0, 4096, 0x837a3115e3190e1dULL},
+    };
+    for (const Pin &pin : pins) {
+        CacheConfig config = zooConfig(pin.policy, pin.assoc, pin.size);
+        ASSERT_FALSE(parseAdmissionPolicy(pin.admission, config.admission));
+        Cache cache(config);
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            if (i != 0 && i % 10000 == 0)
+                cache.purge();
+            cache.access(refs[i]);
+        }
+        EXPECT_EQ(statsHash(cache.stats()), pin.hash)
+            << pin.policy << " + \"" << pin.admission << "\", "
+            << config.describe() << ": 0x" << std::hex
+            << statsHash(cache.stats());
+    }
+}
+
 // ---------------------------------------------------------------- //
 //  TinyLFU admission vs an offline recomputed sketch               //
 // ---------------------------------------------------------------- //
@@ -903,6 +1009,34 @@ TEST(TinyLfu, RejectedInstallLeavesContentsUntouched)
     EXPECT_EQ(after.bytesFromMemory,
               before.bytesFromMemory + config.lineBytes);
     EXPECT_EQ(after.replacementPushes, before.replacementPushes);
+}
+
+TEST(TinyLfu, AdmitOfALineNotJustCountedMatchesOfflineSketch)
+{
+    // The cache asks admit() about the line it just counted, except for
+    // a prefetch, whose line was never counted.  The filter keeps the
+    // counted line's slots; for any other line it must hash.
+    PolicySpec spec;
+    ASSERT_FALSE(
+        parseAdmissionPolicy("tinylfu:counters=256,window=1000", spec));
+    const std::unique_ptr<AdmissionPolicy> filter =
+        makeAdmissionPolicy(spec);
+    SketchModel model(256, 1000);
+
+    const std::vector<Addr> addrs = mixedAddresses(20000, 17);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        const Addr line = addrs[i] / kLineBytes * kLineBytes;
+        filter->onAccess(line);
+        model.onAccess(line);
+        const Addr other =
+            addrs[(i * 5 + 3) % addrs.size()] / kLineBytes * kLineBytes;
+        ASSERT_EQ(filter->admit(other, line, true),
+                  model.admit(other, line, true))
+            << "ref " << i;
+    }
+    EXPECT_EQ(filter->exportWords(), model.packedWords());
+    EXPECT_GT(filter->admitted(), 0u);
+    EXPECT_GT(filter->rejected(), 0u);
 }
 
 // ---------------------------------------------------------------- //

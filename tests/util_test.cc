@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for src/util: bit helpers, PRNG, formatting, CSV.
+ * Unit tests for src/util: bit helpers, PRNG, formatting, CSV, and the
+ * flat address index against std::unordered_map.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <unordered_map>
+#include <vector>
 
 #include "util/bits.hh"
 #include "util/csv.hh"
+#include "util/flat_map.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -254,6 +258,129 @@ TEST(Logging, EnableDisableRoundTrip)
     setLoggingEnabled(true);
     EXPECT_TRUE(loggingEnabled());
     setLoggingEnabled(before);
+}
+
+// ---------------------------------------------------------------- //
+//  AddrIndex against std::unordered_map                            //
+// ---------------------------------------------------------------- //
+
+constexpr std::uint64_t kFibonacci = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * A key whose Fibonacci product has @p high_bits as its top
+ * @p bit_count bits (and @p low below them), so its home slot is known
+ * at every table of up to 2^bit_count slots.  The product is inverted
+ * through kFibonacci's inverse mod 2^64.
+ */
+std::uint64_t
+keyWithProduct(std::uint64_t high_bits, unsigned bit_count,
+               std::uint64_t low)
+{
+    std::uint64_t inverse = kFibonacci; // Newton: 5 steps reach 64 bits
+    for (int i = 0; i < 5; ++i)
+        inverse *= 2 - kFibonacci * inverse;
+    const std::uint64_t product = (high_bits << (64 - bit_count)) |
+        (low & (~std::uint64_t{0} >> bit_count));
+    return product * inverse;
+}
+
+/** Every key of @p keys reads the same from @p index and @p model. */
+void
+expectSameContents(const AddrIndex &index,
+                   const std::unordered_map<std::uint64_t, std::uint32_t>
+                       &model,
+                   const std::vector<std::uint64_t> &keys)
+{
+    ASSERT_EQ(index.size(), model.size());
+    for (std::uint64_t key : keys) {
+        const auto it = model.find(key);
+        const std::uint32_t want =
+            it == model.end() ? AddrIndex::kEmpty : it->second;
+        ASSERT_EQ(index.find(key), want) << std::hex << key;
+        ASSERT_EQ(index.contains(key), it != model.end());
+    }
+}
+
+TEST(AddrIndex, KeysSharingTheLastHomeSlotWrapOnDelete)
+{
+    // Five keys whose home is slot 15 of the initial 16 fill slots 15,
+    // 0, 1, 2 and 3; a key at home 0 (key 0 itself) lands in slot 4.
+    // Taking the run's first key shifts the rest back across the end.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 5; ++i)
+        keys.push_back(keyWithProduct(0xf, 4, i * 0x1234567 + 1));
+    keys.push_back(0);
+    keys.push_back(~std::uint64_t{0});
+    for (std::size_t first = 0; first < keys.size(); ++first) {
+        AddrIndex index;
+        std::unordered_map<std::uint64_t, std::uint32_t> model;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            ASSERT_TRUE(index.insert(keys[i], std::uint32_t(i)));
+            model.emplace(keys[i], std::uint32_t(i));
+        }
+        EXPECT_FALSE(index.insert(keys[0], 99)); // present: unchanged
+        // Take every key, starting at a different one each round.
+        for (std::size_t n = 0; n < keys.size(); ++n) {
+            const std::uint64_t key = keys[(first + n) % keys.size()];
+            EXPECT_EQ(index.take(key), model.at(key));
+            model.erase(key);
+            EXPECT_EQ(index.take(key), AddrIndex::kEmpty);
+            expectSameContents(index, model, keys);
+        }
+    }
+}
+
+TEST(AddrIndex, MatchesUnorderedMapOnRandomOperations)
+{
+    // A key pool with 0 and ~0, a cluster that shares one home slot
+    // (the last) at every table size up to 2^20 slots, a band homed
+    // near the end so runs wrap, line-aligned keys and random keys.
+    std::vector<std::uint64_t> keys{0, ~std::uint64_t{0}};
+    Rng rng(20260917);
+    for (std::uint64_t i = 0; i < 40; ++i)
+        keys.push_back(keyWithProduct(0xfffff, 20, rng()));
+    for (std::uint64_t i = 0; i < 200; ++i)
+        keys.push_back(keyWithProduct(0xf, 4, rng()));
+    for (std::uint64_t i = 0; i < 800; ++i)
+        keys.push_back(i * 64);
+    for (std::uint64_t i = 0; i < 1200; ++i)
+        keys.push_back(rng());
+
+    AddrIndex index; // starts at 16 slots and doubles as it fills
+    std::unordered_map<std::uint64_t, std::uint32_t> model;
+    std::size_t clears = 0;
+    for (std::uint32_t op = 0; op < 100000; ++op) {
+        const std::uint64_t key = keys[rng.uniformInt(keys.size())];
+        const auto it = model.find(key);
+        const std::uint64_t pick = rng.uniformInt(1000);
+        if (pick < 350) {
+            ASSERT_EQ(index.insert(key, op), it == model.end());
+            model.emplace(key, op);
+        } else if (pick < 650) {
+            const std::uint32_t want =
+                it == model.end() ? AddrIndex::kEmpty : it->second;
+            ASSERT_EQ(index.take(key), want) << "op " << op;
+            model.erase(key);
+        } else if (pick < 850) {
+            const std::uint32_t want =
+                it == model.end() ? AddrIndex::kEmpty : it->second;
+            ASSERT_EQ(index.find(key), want) << "op " << op;
+        } else if (pick < 999) {
+            index.assign(key, op);
+            model[key] = op;
+        } else if (rng.uniformInt(20) == 0) {
+            index.clear();
+            model.clear();
+            ++clears;
+        } else {
+            index.reserve(model.size() + rng.uniformInt(512));
+        }
+        ASSERT_EQ(index.size(), model.size()) << "op " << op;
+        if (op % 5000 == 0)
+            expectSameContents(index, model, keys);
+    }
+    expectSameContents(index, model, keys);
+    EXPECT_GT(clears, 0u);
 }
 
 } // namespace

@@ -582,9 +582,13 @@ print(f"    bench_line header + {len(lines) - 1} joinable JSON lines")
 EOF
 
 # halt_on_error turns a UBSan report into a failed test; without it
-# the report is printed and the test still passes.
+# the report is printed and the test still passes.  _GLIBCXX_ASSERTIONS
+# bounds-checks the standard containers, so an out-of-range
+# std::vector::operator[] (an index slot, a policy's per-way array)
+# aborts the test instead of reading a neighbour.
 UBSAN_OPTIONS=halt_on_error=1 run_config build-ci-asan -DCACHELAB_WERROR=ON \
-    -DCACHELAB_SANITIZE=address,undefined
+    -DCACHELAB_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 
 # TSan pass over the concurrency-sensitive layers: the worker pool,
 # the observability primitives (registry, recorder, progress meter)
