@@ -287,9 +287,6 @@ Cache::exportState() const
     state.rngState = rng_.state();
     state.clock = clock_;
     state.stats = stats_;
-    state.policyWords = policy_->exportWords();
-    if (admission_ != nullptr)
-        state.admissionWords = admission_->exportWords();
     return state;
 }
 
@@ -310,6 +307,12 @@ Cache::importState(const CacheState &state)
     CACHELAB_ASSERT(state.recency.size() == lines_.size(),
                     "cache state import: recency covers ",
                     state.recency.size(), " of ", lines_.size(), " ways");
+    if (admission_ != nullptr)
+        panic("cache state import: exact state covers no admission "
+              "filter (", config_.admission.toString(), ")");
+    // The recency order goes first: a policy whose state is more than
+    // that order refuses it before any line is replaced.
+    policy_->importRecency(state.recency);
 
     index_.clear();
     validLines_ = 0;
@@ -329,20 +332,6 @@ Cache::importState(const CacheState &state)
                             line.lineAddr);
             ++validLines_;
         }
-    }
-
-    // Hand the policy its state back (recency permutation plus any
-    // policy-specific words; validation lives with the policy).
-    policy_->importRecency(state.recency);
-    policy_->importWords(state.policyWords);
-    if (admission_ != nullptr) {
-        if (state.admissionWords.empty())
-            admission_->reset(); // no admission words: cold sketch
-        else
-            admission_->importWords(state.admissionWords);
-    } else if (!state.admissionWords.empty()) {
-        fatal("cache state import: snapshot carries admission state but "
-              "no admission policy is configured");
     }
 
     rng_.setState(state.rngState);

@@ -47,16 +47,17 @@ class CacheObserver
 };
 
 /**
- * Complete dynamic state of a Cache, as exported by
- * Cache::exportState() and accepted by Cache::importState().
+ * Dynamic state of a Cache, as exported by Cache::exportState() and
+ * accepted by Cache::importState().
  *
- * The snapshot is exact: importing it into a cache of the identical
- * geometry and continuing the reference stream reproduces the original
- * run bit for bit, for every replacement/write/fetch policy (way
- * identity and the random-replacement generator state are preserved).
- * It is an in-memory value only: the live-point restore
- * (ckpt/live_points.hh) builds one from a stored image and imports it,
- * and tests compare caches through exportState().
+ * Exact for lru, fifo and random without an admission filter, whose
+ * whole policy state is the recency order: importing it into a cache
+ * of the identical geometry and continuing the reference stream
+ * reproduces the original run bit for bit (way identity and the
+ * random-replacement generator state are preserved).  Other caches
+ * export it but refuse an import.  It is an in-memory value only: the
+ * live-point restore (ckpt/live_points.hh) builds one from a stored
+ * image and imports it, and tests compare caches through exportState().
  */
 struct CacheState
 {
@@ -82,25 +83,13 @@ struct CacheState
      * Per-set recency order as way indices, MRU first: entries
      * [set * assoc, (set + 1) * assoc) list every way of @p set
      * exactly once (invalid ways are on the list too).  Scan-based
-     * policies emit the identity permutation here and carry their
-     * real state in policyWords.
+     * policies emit the identity permutation here.
      */
     std::vector<std::uint32_t> recency;
 
     std::array<std::uint64_t, 4> rngState{};
     std::uint64_t clock = 0;
     CacheStats stats;
-
-    /**
-     * Extra replacement-policy state beyond the recency permutation
-     * (ReplacementPolicy::exportWords).  Empty for the classic trio,
-     * whose whole state is the permutation; the live-point restore
-     * relies on that when it builds LRU states with no words.
-     */
-    std::vector<std::uint64_t> policyWords;
-
-    /** Admission-policy state; empty when no admission is configured. */
-    std::vector<std::uint64_t> admissionWords;
 };
 
 /**
@@ -182,15 +171,17 @@ class Cache
     /** @return number of access() calls so far (the event clock). */
     std::uint64_t accessClock() const { return clock_; }
 
-    /** @return an exact snapshot of the cache's dynamic state. */
+    /** @return a snapshot of the cache's dynamic state. */
     CacheState exportState() const;
 
     /**
      * Replace the cache's dynamic state with @p state (an exact
      * restore: tags, dirty bits, recency order, way identity, rng
      * state, clock and statistics).  fatal() when the snapshot's
-     * geometry does not match this cache's configuration or its
-     * recency lists are malformed.
+     * geometry does not match this cache's configuration.  panic() when
+     * the recency lists are malformed, and, before any line is
+     * replaced, when the cache runs anything but lru, fifo or random
+     * without an admission filter.
      */
     void importState(const CacheState &state);
 

@@ -60,32 +60,39 @@ CacheConfig::setCount() const
     return lineCount() / effectiveAssociativity();
 }
 
+std::optional<std::string>
+CacheConfig::check() const
+{
+    if (!isPowerOfTwo(sizeBytes))
+        return "cache size " + std::to_string(sizeBytes) +
+               " is not a power of two";
+    if (!isPowerOfTwo(lineBytes))
+        return "line size " + std::to_string(lineBytes) +
+               " is not a power of two";
+    if (lineBytes > sizeBytes)
+        return "line size " + std::to_string(lineBytes) +
+               " exceeds cache size " + std::to_string(sizeBytes);
+    if (lineCount() > kMaxLines)
+        return "line count " + std::to_string(lineCount()) +
+               " exceeds the limit of " + std::to_string(kMaxLines) +
+               " lines";
+    const std::uint64_t assoc = effectiveAssociativity();
+    if (!isPowerOfTwo(assoc))
+        return "associativity " + std::to_string(assoc) +
+               " is not a power of two";
+    if (assoc > lineCount())
+        return "associativity " + std::to_string(assoc) +
+               " exceeds line count " + std::to_string(lineCount());
+    if (auto error = checkReplacementPolicy(replacement))
+        return error;
+    return checkAdmissionPolicy(admission);
+}
+
 void
 CacheConfig::validate() const
 {
-    if (!isPowerOfTwo(sizeBytes))
-        fatal("cache size ", sizeBytes, " is not a power of two");
-    if (!isPowerOfTwo(lineBytes))
-        fatal("line size ", lineBytes, " is not a power of two");
-    if (lineBytes > sizeBytes)
-        fatal("line size ", lineBytes, " exceeds cache size ", sizeBytes);
-    if (lineCount() > kMaxLines)
-        fatal("line count ", lineCount(), " exceeds the limit of ",
-              kMaxLines, " lines");
-    const std::uint64_t assoc = effectiveAssociativity();
-    if (!isPowerOfTwo(assoc))
-        fatal("associativity ", assoc, " is not a power of two");
-    if (assoc > lineCount())
-        fatal("associativity ", assoc, " exceeds line count ", lineCount());
-    if (auto error = checkReplacementPolicy(replacement))
+    if (auto error = check())
         fatal(*error);
-    if (auto error = checkAdmissionPolicy(admission))
-        fatal(*error);
-    if (writePolicy == WritePolicy::WriteThrough &&
-        writeMiss == WriteMissPolicy::FetchOnWrite) {
-        // Legal combination (write-through with allocation); nothing to
-        // reject — documented here so readers know it is intentional.
-    }
 }
 
 std::string

@@ -12,6 +12,7 @@
 #define CACHELAB_CACHE_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cache/policy.hh"
@@ -100,7 +101,14 @@ struct CacheConfig
     /** @return number of sets. */
     std::uint64_t setCount() const;
 
-    /** fatal() if any parameter combination is invalid. */
+    /**
+     * @return a diagnostic if any parameter combination is invalid, or
+     * std::nullopt when valid.  The non-fatal twin of validate(), for
+     * callers (the campaign server) that must survive bad input.
+     */
+    std::optional<std::string> check() const;
+
+    /** fatal() with check()'s diagnostic if there is one. */
     void validate() const;
 
     /**

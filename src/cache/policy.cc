@@ -307,14 +307,6 @@ parseAdmissionPolicy(std::string_view text, PolicySpec &out)
     return std::nullopt;
 }
 
-void
-ReplacementPolicy::importWords(std::span<const std::uint64_t> words)
-{
-    if (!words.empty())
-        fatal("policy state import: ", words.size(),
-              " extra state words for a policy that keeps none");
-}
-
 // ------------------------------------------------------------------
 // The classic trio: intrusive per-set recency lists, bit-identical to
 // the pre-API cache behaviour.
@@ -544,29 +536,6 @@ class RandomPolicy final : public ListPolicy
 // so the policies carry no duplicate resident/absent state.
 // ------------------------------------------------------------------
 
-/** Pack a byte-per-way flag vector into 64-bit words. */
-void
-packFlags(const std::vector<std::uint8_t> &flags,
-          std::vector<std::uint64_t> &out)
-{
-    for (std::size_t i = 0; i < flags.size(); i += 64) {
-        std::uint64_t word = 0;
-        for (std::size_t b = 0; b < 64 && i + b < flags.size(); ++b)
-            if (flags[i + b])
-                word |= std::uint64_t{1} << b;
-        out.push_back(word);
-    }
-}
-
-void
-unpackFlags(std::span<const std::uint64_t> words,
-            std::vector<std::uint8_t> &flags)
-{
-    for (std::size_t i = 0; i < flags.size(); ++i)
-        flags[i] =
-            (words[i / 64] >> (i % 64)) & 1 ? std::uint8_t{1} : 0;
-}
-
 /** Shared skeleton of the scan-based policies. */
 class ScanPolicy : public ReplacementPolicy
 {
@@ -592,19 +561,17 @@ class ScanPolicy : public ReplacementPolicy
     void
     exportRecency(std::vector<std::uint32_t> &out) const override
     {
-        // Scan policies keep their real state in exportWords(); the
-        // recency image is the identity permutation for format
-        // compatibility with the list-based encoders.
+        // The real state is the per-way metadata below; the identity
+        // permutation lets a cache's exported state list its lines.
         for (std::uint64_t w = 0; w < sets_ * assoc_; ++w)
             out.push_back(static_cast<std::uint32_t>(w));
     }
 
     void
-    importRecency(std::span<const std::uint32_t> recency) override
+    importRecency(std::span<const std::uint32_t>) override
     {
-        CACHELAB_ASSERT(recency.size() == sets_ * assoc_,
-                        "recency import: ", recency.size(),
-                        " entries for ", sets_ * assoc_, " ways");
+        panic("cache state import: exact state covers only lru, fifo "
+              "and random, whose whole state is the recency order");
     }
 
   protected:
@@ -619,15 +586,6 @@ class ScanPolicy : public ReplacementPolicy
             if (!host_.wayValid(w))
                 return w;
         return kNoWay;
-    }
-
-    void
-    expectWords(std::span<const std::uint64_t> words, std::size_t want,
-                std::string_view policy) const
-    {
-        if (words.size() != want)
-            fatal("policy state import: ", policy, " expects ", want,
-                  " state words, snapshot has ", words.size());
     }
 
     PolicyHost host_;
@@ -687,25 +645,6 @@ class SlruPolicy final : public ScanPolicy
                 coldest(set, /*is_protected=*/true);
             protected_[demote] = 0;
         }
-    }
-
-    std::vector<std::uint64_t>
-    exportWords() const override
-    {
-        std::vector<std::uint64_t> out{clock_};
-        out.insert(out.end(), lastTouch_.begin(), lastTouch_.end());
-        packFlags(protected_, out);
-        return out;
-    }
-
-    void
-    importWords(std::span<const std::uint64_t> words) override
-    {
-        const std::size_t n = lastTouch_.size();
-        expectWords(words, 1 + n + (n + 63) / 64, "slru");
-        clock_ = words[0];
-        std::copy_n(words.begin() + 1, n, lastTouch_.begin());
-        unpackFlags(words.subspan(1 + n), protected_);
     }
 
   private:
@@ -793,25 +732,6 @@ class LfuPolicy final : public ScanPolicy
         lastTouch_[way] = ++clock_;
     }
 
-    std::vector<std::uint64_t>
-    exportWords() const override
-    {
-        std::vector<std::uint64_t> out{clock_};
-        out.insert(out.end(), freq_.begin(), freq_.end());
-        out.insert(out.end(), lastTouch_.begin(), lastTouch_.end());
-        return out;
-    }
-
-    void
-    importWords(std::span<const std::uint64_t> words) override
-    {
-        const std::size_t n = freq_.size();
-        expectWords(words, 1 + 2 * n, "lfu");
-        clock_ = words[0];
-        std::copy_n(words.begin() + 1, n, freq_.begin());
-        std::copy_n(words.begin() + 1 + n, n, lastTouch_.begin());
-    }
-
   private:
     void
     resetState() override
@@ -869,28 +789,6 @@ class LfudaPolicy final : public ScanPolicy
     {
         if (!is_purge)
             age_[set] = key_[way];
-    }
-
-    std::vector<std::uint64_t>
-    exportWords() const override
-    {
-        std::vector<std::uint64_t> out{clock_};
-        out.insert(out.end(), age_.begin(), age_.end());
-        out.insert(out.end(), key_.begin(), key_.end());
-        out.insert(out.end(), lastTouch_.begin(), lastTouch_.end());
-        return out;
-    }
-
-    void
-    importWords(std::span<const std::uint64_t> words) override
-    {
-        const std::size_t n = key_.size();
-        expectWords(words, 1 + sets_ + 2 * n, "lfuda");
-        clock_ = words[0];
-        std::copy_n(words.begin() + 1, sets_, age_.begin());
-        std::copy_n(words.begin() + 1 + sets_, n, key_.begin());
-        std::copy_n(words.begin() + 1 + sets_ + n, n,
-                    lastTouch_.begin());
     }
 
   private:
@@ -988,47 +886,6 @@ class TwoQPolicy final : public ScanPolicy
         ghosts.push_back(line_addr);
         if (ghosts.size() > kout_)
             ghosts.pop_front();
-    }
-
-    std::vector<std::uint64_t>
-    exportWords() const override
-    {
-        std::vector<std::uint64_t> out{clock_};
-        out.insert(out.end(), fillStamp_.begin(), fillStamp_.end());
-        out.insert(out.end(), lastTouch_.begin(), lastTouch_.end());
-        packFlags(inA1_, out);
-        for (const auto &ghosts : a1out_) {
-            out.push_back(ghosts.size());
-            out.insert(out.end(), ghosts.begin(), ghosts.end());
-        }
-        return out;
-    }
-
-    void
-    importWords(std::span<const std::uint64_t> words) override
-    {
-        const std::size_t n = fillStamp_.size();
-        const std::size_t fixed = 1 + 2 * n + (n + 63) / 64;
-        if (words.size() < fixed)
-            fatal("policy state import: 2q snapshot truncated");
-        clock_ = words[0];
-        std::copy_n(words.begin() + 1, n, fillStamp_.begin());
-        std::copy_n(words.begin() + 1 + n, n, lastTouch_.begin());
-        unpackFlags(words.subspan(1 + 2 * n), inA1_);
-        std::size_t at = fixed;
-        for (auto &ghosts : a1out_) {
-            if (at >= words.size())
-                fatal("policy state import: 2q ghost lists truncated");
-            const std::uint64_t count = words[at++];
-            if (count > kout_ || at + count > words.size())
-                fatal("policy state import: 2q ghost list of ", count,
-                      " entries is malformed");
-            ghosts.assign(words.begin() + at, words.begin() + at + count);
-            at += count;
-        }
-        if (at != words.size())
-            fatal("policy state import: 2q snapshot has ",
-                  words.size() - at, " trailing words");
     }
 
   private:
@@ -1174,54 +1031,6 @@ class ArcPolicy final : public ScanPolicy
     {
         inT1_[way] = 0; // any re-reference moves the line to T2
         lastTouch_[way] = ++clock_;
-    }
-
-    std::vector<std::uint64_t>
-    exportWords() const override
-    {
-        std::vector<std::uint64_t> out{clock_};
-        for (double target : target_)
-            out.push_back(std::bit_cast<std::uint64_t>(target));
-        out.insert(out.end(), lastTouch_.begin(), lastTouch_.end());
-        packFlags(inT1_, out);
-        for (const auto *lists : {&b1_, &b2_})
-            for (const auto &ghosts : *lists) {
-                out.push_back(ghosts.size());
-                out.insert(out.end(), ghosts.begin(), ghosts.end());
-            }
-        return out;
-    }
-
-    void
-    importWords(std::span<const std::uint64_t> words) override
-    {
-        const std::size_t n = lastTouch_.size();
-        const std::size_t fixed = 1 + sets_ + n + (n + 63) / 64;
-        if (words.size() < fixed)
-            fatal("policy state import: arc snapshot truncated");
-        clock_ = words[0];
-        for (std::uint64_t s = 0; s < sets_; ++s)
-            target_[s] = std::bit_cast<double>(words[1 + s]);
-        std::copy_n(words.begin() + 1 + sets_, n, lastTouch_.begin());
-        unpackFlags(words.subspan(1 + sets_ + n), inT1_);
-        std::size_t at = fixed;
-        for (auto *lists : {&b1_, &b2_})
-            for (auto &ghosts : *lists) {
-                if (at >= words.size())
-                    fatal("policy state import: arc ghosts truncated");
-                const std::uint64_t count = words[at++];
-                if (count > 2 * std::uint64_t{assoc_} ||
-                    at + count > words.size())
-                    fatal("policy state import: arc ghost list of ",
-                          count, " entries is malformed");
-                ghosts.assign(words.begin() + at,
-                              words.begin() + at + count);
-                at += count;
-            }
-        if (at != words.size())
-            fatal("policy state import: arc snapshot has ",
-                  words.size() - at, " trailing words");
-        pending_ = Pending{};
     }
 
   private:
@@ -1379,21 +1188,6 @@ class TinyLfuAdmission final : public AdmissionPolicy
         return out;
     }
 
-    void
-    importWords(std::span<const std::uint64_t> words) override
-    {
-        if (words.size() != 3 + counters_.size() / 8)
-            fatal("policy state import: tinylfu expects ",
-                  3 + counters_.size() / 8, " state words, snapshot has ",
-                  words.size());
-        samples_ = words[0];
-        admitted_ = words[1];
-        rejected_ = words[2];
-        for (std::size_t i = 0; i < counters_.size(); ++i)
-            counters_[i] = static_cast<std::uint8_t>(
-                words[3 + i / 8] >> (8 * (i % 8)));
-    }
-
     /** Sketch popularity estimate (min over rows); test hook. */
     std::uint32_t
     estimate(Addr line_addr) const
@@ -1418,8 +1212,8 @@ class TinyLfuAdmission final : public AdmissionPolicy
      * estimate() of the line admit() is asked about.  The cache calls
      * onAccess() for a missing line just before it asks, so the slots
      * kept there are usually this line's.  A slot depends only on the
-     * line and the width, so the kept slots stay right through aging,
-     * reset() and importWords().
+     * line and the width, so the kept slots stay right through aging
+     * and reset().
      */
     std::uint32_t
     incomingEstimate(Addr line_addr) const

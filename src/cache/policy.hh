@@ -11,8 +11,7 @@
  *    `name:key=value,key=value` syntax every consumer uses (the
  *    `--replacement` flag, serve-spec JSON, manifests, CSV labels).
  *  - ReplacementPolicy — the per-set *behaviour*: victim choice plus
- *    onFill/onHit/onEvict bookkeeping, with exportable state so
- *    Cache::exportState()/importState() stay exact for every policy.
+ *    onFill/onHit/onEvict bookkeeping.
  *  - AdmissionPolicy — an optional filter consulted before a missing
  *    line is installed (the TinyLFU-style frequency sketch lives
  *    here).  The "millions of users" KV/CDN regime is
@@ -25,8 +24,8 @@
  * statistics, same probe event streams, same exported state.  The
  * modern zoo (slru, lfu, lfuda, 2q, arc) keeps per-way metadata and
  * per-set ghost lists instead and selects victims with an O(assoc)
- * scan — fine for a simulator, trivial to serialize, and easy to
- * validate against independent reference models (tests/policy_test).
+ * scan — fine for a simulator and easy to validate against
+ * independent reference models (tests/policy_test).
  */
 
 #ifndef CACHELAB_CACHE_POLICY_HH
@@ -159,13 +158,12 @@ class PolicyHost
  * source of randomness.
  *
  * State model: exportRecency() must emit, per set, a permutation of
- * the set's ways (MRU-ish first — whatever order the policy wants
- * back), and exportWords() any additional state as uint64 words.
- * Together with the cache's own state these make
- * Cache::importState() exact for every policy.  Policies whose whole
- * state is the recency permutation leave exportWords() empty, so a
- * state built from a permutation alone (the live-point restore)
- * restores them.
+ * the set's ways (MRU first for the recency-list trio).  For lru, fifo
+ * and random that permutation is the policy's whole state, and
+ * importRecency() restores it exactly; the live-point restore builds
+ * LRU states from a permutation alone.  The scan policies' state is
+ * more than a permutation: they export the identity (so a cache's
+ * state still lists its lines) and panic() on importRecency().
  */
 class ReplacementPolicy
 {
@@ -216,14 +214,11 @@ class ReplacementPolicy
      */
     virtual void exportRecency(std::vector<std::uint32_t> &out) const = 0;
 
-    /** Restore from an exportRecency() image (sets * assoc entries). */
+    /**
+     * Restore from an exportRecency() image (sets * assoc entries);
+     * panic() when the policy's state is more than the permutation.
+     */
     virtual void importRecency(std::span<const std::uint32_t> recency) = 0;
-
-    /** State beyond the recency permutation; empty when there is none. */
-    virtual std::vector<std::uint64_t> exportWords() const { return {}; }
-
-    /** Restore exportWords() output; fatal() on malformed input. */
-    virtual void importWords(std::span<const std::uint64_t> words);
 };
 
 /**
@@ -253,8 +248,12 @@ class AdmissionPolicy
     /** Forget everything (purge). */
     virtual void reset() = 0;
 
+    /**
+     * The filter's whole state as words: the hook through which tests
+     * compare it, counter for counter, to an offline model.  Nothing
+     * restores it; a cache with a filter is warmed functionally.
+     */
     virtual std::vector<std::uint64_t> exportWords() const = 0;
-    virtual void importWords(std::span<const std::uint64_t> words) = 0;
 
     std::uint64_t admitted() const { return admitted_; }
     std::uint64_t rejected() const { return rejected_; }

@@ -110,15 +110,6 @@ StackAnalyzer::missCountFor(std::uint64_t size_bytes) const
 }
 
 double
-StackAnalyzer::missRatioFor(std::uint64_t size_bytes) const
-{
-    return lineTouches_
-        ? static_cast<double>(missCountFor(size_bytes)) /
-            static_cast<double>(lineTouches_)
-        : 0.0;
-}
-
-double
 StackAnalyzer::refMissRatioFor(std::uint64_t size_bytes) const
 {
     if (refs_ == 0)

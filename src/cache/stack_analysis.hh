@@ -89,9 +89,6 @@ class StackAnalyzer
      */
     std::uint64_t missCountFor(std::uint64_t size_bytes) const;
 
-    /** Line-touch miss ratio at @p size_bytes. */
-    double missRatioFor(std::uint64_t size_bytes) const;
-
     /**
      * Per-reference miss ratio at @p size_bytes (a reference misses
      * when any line it touches does).  Exact because the analyzer

@@ -157,7 +157,6 @@ class LivePointGroup
     std::uint32_t lineBytes() const { return lineBytes_; }
     std::uint64_t setCount() const { return setCount_; }
     std::uint32_t maxAssoc() const { return maxAssoc_; }
-    std::size_t intervalCount() const { return images_.size(); }
 
     /** @return the image for plan interval @p interval_idx. */
     const LivePointImage &image(std::size_t interval_idx) const;

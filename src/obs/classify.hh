@@ -125,9 +125,6 @@ class MissClassifier : public CacheProbe
     /** References observed (largest event refIndex seen). */
     std::uint64_t refsObserved() const { return maxRef_; }
 
-    /** Shadow-resident line count (diagnostics/tests). */
-    std::uint64_t shadowSize() const { return shadow_.size(); }
-
     /** Distinct lines ever filled (diagnostics/tests). */
     std::uint64_t distinctLines() const { return seen_.size(); }
 

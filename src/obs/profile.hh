@@ -82,8 +82,6 @@ struct PhaseProfile
     std::uint64_t maxThreadNs = 0; ///< busiest thread's total (wall bound)
     unsigned threads = 0;          ///< distinct recording threads
     PerfTotals perf;               ///< counter deltas (empty unless --perf)
-
-    double totalSeconds() const { return totalNs * 1e-9; }
 };
 
 /** @return per-phase rows, busiest (largest totalNs) first. */

@@ -316,40 +316,6 @@ parseSizes(const JsonValue &doc, std::vector<std::uint64_t> &out)
 
 } // namespace
 
-std::optional<std::string>
-checkCacheConfig(const CacheConfig &config)
-{
-    // The same rules as CacheConfig::validate(), without the fatal():
-    // the server rejects the spec and lives on.
-    if (!isPowerOfTwo(config.sizeBytes))
-        return "cache size " + std::to_string(config.sizeBytes) +
-               " is not a power of two";
-    if (!isPowerOfTwo(config.lineBytes))
-        return "line size " + std::to_string(config.lineBytes) +
-               " is not a power of two";
-    if (config.lineBytes > config.sizeBytes)
-        return "line size " + std::to_string(config.lineBytes) +
-               " exceeds cache size " + std::to_string(config.sizeBytes);
-    const std::uint64_t lines = config.sizeBytes / config.lineBytes;
-    if (lines > CacheConfig::kMaxLines)
-        return "line count " + std::to_string(lines) +
-               " exceeds the limit of " +
-               std::to_string(CacheConfig::kMaxLines) + " lines";
-    const std::uint64_t assoc =
-        config.associativity == 0 ? lines : config.associativity;
-    if (!isPowerOfTwo(assoc))
-        return "associativity " + std::to_string(assoc) +
-               " is not a power of two";
-    if (assoc > lines)
-        return "associativity " + std::to_string(assoc) +
-               " exceeds line count " + std::to_string(lines);
-    if (auto err = checkReplacementPolicy(config.replacement))
-        return err;
-    if (auto err = checkAdmissionPolicy(config.admission))
-        return err;
-    return std::nullopt;
-}
-
 std::string
 InputSpec::displayName() const
 {
@@ -487,7 +453,7 @@ parseExperimentSpec(const JsonValue &doc, ExperimentSpec &out)
     for (std::uint64_t size : out.sizes) {
         CacheConfig point = out.base;
         point.sizeBytes = size;
-        if (auto err = checkCacheConfig(point))
+        if (auto err = point.check())
             return err;
     }
 

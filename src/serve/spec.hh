@@ -136,12 +136,6 @@ std::optional<std::string> parseExperimentSpec(const JsonValue &doc,
 std::optional<std::string> parseExperimentSpec(std::string_view text,
                                                ExperimentSpec &out);
 
-/**
- * Non-fatal twin of CacheConfig::validate() (same rules): @return a
- * diagnostic, or std::nullopt when the config is valid.
- */
-std::optional<std::string> checkCacheConfig(const CacheConfig &config);
-
 } // namespace cachelab::serve
 
 #endif // CACHELAB_SERVE_SPEC_HH

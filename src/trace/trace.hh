@@ -41,7 +41,6 @@ class Trace : public TraceSource
     {}
 
     const std::string &name() const override { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     /** Append one reference. */
     void append(const MemoryRef &ref) { refs_.push_back(ref); }

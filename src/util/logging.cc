@@ -154,6 +154,19 @@ emitLine(const std::string &line)
     std::cerr << line << '\n';
 }
 
+void
+exitFatal(const std::string &line)
+{
+    // Locked for good: the first caller ends the process while holding
+    // it, and every later caller waits here until the process is gone.
+    static std::mutex mutex;
+    mutex.lock();
+    emitLine(line);
+    std::cout.flush();
+    std::fflush(nullptr);
+    std::_Exit(1);
+}
+
 std::string
 formatStructuredLine(LogLevel severity, std::string_view component,
                      std::string_view message,

@@ -64,6 +64,9 @@ renderMessage(std::string_view tag, const Args &...args)
  */
 void emitLine(const std::string &line);
 
+/** fatal()'s ending: emit @p line once and exit 1 (see fatal()). */
+[[noreturn]] void exitFatal(const std::string &line);
+
 } // namespace detail
 
 /** Controls whether inform()/warn() output is emitted (tests silence it). */
@@ -118,13 +121,19 @@ warn(const Args &...args)
         detail::emitLine(detail::renderMessage("warn", args...));
 }
 
-/** Terminate because of a user-level configuration error. */
+/**
+ * Terminate because of a user-level configuration error: print one
+ * "fatal:" line, flush std::cout and C stdio, and end the process with
+ * std::_Exit(1).  No static destructor or atexit handler runs, so none
+ * can join or free what other threads still use.  The first caller
+ * ends the process; a concurrent caller (another pool worker) blocks
+ * for good, so several workers that fail at once print one line.
+ */
 template <typename... Args>
 [[noreturn]] void
 fatal(const Args &...args)
 {
-    detail::emitLine(detail::renderMessage("fatal", args...));
-    std::exit(1);
+    detail::exitFatal(detail::renderMessage("fatal", args...));
 }
 
 /** Terminate because an internal invariant does not hold (library bug). */

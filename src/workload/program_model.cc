@@ -225,14 +225,6 @@ ProgramModel::adaptBodyLength()
     meanBodyBytes_ = std::clamp(meanBodyBytes_ * factor, 6.0, 1024.0);
 }
 
-double
-ProgramModel::measuredBranchFraction() const
-{
-    return ifetchRefs_ ? static_cast<double>(branches_) /
-            static_cast<double>(ifetchRefs_)
-                       : 0.0;
-}
-
 void
 ProgramModel::stepInstruction(Trace &out)
 {

@@ -174,13 +174,6 @@ class ProgramModel
      */
     void stepMacro(Trace &out, std::uint64_t size_cap);
 
-    /** Taken-branch fraction of ifetch refs emitted so far (internal
-     *  controller telemetry; tests compare it to the analyzer). */
-    double measuredBranchFraction() const;
-
-    /** Current adapted mean loop-body length (controller telemetry). */
-    double meanBodyBytes() const { return meanBodyBytes_; }
-
   private:
     /** A loop location in the code region. */
     struct LoopSite

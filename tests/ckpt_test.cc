@@ -4,8 +4,9 @@
  *
  *  - in-memory cache state: a cache restored midstream through
  *    exportState()/importState() continues bitwise identically to one
- *    that never stopped, for every replacement/write policy and per
- *    side of a split organization;
+ *    that never stopped, for lru, fifo and random under every write
+ *    policy and per side of a split organization, and an import into a
+ *    scan policy or an admission filter panics;
  *  - live-point restores reproduce the functionally-warmed state of
  *    every associativity a store's groups serve, dirty bits included;
  *  - checkpoint-warming sampled sweeps are bitwise identical to
@@ -13,7 +14,9 @@
  *    purge schedule;
  *  - incompatible stores and impostor traces are rejected loudly, and
  *    so are stores of another version, with images off their plan or
- *    entries off their set, and every ineligible configuration;
+ *    entries off their set, and every ineligible configuration; when
+ *    every pool worker refuses one at once, the process exits 1 with
+ *    one line;
  *  - the trace content hash ignores batch cuts and changes when any
  *    field of one reference changes or two references swap;
  *  - warmToInterval() edge cases around the checkpoint overload.
@@ -164,6 +167,34 @@ TEST(CacheState, ImportRejectsGeometryMismatch)
     EXPECT_DEATH({ large.importState(state); }, "geometry");
 }
 
+TEST(CacheState, ImportRejectsScanPoliciesAndAdmission)
+{
+    // Exact state covers only lru, fifo and random without admission,
+    // whose whole policy state is the recency order.  The live-point
+    // restore checks eligibility first, so no user input gets here.
+    std::vector<CacheConfig> configs;
+    for (const char *name : {"slru", "lfu", "lfuda", "2q", "arc"}) {
+        CacheConfig config = table1Config(1024);
+        config.replacement = policySpec(name);
+        configs.push_back(config);
+    }
+    CacheConfig tinylfu = table1Config(1024);
+    ASSERT_EQ(parseAdmissionPolicy("tinylfu:counters=64", tinylfu.admission),
+              std::nullopt);
+    configs.push_back(tinylfu);
+
+    const Trace trace = testTrace();
+    for (const CacheConfig &config : configs) {
+        Cache warmed(config);
+        applyRange(trace, warmed, 0, 5000);
+        const CacheState state = warmed.exportState();
+        Cache cache(config);
+        EXPECT_DEATH({ cache.importState(state); },
+                     "panic: cache state import: exact state covers")
+            << config.describe();
+    }
+}
+
 TEST(CompositeState, SplitMidstreamRestoreContinuesBitwise)
 {
     const Trace trace = testTrace("VSPICE");
@@ -273,7 +304,7 @@ ineligibleCases(const CacheConfig &base)
         "live points serve only LRU replacement \\(stack inclusion does "
         "not hold for .*\\) — use functional warming";
     std::vector<IneligibleCase> cases;
-    for (const char *name : {"fifo", "random"}) {
+    for (const char *name : {"fifo", "random", "arc"}) {
         CacheConfig config = base;
         config.replacement = policySpec(name);
         cases.push_back({name, config, replacement});
@@ -609,6 +640,63 @@ TEST(LivePointStore, WriterRejectsIneligibleBaseConfig)
             ckpt::writeLivePoints(trace, freshDir("lvpt-bad"), spec);
         }, ineligible.message)
             << ineligible.label;
+    }
+}
+
+/** Matches text that holds @p needle exactly once. */
+class HoldsOnce : public testing::MatcherInterface<const std::string &>
+{
+  public:
+    explicit HoldsOnce(std::string needle) : needle_(std::move(needle)) {}
+
+    bool
+    MatchAndExplain(const std::string &text,
+                    testing::MatchResultListener *listener) const override
+    {
+        std::size_t count = 0;
+        for (std::size_t at = text.find(needle_); at != std::string::npos;
+             at = text.find(needle_, at + 1))
+            ++count;
+        *listener << "which holds it " << count << " times";
+        return count == 1;
+    }
+
+    void
+    DescribeTo(std::ostream *os) const override
+    {
+        *os << "holds \"" << needle_ << "\" exactly once";
+    }
+
+  private:
+    std::string needle_;
+};
+
+TEST(WorkerFatal, IneligibleStoreSweepExitsOnceWithOneLine)
+{
+    // Every pool worker's first restore refuses the arc base at once.
+    // The first fatal() must end the process alone: one line, exit 1,
+    // and no static destructor running under the other workers.
+    Trace trace = testTrace();
+    const std::vector<std::uint64_t> sizes = {256,  512,  1024,
+                                              2048, 4096, 8192};
+    const SampleConfig sample = sampleTenPercent(WarmingPolicy::Checkpoint);
+    ckpt::LivePointWriteSpec spec = unifiedSpec(sizes, sample);
+    spec.jobs = 1; // no pool threads here: each death test forks
+    const std::string dir = freshDir("lvpt-worker-fatal");
+    ckpt::writeLivePoints(trace, dir, spec);
+    const ckpt::LivePointStore store = ckpt::LivePointStore::load(dir);
+
+    CacheConfig base = table1Config(sizes.front());
+    base.replacement = policySpec("arc");
+    RunConfig run;
+    run.jobs = 4;
+    for (int attempt = 0; attempt < 10; ++attempt) {
+        trace.reset();
+        EXPECT_EXIT(
+            sweepUnifiedSampled(trace, sizes, base, sample, run, store),
+            testing::ExitedWithCode(1),
+            testing::MakeMatcher(new HoldsOnce("only LRU")))
+            << "attempt " << attempt;
     }
 }
 

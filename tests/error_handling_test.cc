@@ -88,7 +88,7 @@ TEST(ConfigValidation, RejectsMoreLinesThanWaysCanNumber)
     // The limit itself is legal (validate() allocates nothing).
     c.sizeBytes = CacheConfig::kMaxLines * 64;
     c.validate();
-    EXPECT_FALSE(serve::checkCacheConfig(c).has_value());
+    EXPECT_FALSE(c.check().has_value());
 }
 
 TEST(SectorConfigValidation, RejectsSubblockLargerThanSector)

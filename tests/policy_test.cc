@@ -15,10 +15,9 @@
  *    implementation);
  *  - TinyLFU admission against an offline recomputed count-min
  *    sketch, compared counter-for-counter via exportWords();
- *  - state export: midstream export/import continues bitwise for
- *    every policy and admission pair, the classic trio keeps the legacy
- *    (recency-only) snapshot format, and the zoo policies add policy
- *    words.
+ *  - state export: midstream export/import continues bitwise for the
+ *    classic trio, and a purge returns every zoo policy to its
+ *    just-bound state.
  */
 
 #include <gtest/gtest.h>
@@ -1051,69 +1050,32 @@ statsBitwiseEqual(const CacheStats &a, const CacheStats &b)
 
 TEST(PolicyCheckpoint, MidstreamRestoreContinuesBitwiseForZoo)
 {
+    // Exact state covers the policies whose whole state is the recency
+    // permutation; the scan policies and admission refuse an import
+    // (CacheState.ImportRejectsScanPoliciesAndAdmission).
     const std::vector<Addr> addrs = mixedAddresses(20000, 12);
-    for (const char *policy :
-         {"lru", "fifo", "random", "slru", "slru:probation=0.5", "lfu",
-          "lfuda", "2q", "2q:kin=0.5,kout=1", "arc"}) {
-        for (const char *admission : {"", "tinylfu:counters=64"}) {
-            CacheConfig config = zooConfig(policy);
-            ASSERT_FALSE(
-                parseAdmissionPolicy(admission, config.admission));
-
-            Cache reference(config);
-            for (Addr a : addrs)
-                reference.access({a, 4, AccessKind::Read});
-
-            Cache first(config);
-            for (std::size_t i = 0; i < addrs.size() / 2; ++i)
-                first.access({addrs[i], 4, AccessKind::Read});
-
-            // The recency permutation plus the policy and admission
-            // words must carry every policy's whole state.
-            Cache second(config);
-            second.importState(first.exportState());
-            for (std::size_t i = addrs.size() / 2; i < addrs.size();
-                 ++i)
-                second.access({addrs[i], 4, AccessKind::Read});
-
-            EXPECT_TRUE(statsBitwiseEqual(second.stats(),
-                                          reference.stats()))
-                << policy << " + \"" << admission << '"';
-            const CacheState want = reference.exportState();
-            const CacheState got = second.exportState();
-            EXPECT_EQ(got.lines, want.lines) << policy;
-            EXPECT_EQ(got.recency, want.recency) << policy;
-            EXPECT_EQ(got.policyWords, want.policyWords) << policy;
-            EXPECT_EQ(got.admissionWords, want.admissionWords)
-                << policy;
-        }
-    }
-}
-
-// The legacy snapshot format is the recency permutation alone; the
-// extended one adds policy words. The live-point restore relies on the
-// former: it builds LRU states with no policy words.
-TEST(PolicyCheckpoint, ClassicTrioKeepsLegacySnapshotFormat)
-{
-    const std::vector<Addr> addrs = mixedAddresses(5000, 13);
     for (const char *policy : {"lru", "fifo", "random"}) {
-        Cache cache(zooConfig(policy));
-        for (Addr a : addrs)
-            cache.access({a, 4, AccessKind::Read});
-        const CacheState state = cache.exportState();
-        EXPECT_TRUE(state.policyWords.empty()) << policy;
-        EXPECT_TRUE(state.admissionWords.empty()) << policy;
-    }
-}
+        const CacheConfig config = zooConfig(policy);
 
-TEST(PolicyCheckpoint, ZooPoliciesUseExtendedSnapshotFormat)
-{
-    const std::vector<Addr> addrs = mixedAddresses(5000, 14);
-    for (const char *policy : {"slru", "lfu", "lfuda", "2q", "arc"}) {
-        Cache cache(zooConfig(policy));
+        Cache reference(config);
         for (Addr a : addrs)
-            cache.access({a, 4, AccessKind::Read});
-        EXPECT_FALSE(cache.exportState().policyWords.empty()) << policy;
+            reference.access({a, 4, AccessKind::Read});
+
+        Cache first(config);
+        for (std::size_t i = 0; i < addrs.size() / 2; ++i)
+            first.access({addrs[i], 4, AccessKind::Read});
+
+        Cache second(config);
+        second.importState(first.exportState());
+        for (std::size_t i = addrs.size() / 2; i < addrs.size(); ++i)
+            second.access({addrs[i], 4, AccessKind::Read});
+
+        EXPECT_TRUE(statsBitwiseEqual(second.stats(), reference.stats()))
+            << policy;
+        const CacheState want = reference.exportState();
+        const CacheState got = second.exportState();
+        EXPECT_EQ(got.lines, want.lines) << policy;
+        EXPECT_EQ(got.recency, want.recency) << policy;
     }
 }
 

@@ -255,6 +255,39 @@ with open(sys.argv[1] + "/unified-l16-s4.lvpt", "r+b") as f:
     f.write(struct.pack("=Q", addr + 16))
 EOF
 
+# Pool workers that fatal() at once: every sweep point's first restore
+# (or warm-up check) fails on its own worker.  Each run must exit 1 with
+# exactly one "fatal:" line; the first fatal() ends the process before
+# the others print or a static destructor joins the pool under them.
+# Each case runs ten times on a local pool (--jobs 4) and ten times on
+# the shared pool (--jobs 0 at CACHELAB_JOBS=4), the static one whose
+# destructor joins its workers.  The trailing --jobs overrides
+# ckpt_flags' --jobs 1, under which one worker fails alone.
+concurrent_fatal() {
+    local name="$1"
+    shift
+    local log="build-ci/smoke-fatal-${name}.log"
+    local jobs run status lines
+    for jobs in 4 0; do
+        for run in $(seq 10); do
+            status=0
+            CACHELAB_JOBS=4 ${sim} "$@" --jobs "${jobs}" \
+                > /dev/null 2> "${log}" || status=$?
+            lines=$(grep -c "fatal:" "${log}" || true)
+            if [ "${status}" -ne 1 ] || [ "${lines}" -ne 1 ]; then
+                echo "    ERROR: ${name} --jobs ${jobs} run ${run} exited" \
+                    "${status} with ${lines} fatal lines, expected 1 and 1"
+                exit 1
+            fi
+        done
+    done
+    echo "    ${name}: 20 runs, exit 1 and one line each"
+}
+concurrent_fatal ckpt-arc "${ckpt_flags[@]}" --assoc 4 --replacement arc \
+    --ckpt build-ci/smoke-ckpt-4way-store
+concurrent_fatal warmup --profile ZGREP --refs 1000 --sweep 256:8192 \
+    --warmup 5000 --engine per-size
+
 echo "==> policy zoo + timing smoke (sweep per policy, AMAT manifest)"
 # Classic-trio parity: --replacement lru must be byte-identical to the
 # flag-free legacy invocation (same table, same manifest-free stdout),
