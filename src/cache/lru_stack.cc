@@ -24,37 +24,22 @@ static_assert(LruStack::kTreeRowLines <= LruStack::kMaxRowBound);
 /** Stamp space of an unbounded stack before its first doubling. */
 constexpr std::uint64_t kInitialUnboundedSpace = 1024;
 
-/** The dirty rule for a re-touch of resident @p line at @p depth. */
-void
-retouch(LruLine &line, bool is_write, std::uint64_t depth)
-{
-    if (is_write) {
-        line.written = true;
-        line.maxDepth = 0;
-    } else {
-        line.maxDepth =
-            std::max(line.maxDepth, static_cast<std::uint32_t>(depth));
-    }
-}
-
 /**
- * Apply the dirty rule to @p line, resident at @p depth (0: absent),
- * slide @p row's lines above @p slot down one, onto it, and put the
- * line on top.  @return @p depth.
+ * Slide @p row's lines above @p slot down one, onto it, and write the
+ * line (@p line_addr, @p max_depth, @p written) on top field by field.
+ * A whole LruLine taken from registers goes through stack memory (13
+ * bytes as two overlapping 8-byte stores and a load across both),
+ * which stalls store forwarding on every touch.
  */
-std::uint64_t
-promote(LruLine *row, std::uint64_t slot, LruLine line, std::uint64_t depth,
-        bool is_write, LruLine *before)
+void
+promote(LruLine *row, std::uint64_t slot, Addr line_addr,
+        std::uint32_t max_depth, bool written)
 {
-    if (depth != 0) {
-        if (before != nullptr)
-            *before = line;
-        retouch(line, is_write, depth);
-    }
     for (; slot > 0; --slot)
         row[slot] = row[slot - 1];
-    row[0] = line;
-    return depth;
+    row[0].lineAddr = line_addr;
+    row[0].maxDepth = max_depth;
+    row[0].written = written;
 }
 
 } // namespace
@@ -104,12 +89,18 @@ LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
 {
     LruLine *row = &rows_[set * rowSlots_];
     std::uint64_t slot = rowSlot(set, line_addr);
-    std::uint64_t depth = 0;
-    LruLine line{line_addr, 0, is_write};
     if (slot < fill_[set]) {
-        depth = slot + 1;
-        line = row[slot];
-    } else if (fill_[set] < rowSlots_) {
+        // A row hit: the dirty rule in place, then (below the MRU
+        // slot) the shift.
+        LruLine &line = row[slot];
+        if (before != nullptr)
+            *before = line;
+        retouch(line, is_write, slot + 1);
+        if (slot != 0)
+            promote(row, slot, line_addr, line.maxDepth, line.written);
+        return slot + 1;
+    }
+    if (fill_[set] < rowSlots_) {
         ++fill_[set];
         ++rowLines_;
     } else if (tree_) {
@@ -119,7 +110,8 @@ LruStack::touch(std::uint64_t set, Addr line_addr, bool is_write,
     } else {
         --slot; // a full row-only set drops its LRU line
     }
-    return promote(row, slot, line, depth, is_write, before);
+    promote(row, slot, line_addr, 0, is_write);
+    return 0;
 }
 
 std::uint64_t
@@ -136,6 +128,9 @@ LruStack::spill(std::uint64_t set, Addr line_addr, bool is_write,
         // Live stamps at or above the line's own, the line included.
         depth = rowSlots_ + live_[set] - prefix(set, stamp) + 1;
         release(set, stamp);
+        if (before != nullptr)
+            *before = line;
+        retouch(line, is_write, depth);
     } else if (rowSlots_ + live_[set] == bound_) {
         const std::uint64_t victim = lowestLive(set);
         index_.take(lines_[set * space_ + victim - 1].lineAddr);
@@ -145,7 +140,8 @@ LruStack::spill(std::uint64_t set, Addr line_addr, bool is_write,
     // not hold the line twice.
     const std::uint64_t spill_stamp = place(set, spilled);
     index_.insert(spilled.lineAddr, static_cast<std::uint32_t>(spill_stamp));
-    return promote(row, rowSlots_ - 1, line, depth, is_write, before);
+    promote(row, rowSlots_ - 1, line_addr, line.maxDepth, line.written);
+    return depth;
 }
 
 void

@@ -121,6 +121,18 @@ class LruStack
     std::uint64_t touch(std::uint64_t set, Addr line_addr, bool is_write,
                         LruLine *before = nullptr);
 
+    /**
+     * touch() of @p set's MRU line, which it returns at depth 1: apply
+     * the dirty rule at depth 1 in place, with no scan and no shift.
+     * Precondition: the touched line is @p set's MRU line (the caller
+     * knows it, say from a coarser set that holds it at depth 1).
+     */
+    void
+    retouchMru(std::uint64_t set, bool is_write)
+    {
+        retouch(rows_[set * rowSlots_], is_write, 1);
+    }
+
     /** @return true when @p line_addr is resident in @p set. */
     bool contains(std::uint64_t set, Addr line_addr) const;
 
@@ -169,6 +181,19 @@ class LruStack
      * and so every depth, below it.
      */
     static constexpr std::uint32_t kReleased = ~std::uint32_t{0};
+
+    /** The dirty rule for a re-touch of resident @p line at @p depth. */
+    static void
+    retouch(LruLine &line, bool is_write, std::uint64_t depth)
+    {
+        if (is_write) {
+            line.written = true;
+            line.maxDepth = 0;
+        } else {
+            line.maxDepth =
+                std::max(line.maxDepth, static_cast<std::uint32_t>(depth));
+        }
+    }
 
     /** @return @p line_addr's slot in @p set's row, or the row's fill. */
     std::uint64_t rowSlot(std::uint64_t set, Addr line_addr) const;

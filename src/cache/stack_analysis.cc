@@ -33,7 +33,6 @@ StackAnalyzer::recordDirtyPushes(std::uint64_t first, std::uint64_t last)
 std::uint64_t
 StackAnalyzer::touchLine(Addr line_addr, bool is_write)
 {
-    ++lineTouches_;
     LruLine before;
     const std::uint64_t depth = stack_.touch(0, line_addr, is_write, &before);
     if (depth == 0) {

@@ -118,7 +118,6 @@ class StackAnalyzer
 
     std::uint32_t lineBytes_;
     std::uint64_t refs_ = 0;
-    std::uint64_t lineTouches_ = 0;
     std::uint64_t cold_ = 0;
 
     /** distances_[d-1] = touches at stack distance d. */

@@ -2,11 +2,12 @@
  * @file
  * Implementation of the live-point checkpoint store.
  *
- * The producer-side workhorse is InclusionTracker: the shared LRU
- * stack core (cache/lru_stack.hh) with one set per cache set, bounded
- * at depth maxAssoc.  The core also keeps, per resident line, the two
- * fields its dirty rule needs, so one pass yields the warmed state of
- * every associativity at once.
+ * The producer is one ChannelWriter per channel: per group, the shared
+ * LRU stack core (cache/lru_stack.hh) with one set per cache set,
+ * bounded at depth maxAssoc.  The core also keeps, per resident line,
+ * the two fields its dirty rule needs, so one pass yields the warmed
+ * state of every associativity at once, and set refinement lets the
+ * pass stop scanning a line's finer groups once it is MRU in one.
  */
 
 #include "ckpt/live_points.hh"
@@ -77,36 +78,58 @@ parseHexU64(const std::string &s, const char *what)
 
 // ---- binary group-file primitives (host byte order; local artifact) ----
 
-void
-writeBytes(std::ostream &os, const void *data, std::size_t n)
-{
-    os.write(static_cast<const char *>(data),
-             static_cast<std::streamsize>(n));
-}
+// An image is begin, sincePurge and its entry count, then per set a
+// run length and the run's entries (line address, maxDepth, written).
+constexpr std::uint64_t kImageHeadBytes = 24;
+constexpr std::uint64_t kRunBytes = 4;
+constexpr std::uint64_t kEntryBytes = 13;
 
-void
-readBytes(std::istream &is, void *data, std::size_t n)
-{
-    is.read(static_cast<char *>(data), static_cast<std::streamsize>(n));
-    if (!is)
-        fatal("live points: truncated group file");
-}
-
+/** Copy @p v's bytes to @p out. @return the byte after them. */
 template <typename T>
-void
-writePod(std::ostream &os, const T &v)
+char *
+putPod(char *out, const T &v)
 {
-    writeBytes(os, &v, sizeof(T));
+    std::memcpy(out, &v, sizeof(T));
+    return out + sizeof(T);
 }
 
-template <typename T>
-T
-readPod(std::istream &is)
+/**
+ * A bounded cursor over a group file read whole: every read checks the
+ * bytes left first, so a short file is a diagnostic, not an overrun.
+ */
+class ByteReader
 {
-    T v;
-    readBytes(is, &v, sizeof(T));
-    return v;
-}
+  public:
+    ByteReader(const char *begin, const char *end) : at_(begin), end_(end) {}
+
+    void
+    read(void *data, std::size_t n)
+    {
+        if (static_cast<std::size_t>(end_ - at_) < n)
+            fatal("live points: truncated group file");
+        std::memcpy(data, at_, n);
+        at_ += n;
+    }
+
+    template <typename T>
+    T
+    pod()
+    {
+        T v;
+        read(&v, sizeof(T));
+        return v;
+    }
+
+    std::uint64_t
+    left() const
+    {
+        return static_cast<std::uint64_t>(end_ - at_);
+    }
+
+  private:
+    const char *at_;
+    const char *end_;
+};
 
 /**
  * Chain one reference into a content hash.  The address goes through
@@ -126,66 +149,6 @@ hashRef(std::uint64_t hash, const MemoryRef &ref)
     return hash ^ (hash >> 29);
 }
 
-/** One group's recency stacks, fed every line a reference spans. */
-class InclusionTracker
-{
-  public:
-    InclusionTracker(std::uint32_t line_bytes, std::uint64_t set_count,
-                     std::uint32_t max_assoc)
-        : lineBytes_(line_bytes), lineShift_(floorLog2(line_bytes)),
-          setMask_(set_count - 1), stack_(set_count, max_assoc)
-    {
-        CACHELAB_ASSERT(max_assoc > 0, "tracker needs positive depth");
-        CACHELAB_ASSERT(isPowerOfTwo(line_bytes) && isPowerOfTwo(set_count),
-                        "tracker geometry must be powers of two");
-    }
-
-    /** Apply one reference (every spanned line, like Cache::access). */
-    void
-    access(const MemoryRef &ref)
-    {
-        CACHELAB_ASSERT(ref.size > 0, "zero-sized reference");
-        const Addr first = alignDown(ref.addr, lineBytes_);
-        const Addr last = alignDown(ref.addr + ref.size - 1, lineBytes_);
-        const bool is_write = ref.kind == AccessKind::Write;
-        for (Addr line = first;; line += lineBytes_) {
-            // The cache's set index, (line / lineBytes) % sets, without
-            // the two divisions: the writer runs it once per group.
-            stack_.touch((line >> lineShift_) & setMask_, line, is_write);
-            if (line == last)
-                break;
-        }
-    }
-
-    /** Forget everything (the task-switch purge). */
-    void purge() { stack_.clear(); }
-
-    /** Snapshot the current stacks as a live-point image. */
-    LivePointImage
-    capture(std::uint64_t begin, std::uint64_t since_purge) const
-    {
-        LivePointImage image;
-        image.begin = begin;
-        image.sincePurge = since_purge;
-        image.setOffsets.reserve(stack_.setCount() + 1);
-        image.setOffsets.push_back(0);
-        image.entries.reserve(stack_.size());
-        for (std::uint64_t s = 0; s < stack_.setCount(); ++s) {
-            stack_.forEachMru(s, [&](const LruLine &line) {
-                image.entries.push_back(line);
-            });
-            image.setOffsets.push_back(image.entries.size());
-        }
-        return image;
-    }
-
-  private:
-    std::uint32_t lineBytes_;
-    unsigned lineShift_;
-    std::uint64_t setMask_;
-    LruStack stack_;
-};
-
 /** Geometry of one group file. */
 struct GroupGeometry
 {
@@ -203,29 +166,6 @@ groupFileName(const GroupGeometry &g)
     return os.str();
 }
 
-void
-writeImage(std::ostream &os, const LivePointImage &image,
-           std::uint64_t set_count)
-{
-    CACHELAB_ASSERT(image.setOffsets.size() == set_count + 1,
-                    "live points: image covers ",
-                    image.setOffsets.size() - 1, " of ", set_count, " sets");
-    writePod<std::uint64_t>(os, image.begin);
-    writePod<std::uint64_t>(os, image.sincePurge);
-    writePod<std::uint64_t>(os, image.entries.size());
-    for (std::uint64_t s = 0; s < set_count; ++s) {
-        const std::uint64_t lo = image.setOffsets[s];
-        const std::uint64_t hi = image.setOffsets[s + 1];
-        writePod<std::uint32_t>(os, static_cast<std::uint32_t>(hi - lo));
-        for (std::uint64_t i = lo; i < hi; ++i) {
-            const LivePointEntry &e = image.entries[i];
-            writePod<Addr>(os, e.lineAddr);
-            writePod<std::uint32_t>(os, e.maxDepth);
-            writePod<std::uint8_t>(os, e.written ? 1 : 0);
-        }
-    }
-}
-
 /**
  * Read one image of a group whose line size and set count are powers
  * of two.  Besides the counts, each entry is checked for what
@@ -233,13 +173,13 @@ writeImage(std::ostream &os, const LivePointImage &image,
  * it maps to the set whose run holds it, and no set holds it twice.
  */
 LivePointImage
-readImage(std::istream &is, std::uint32_t line_bytes, std::uint64_t set_count,
+readImage(ByteReader &in, std::uint32_t line_bytes, std::uint64_t set_count,
           std::uint32_t max_assoc)
 {
     LivePointImage image;
-    image.begin = readPod<std::uint64_t>(is);
-    image.sincePurge = readPod<std::uint64_t>(is);
-    const auto entry_count = readPod<std::uint64_t>(is);
+    image.begin = in.pod<std::uint64_t>();
+    image.sincePurge = in.pod<std::uint64_t>();
+    const auto entry_count = in.pod<std::uint64_t>();
     // set_count x max_assoc, saturated so that no count can wrap it.
     constexpr std::uint64_t kMost = ~std::uint64_t{0};
     const std::uint64_t capacity =
@@ -256,16 +196,16 @@ readImage(std::istream &is, std::uint32_t line_bytes, std::uint64_t set_count,
     const unsigned line_shift = floorLog2(line_bytes);
     std::vector<Addr> sorted; // one run's addresses, for the twice check
     for (std::uint64_t s = 0; s < set_count; ++s) {
-        const auto run = readPod<std::uint32_t>(is);
+        const auto run = in.pod<std::uint32_t>();
         if (run > max_assoc)
             fatal("live points: set ", s, " holds ", run,
                   " lines, above the group bound ", max_assoc);
         sorted.clear();
         for (std::uint32_t i = 0; i < run; ++i) {
             LivePointEntry e;
-            e.lineAddr = readPod<Addr>(is);
-            e.maxDepth = readPod<std::uint32_t>(is);
-            e.written = readPod<std::uint8_t>(is) != 0;
+            e.lineAddr = in.pod<Addr>();
+            e.maxDepth = in.pod<std::uint32_t>();
+            e.written = in.pod<std::uint8_t>() != 0;
             if ((e.lineAddr & (line_bytes - 1)) != 0)
                 fatal("live points: set ", s, " holds address ", e.lineAddr,
                       ", not aligned to its ", line_bytes, "-byte lines");
@@ -289,83 +229,71 @@ readImage(std::istream &is, std::uint32_t line_bytes, std::uint64_t set_count,
     return image;
 }
 
-/**
- * One group's producer: an InclusionTracker fed the channel's
- * reference stream, capturing an image into the group file at every
- * planned interval start.
- */
-class GroupWriter
+/** One group's file: its header, then an image per planned interval. */
+class GroupFile
 {
   public:
-    GroupWriter(const std::string &dir, GroupGeometry geometry,
-                const std::vector<SampleInterval> *plan,
-                std::uint64_t purge_interval, std::uint64_t key_hash)
-        : geometry_(std::move(geometry)), plan_(plan),
-          purgeInterval_(purge_interval), fileName_(groupFileName(geometry_)),
+    GroupFile(const std::string &dir, GroupGeometry geometry,
+              std::uint64_t intervals, std::uint64_t key_hash)
+        : geometry_(std::move(geometry)), fileName_(groupFileName(geometry_)),
           path_(dir + "/" + fileName_),
-          tracker_(geometry_.lineBytes, geometry_.setCount,
-                   geometry_.maxAssoc),
           os_(path_, std::ios::binary | std::ios::trunc)
     {
         if (!os_)
             fatal("live points: cannot open '", path_, "' for writing");
-        writeBytes(os_, kGroupMagic, 4);
-        writePod<std::uint32_t>(os_, kStoreVersion);
-        writePod<std::uint64_t>(os_, key_hash);
-        writePod<std::uint32_t>(os_, geometry_.lineBytes);
-        writePod<std::uint64_t>(os_, geometry_.setCount);
-        writePod<std::uint32_t>(os_, geometry_.maxAssoc);
-        writePod<std::uint64_t>(os_, plan_->size());
+        char header[40];
+        char *out = header;
+        out = putPod(out, kGroupMagic);
+        out = putPod(out, kStoreVersion);
+        out = putPod(out, key_hash);
+        out = putPod(out, geometry_.lineBytes);
+        out = putPod(out, geometry_.setCount);
+        out = putPod(out, geometry_.maxAssoc);
+        out = putPod(out, intervals);
+        CACHELAB_ASSERT(out == std::end(header), "live points: header is ",
+                        out - header, " bytes");
+        os_.write(header, sizeof(header));
     }
 
     const GroupGeometry &geometry() const { return geometry_; }
     const std::string &fileName() const { return fileName_; }
     std::uint64_t bytesWritten() const { return bytesWritten_; }
-    std::uint64_t intervalsWritten() const { return planIdx_; }
 
+    /**
+     * Append @p stack's lines, MRU first per set, as the image at
+     * channel position @p begin with purge carry @p since_purge.
+     */
     void
-    feed(std::span<const MemoryRef> refs)
+    writeImage(const LruStack &stack, std::uint64_t begin,
+               std::uint64_t since_purge)
     {
-        for (const MemoryRef &ref : refs) {
-            if (planIdx_ < plan_->size() &&
-                pos_ == (*plan_)[planIdx_].begin) {
-                // Capture *before* the purge-due check: the consumer's
-                // engine restores at interval start and its first
-                // measured reference re-runs that check, so a carry of
-                // exactly purgeInterval must survive into the image.
-                writeImage(os_, tracker_.capture(pos_, sincePurge_),
-                           geometry_.setCount);
-                ++planIdx_;
-                if (planIdx_ == plan_->size()) {
-                    // Every image is written; the rest of the stream
-                    // no longer affects this group.
-                    done_ = true;
-                }
-            }
-            if (done_) {
-                ++pos_;
-                continue;
-            }
-            if (purgeInterval_ != 0 && sincePurge_ == purgeInterval_) {
-                tracker_.purge();
-                sincePurge_ = 0;
-            }
-            tracker_.access(ref);
-            ++sincePurge_;
-            ++pos_;
+        const std::uint64_t sets = geometry_.setCount;
+        CACHELAB_ASSERT(stack.setCount() == sets, "live points: image of ",
+                        stack.setCount(), " sets for a ", sets, "-set group");
+        buf_.resize(kImageHeadBytes + kRunBytes * sets +
+                    kEntryBytes * stack.size());
+        char *out = putPod(buf_.data(), begin);
+        out = putPod(out, since_purge);
+        out = putPod<std::uint64_t>(out, stack.size());
+        for (std::uint64_t s = 0; s < sets; ++s) {
+            char *const run = out;
+            out += kRunBytes;
+            stack.forEachMru(s, [&out](const LruLine &line) {
+                out = putPod(out, line.lineAddr);
+                out = putPod(out, line.maxDepth);
+                out = putPod<std::uint8_t>(out, line.written ? 1 : 0);
+            });
+            putPod(run, static_cast<std::uint32_t>(
+                            (out - run - kRunBytes) / kEntryBytes));
         }
+        CACHELAB_ASSERT(out == buf_.data() + buf_.size(),
+                        "live points: image of ", fileName_, " overran");
+        os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     }
 
     void
-    finish(std::uint64_t channel_refs)
+    finish()
     {
-        CACHELAB_ASSERT(pos_ == channel_refs, "live points: group ",
-                        fileName_, " consumed ", pos_, " of ",
-                        channel_refs, " refs");
-        if (planIdx_ != plan_->size())
-            fatal("live points: group ", fileName_, " captured ", planIdx_,
-                  " of ", plan_->size(), " planned intervals — plan "
-                  "extends past the trace");
         bytesWritten_ = static_cast<std::uint64_t>(os_.tellp());
         os_.flush();
         if (!os_)
@@ -375,16 +303,10 @@ class GroupWriter
 
   private:
     GroupGeometry geometry_;
-    const std::vector<SampleInterval> *plan_;
-    std::uint64_t purgeInterval_;
     std::string fileName_;
     std::string path_;
-    InclusionTracker tracker_;
     std::ofstream os_;
-    std::uint64_t pos_ = 0;
-    std::uint64_t sincePurge_ = 0;
-    std::size_t planIdx_ = 0;
-    bool done_ = false;
+    std::vector<char> buf_; ///< one image, serialized
     std::uint64_t bytesWritten_ = 0;
 };
 
@@ -413,6 +335,177 @@ planGroups(const std::string &role, const CacheConfig &base,
     return groups;
 }
 
+/**
+ * One channel's producer: a recency stack per group, bounded at the
+ * group's largest associativity and fed the channel's reference
+ * stream, capturing an image of every group at every planned interval
+ * start.
+ *
+ * A channel's groups share the line size, and their set counts are
+ * powers of two with the set index (line >> shift) & (sets - 1).  So
+ * each set of a finer group sees a subset of the line touches of one
+ * set of any coarser group; every group purges at the same positions,
+ * and a depth bound drops only LRU lines.  A line at the MRU slot of
+ * its coarser set, which holds exactly the last line that set touched,
+ * is therefore at the MRU slot of its finer sets too (set refinement,
+ * Hill & Smith 1989).  A line is touched in the groups from the
+ * fewest sets to the most, and once a group finds it at depth 1,
+ * every finer group only applies the depth-1 dirty rule in place.
+ */
+class ChannelWriter
+{
+  public:
+    ChannelWriter(const std::string &dir, std::string role,
+                  std::uint64_t refs, const LivePointWriteSpec &spec,
+                  std::uint64_t key_hash)
+        : role_(std::move(role)), refs_(refs),
+          plan_(selectIntervals(refs, spec.sample)),
+          purgeInterval_(spec.purgeInterval),
+          lineBytes_(spec.base.lineBytes),
+          lineShift_(floorLog2(spec.base.lineBytes))
+    {
+        CACHELAB_ASSERT(isPowerOfTwo(lineBytes_),
+                        "live points: line size must be a power of two");
+        std::vector<GroupGeometry> geometries =
+            planGroups(role_, spec.base, spec.sizes);
+        groups_.reserve(geometries.size());
+        for (GroupGeometry &geometry : geometries) {
+            CACHELAB_ASSERT(geometry.maxAssoc > 0 &&
+                                isPowerOfTwo(geometry.setCount),
+                            "live points: a group needs positive depth and "
+                            "a power-of-two set count");
+            const std::uint64_t sets = geometry.setCount;
+            const std::uint32_t depth = geometry.maxAssoc;
+            groups_.push_back({GroupFile(dir, std::move(geometry),
+                                         plan_.size(), key_hash),
+                               LruStack(sets, depth), sets - 1});
+        }
+        for (Group &group : groups_)
+            touchOrder_.push_back(&group);
+        std::sort(touchOrder_.begin(), touchOrder_.end(),
+                  [](const Group *a, const Group *b) {
+                      return a->setMask < b->setMask;
+                  });
+        done_ = plan_.empty();
+    }
+
+    const std::string &role() const { return role_; }
+    std::uint64_t refs() const { return refs_; }
+    std::uint64_t intervals() const { return plan_.size(); }
+
+    /** The group files, in planGroups() order. */
+    template <typename Fn>
+    void
+    forEachFile(Fn &&fn) const
+    {
+        for (const Group &group : groups_)
+            fn(group.file);
+    }
+
+    void
+    feed(std::span<const MemoryRef> refs)
+    {
+        if (done_) {
+            // Every image is written; the rest of the stream no longer
+            // affects this channel.
+            pos_ += refs.size();
+            return;
+        }
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            if (pos_ == plan_[planIdx_].begin) {
+                // Capture *before* the purge-due check: the consumer's
+                // engine restores at interval start and its first
+                // measured reference re-runs that check, so a carry of
+                // exactly purgeInterval must survive into the image.
+                for (Group &group : groups_)
+                    group.file.writeImage(group.stack, pos_, sincePurge_);
+                done_ = ++planIdx_ == plan_.size();
+                if (done_) {
+                    pos_ += refs.size() - i;
+                    return;
+                }
+            }
+            if (purgeInterval_ != 0 && sincePurge_ == purgeInterval_) {
+                for (Group &group : groups_)
+                    group.stack.clear();
+                sincePurge_ = 0;
+            }
+            access(refs[i]);
+            ++sincePurge_;
+            ++pos_;
+        }
+    }
+
+    void
+    finish()
+    {
+        CACHELAB_ASSERT(pos_ == refs_, "live points: channel ", role_,
+                        " consumed ", pos_, " of ", refs_, " refs");
+        if (planIdx_ != plan_.size())
+            fatal("live points: group ", groups_.front().file.fileName(),
+                  " captured ", planIdx_, " of ", plan_.size(),
+                  " planned intervals — plan extends past the trace");
+        for (Group &group : groups_)
+            group.file.finish();
+    }
+
+  private:
+    struct Group
+    {
+        GroupFile file;
+        LruStack stack;
+        std::uint64_t setMask;
+    };
+
+    /** Apply one reference: every line it spans, like Cache::access. */
+    void
+    access(const MemoryRef &ref)
+    {
+        CACHELAB_ASSERT(ref.size > 0, "zero-sized reference");
+        const Addr first = alignDown(ref.addr, lineBytes_);
+        const Addr last = alignDown(ref.addr + ref.size - 1, lineBytes_);
+        const bool is_write = ref.kind == AccessKind::Write;
+        for (Addr line = first;; line += lineBytes_) {
+            touch(line, is_write);
+            if (line == last)
+                break;
+        }
+    }
+
+    /** Touch @p line in every group, coarse to fine. */
+    void
+    touch(Addr line, bool is_write)
+    {
+        // The cache's set index, (line / lineBytes) % sets, without the
+        // two divisions.
+        const Addr index = line >> lineShift_;
+        Group *const *group = touchOrder_.data();
+        Group *const *const end = group + touchOrder_.size();
+        for (; group != end; ++group) {
+            if ((*group)->stack.touch(index & (*group)->setMask, line,
+                                      is_write) == 1) {
+                while (++group != end)
+                    (*group)->stack.retouchMru(index & (*group)->setMask,
+                                               is_write);
+                return;
+            }
+        }
+    }
+
+    std::string role_;
+    std::uint64_t refs_;
+    std::vector<SampleInterval> plan_;
+    std::uint64_t purgeInterval_;
+    std::uint32_t lineBytes_;
+    unsigned lineShift_;
+    std::vector<Group> groups_;       ///< planGroups() order
+    std::vector<Group *> touchOrder_; ///< by set count, fewest first
+    std::uint64_t pos_ = 0;
+    std::uint64_t sincePurge_ = 0;
+    std::size_t planIdx_ = 0;
+    bool done_ = false;
+};
+
 std::string
 selectionName(IntervalSelection selection)
 {
@@ -430,7 +523,7 @@ parseSelection(const std::string &name)
 }
 
 /**
- * The purge-schedule carry GroupWriter::feed() reaches at channel
+ * The purge-schedule carry ChannelWriter::feed() reaches at channel
  * position @p begin: the count since the last purge, which runs up to
  * @p purge_interval before the next reference purges.
  */
@@ -624,44 +717,22 @@ writeLivePoints(TraceSource &source, const std::string &dir,
 
     std::filesystem::create_directories(dir);
 
-    struct Channel
-    {
-        std::string role;
-        std::uint64_t refs = 0;
-        std::vector<SampleInterval> plan;
-        std::vector<std::unique_ptr<GroupWriter>> writers;
-    };
-    std::vector<Channel> channels;
+    std::vector<ChannelWriter> channels;
+    channels.reserve(2);
     if (spec.split) {
-        channels.push_back({"icache", ifetch_refs, {}, {}});
-        channels.push_back({"dcache", data_refs, {}, {}});
+        channels.emplace_back(dir, "icache", ifetch_refs, spec, key_hash);
+        channels.emplace_back(dir, "dcache", data_refs, spec, key_hash);
     } else {
-        channels.push_back({"unified", total, {}, {}});
-    }
-    for (Channel &channel : channels) {
-        channel.plan = selectIntervals(channel.refs, spec.sample);
-        for (GroupGeometry &geometry :
-             planGroups(channel.role, spec.base, spec.sizes))
-            channel.writers.push_back(std::make_unique<GroupWriter>(
-                dir, std::move(geometry), &channel.plan,
-                spec.purgeInterval, key_hash));
+        channels.emplace_back(dir, "unified", total, spec, key_hash);
     }
 
-    // Flatten (writer, channel) for the fan-out; each batch is fed to
-    // every writer, sliced to its channel's sub-stream.
-    struct FeedSlot
-    {
-        GroupWriter *writer;
-        std::size_t channel;
-    };
-    std::vector<FeedSlot> slots;
-    for (std::size_t c = 0; c < channels.size(); ++c)
-        for (const auto &writer : channels[c].writers)
-            slots.push_back({writer.get(), c});
-
+    // Only a split store has two channels to fan out, and a wider pool
+    // would start workers that never get a task.
     std::unique_ptr<ThreadPool> pool;
-    if (spec.jobs != 1 && slots.size() > 1)
-        pool = std::make_unique<ThreadPool>(spec.jobs);
+    if (spec.jobs != 1 && channels.size() > 1)
+        pool = std::make_unique<ThreadPool>(std::min<unsigned>(
+            spec.jobs != 0 ? spec.jobs : ThreadPool::defaultJobs(),
+            static_cast<unsigned>(channels.size())));
 
     std::vector<MemoryRef> buf(TraceSource::kDefaultBatchRefs);
     std::vector<MemoryRef> ibuf;
@@ -682,14 +753,14 @@ writeLivePoints(TraceSource &source, const std::string &dir,
             channel_refs[0] = ibuf;
             channel_refs[1] = dbuf;
         }
-        const auto feed = [&](std::size_t i) {
-            slots[i].writer->feed(channel_refs[slots[i].channel]);
+        const auto feed = [&](std::size_t c) {
+            channels[c].feed(channel_refs[c]);
         };
         if (pool)
-            pool->parallelFor(slots.size(), feed);
+            pool->parallelFor(channels.size(), feed);
         else
-            for (std::size_t i = 0; i < slots.size(); ++i)
-                feed(i);
+            for (std::size_t c = 0; c < channels.size(); ++c)
+                feed(c);
     }
     if (streamed != total)
         fatal("live points: trace '", trace_name, "' delivered ", streamed,
@@ -699,13 +770,13 @@ writeLivePoints(TraceSource &source, const std::string &dir,
     summary.keyHash = key_hash;
     summary.contentHash = content_hash;
     summary.traceRefs = total;
-    for (Channel &channel : channels) {
-        for (auto &writer : channel.writers) {
-            writer->finish(channel.refs);
-            summary.intervals += writer->intervalsWritten();
-            summary.bytesWritten += writer->bytesWritten();
+    for (ChannelWriter &channel : channels) {
+        channel.finish();
+        channel.forEachFile([&](const GroupFile &file) {
+            summary.intervals += channel.intervals();
+            summary.bytesWritten += file.bytesWritten();
             ++summary.groups;
-        }
+        });
     }
 
     // store.json last: a store with a manifest is a complete store.
@@ -734,22 +805,21 @@ writeLivePoints(TraceSource &source, const std::string &dir,
         w.member("purge_interval", key.purgeInterval);
         w.member("split", key.split);
         w.key("channels").beginArray();
-        for (const Channel &channel : channels) {
+        for (const ChannelWriter &channel : channels) {
             w.beginObject();
-            w.member("role", channel.role);
-            w.member("refs", channel.refs);
-            w.member("intervals",
-                     static_cast<std::uint64_t>(channel.plan.size()));
+            w.member("role", channel.role());
+            w.member("refs", channel.refs());
+            w.member("intervals", channel.intervals());
             w.key("groups").beginArray();
-            for (const auto &writer : channel.writers) {
-                const GroupGeometry &g = writer->geometry();
+            channel.forEachFile([&w](const GroupFile &file) {
+                const GroupGeometry &g = file.geometry();
                 w.beginObject();
                 w.member("line_bytes", g.lineBytes);
                 w.member("set_count", g.setCount);
                 w.member("max_assoc", g.maxAssoc);
-                w.member("file", writer->fileName());
+                w.member("file", file.fileName());
                 w.endObject();
-            }
+            });
             w.endArray();
             w.endObject();
         }
@@ -865,24 +935,33 @@ LivePointStore::load(const std::string &dir)
             std::ifstream gis(path, std::ios::binary);
             if (!gis)
                 fatal("live points: cannot open group file '", path, "'");
+            // One read of the whole file.  A size that cannot be had (a
+            // directory) reads nothing, and one that shrinks under the
+            // read ends where the read did: either is a short file.
+            std::error_code size_error;
+            const std::uintmax_t size =
+                std::filesystem::file_size(path, size_error);
+            std::vector<char> bytes(size_error ? 0 : size);
+            gis.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+            ByteReader in(bytes.data(), bytes.data() + gis.gcount());
             char magic[4];
-            readBytes(gis, magic, 4);
+            in.read(magic, 4);
             if (std::memcmp(magic, kGroupMagic, 4) != 0)
                 fatal("live points: '", path, "' is not a live-point "
                       "group file");
-            const auto version = readPod<std::uint32_t>(gis);
+            const auto version = in.pod<std::uint32_t>();
             if (version != kStoreVersion)
                 fatal("live points: '", path, "' is version ", version,
                       ", this build reads version ", kStoreVersion);
-            const auto file_key = readPod<std::uint64_t>(gis);
+            const auto file_key = in.pod<std::uint64_t>();
             if (file_key != store.keyHash_)
                 fatal("live points: '", path, "' belongs to key ",
                       hexU64(file_key), ", store.json describes ",
                       hexU64(store.keyHash_));
-            const auto line_bytes = readPod<std::uint32_t>(gis);
-            const auto set_count = readPod<std::uint64_t>(gis);
-            const auto max_assoc = readPod<std::uint32_t>(gis);
-            const auto interval_count = readPod<std::uint64_t>(gis);
+            const auto line_bytes = in.pod<std::uint32_t>();
+            const auto set_count = in.pod<std::uint64_t>();
+            const auto max_assoc = in.pod<std::uint32_t>();
+            const auto interval_count = in.pod<std::uint64_t>();
             if (line_bytes != g.lineBytes_ || set_count != g.setCount_ ||
                 max_assoc != g.maxAssoc_ || interval_count != intervals)
                 fatal("live points: '", path, "' header (", line_bytes,
@@ -898,15 +977,15 @@ LivePointStore::load(const std::string &dir)
             // An image is at least begin, sincePurge and its entry count
             // (24 bytes) plus a 4-byte run per set.  Check both counts
             // against the bytes left before allocating by them.
-            const std::uint64_t left =
-                std::filesystem::file_size(path) -
-                static_cast<std::uint64_t>(gis.tellg());
+            const std::uint64_t left = in.left();
             if (interval_count != 0) {
-                if (left < 24 || set_count > (left - 24) / 4)
+                if (left < kImageHeadBytes ||
+                    set_count > (left - kImageHeadBytes) / kRunBytes)
                     fatal("live points: '", path, "' declares ", set_count,
                           " sets, more than its ", left,
                           " image bytes hold");
-                if (interval_count > left / (24 + 4 * set_count))
+                if (interval_count >
+                    left / (kImageHeadBytes + kRunBytes * set_count))
                     fatal("live points: '", path, "' declares ",
                           interval_count, " intervals, more than its ",
                           left, " image bytes hold");
@@ -918,7 +997,7 @@ LivePointStore::load(const std::string &dir)
             g.images_.reserve(interval_count);
             for (std::uint64_t i = 0; i < interval_count; ++i) {
                 LivePointImage image =
-                    readImage(gis, g.lineBytes_, g.setCount_, g.maxAssoc_);
+                    readImage(in, g.lineBytes_, g.setCount_, g.maxAssoc_);
                 if (image.begin != plan[i].begin)
                     fatal("live points: '", path, "' image ", i,
                           " begins at ", image.begin, ", but planned "

@@ -205,7 +205,12 @@ struct LivePointWriteSpec
      *  distinct set count, bounded at the largest associativity. */
     std::vector<std::uint64_t> sizes;
 
-    /** Parallelism across groups (0 = shared-pool width, 1 = serial). */
+    /**
+     * Parallelism across channels (0 = shared-pool width, 1 = serial).
+     * A channel's groups run in one pass on one thread, so only a
+     * split store, with its two channels, fans out, on at most two
+     * threads.
+     */
     unsigned jobs = 1;
 
     /** Provenance string recorded in store.json (e.g. the argv). */

@@ -533,6 +533,9 @@ sweepSampledStream(TraceSource &source, const std::vector<std::uint64_t> &sizes,
             const CacheConfig config = detail::configAt(base, size);
             SampledEngine<Cache>::Restore restore;
             if (store != nullptr) {
+                // Refuse an ineligible size here, once, not on every
+                // worker's first restore after the fan-out.
+                ckpt::requireLivePointEligible(config);
                 const ckpt::LivePointGroup &group = store->group(
                     roles[side], config.lineBytes, config.setCount(),
                     config.effectiveAssociativity());

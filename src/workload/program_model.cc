@@ -258,10 +258,8 @@ ProgramModel::stepInstruction(Trace &out)
     for (std::size_t i = before; i < out.size(); ++i) {
         const Addr addr = out[i].addr;
         if (haveLastIfetch_ &&
-            (addr < lastIfetch_ || addr > lastIfetch_ + 8)) {
-            ++branches_;
+            (addr < lastIfetch_ || addr > lastIfetch_ + 8))
             ++windowBranches_;
-        }
         lastIfetch_ = addr;
         haveLastIfetch_ = true;
         ++ifetchRefs_;

@@ -254,11 +254,10 @@ class ProgramModel
     std::uint64_t ifetchRefs_ = 0;
     std::uint64_t dataRefs_ = 0;
     std::uint64_t writeRefs_ = 0;
-    std::uint64_t branches_ = 0; ///< analyzer-visible taken branches
     Addr lastIfetch_ = 0;
     bool haveLastIfetch_ = false;
     std::uint64_t windowIfetchRefs_ = 0; ///< controller window
-    std::uint64_t windowBranches_ = 0;
+    std::uint64_t windowBranches_ = 0; ///< analyzer-visible taken branches
 };
 
 /** Convenience: construct a model and generate in one call. */

@@ -8,7 +8,9 @@
  *    policy and per side of a split organization, and an import into a
  *    scan policy or an admission filter panics;
  *  - live-point restores reproduce the functionally-warmed state of
- *    every associativity a store's groups serve, dirty bits included;
+ *    every associativity a store's groups serve, dirty bits included,
+ *    and every image the one-pass writer stores equals that of an
+ *    oracle with one independent stack per group;
  *  - checkpoint-warming sampled sweeps are bitwise identical to
  *    functional-warming sweeps, unified and split, with and without a
  *    purge schedule;
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -35,10 +38,13 @@
 #include "cache/cache.hh"
 #include "cache/organization.hh"
 #include "ckpt/live_points.hh"
+#include "sample/sampler.hh"
 #include "sample/warming.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
 #include "sim/sampled.hh"
+#include "util/bits.hh"
+#include "util/random.hh"
 #include "workload/profiles.hh"
 
 namespace cachelab
@@ -795,8 +801,8 @@ TEST(LivePointStore, FileBytesArePinned)
 
 TEST(LivePointStore, ParallelWriterMatchesSerialBytes)
 {
-    // Group writers fan out over a pool when jobs != 1; each group's
-    // file must not depend on it.
+    // A split store's two channels fan out over a pool when jobs != 1
+    // (a unified store has one); no file may depend on it.
     for (const bool split : {false, true}) {
         Trace trace = testTrace("ZSORT");
         ckpt::LivePointWriteSpec spec =
@@ -814,6 +820,182 @@ TEST(LivePointStore, ParallelWriterMatchesSerialBytes)
         EXPECT_EQ(serial_files.size(), split ? 3u : 4u);
         EXPECT_TRUE(serial_files == storeFiles(parallel))
             << (split ? "split" : "unified") << " store differs";
+    }
+}
+
+/** Seeded synthetic references, some of which span two lines. */
+Trace
+spanningTrace(std::uint64_t seed, std::uint32_t line_bytes,
+              std::uint64_t refs)
+{
+    Rng rng(seed);
+    const ZipfSampler popularity(3000, 0.9);
+    Trace trace("spanning-" + std::to_string(seed));
+    for (std::uint64_t i = 0; i < refs; ++i) {
+        const Addr line = 0x10000 + popularity(rng) * line_bytes;
+        const auto size = static_cast<std::uint32_t>(1u << rng.uniformInt(4));
+        const Addr offset = rng.uniformInt(line_bytes);
+        const std::uint64_t kind = rng.uniformInt(5);
+        trace.append(line + offset, size,
+                     kind < 2   ? AccessKind::IFetch
+                     : kind < 4 ? AccessKind::Read
+                                : AccessKind::Write);
+    }
+    return trace;
+}
+
+/** Images by group: (role, set count). */
+using OracleImages = std::map<std::pair<std::string, std::uint64_t>,
+                              std::vector<ckpt::LivePointImage>>;
+
+/**
+ * The writer's images by brute force: per channel, one independent
+ * LruStack per group, fed every line of every reference in turn and
+ * captured at every planned interval start.
+ */
+OracleImages
+oracleImages(const Trace &trace, const ckpt::LivePointWriteSpec &spec)
+{
+    std::vector<std::pair<std::string, std::vector<MemoryRef>>> channels;
+    if (spec.split) {
+        channels = {{"icache", {}}, {"dcache", {}}};
+        for (const MemoryRef &ref : trace)
+            channels[ref.kind == AccessKind::IFetch ? 0 : 1].second.push_back(
+                ref);
+    } else {
+        channels = {{"unified", {trace.begin(), trace.end()}}};
+    }
+    const std::uint32_t line_bytes = spec.base.lineBytes;
+    OracleImages images;
+    for (const auto &[role, refs] : channels) {
+        const std::vector<SampleInterval> plan =
+            selectIntervals(refs.size(), spec.sample);
+        std::map<std::uint64_t, std::uint64_t> groups; // sets -> bound
+        for (const std::uint64_t size : spec.sizes) {
+            CacheConfig config = spec.base;
+            config.sizeBytes = size;
+            std::uint64_t &bound = groups[config.setCount()];
+            bound = std::max(bound, config.effectiveAssociativity());
+        }
+        for (const auto &[sets, bound] : groups) {
+            LruStack stack(sets, bound);
+            std::vector<ckpt::LivePointImage> &out =
+                images[{role, sets}];
+            std::uint64_t since_purge = 0;
+            for (std::uint64_t pos = 0; out.size() < plan.size(); ++pos) {
+                if (pos == plan[out.size()].begin) {
+                    ckpt::LivePointImage image;
+                    image.begin = pos;
+                    image.sincePurge = since_purge;
+                    image.setOffsets.push_back(0);
+                    for (std::uint64_t s = 0; s < sets; ++s) {
+                        stack.forEachMru(s, [&](const LruLine &line) {
+                            image.entries.push_back(line);
+                        });
+                        image.setOffsets.push_back(image.entries.size());
+                    }
+                    out.push_back(std::move(image));
+                    if (out.size() == plan.size())
+                        break;
+                }
+                if (spec.purgeInterval != 0 &&
+                    since_purge == spec.purgeInterval) {
+                    stack.clear();
+                    since_purge = 0;
+                }
+                const MemoryRef &ref = refs[pos];
+                const Addr last =
+                    alignDown(ref.addr + ref.size - 1, line_bytes);
+                for (Addr line = alignDown(ref.addr, line_bytes);
+                     line <= last; line += line_bytes)
+                    stack.touch((line / line_bytes) % sets, line,
+                                ref.kind == AccessKind::Write);
+                ++since_purge;
+            }
+        }
+    }
+    return images;
+}
+
+TEST(LivePointStore, WriterMatchesOneStackPerGroupOracle)
+{
+    // Random specs: 16 or 32 B lines, 1 to 8 ways or (every fourth
+    // spec) 64 with an s1 group (the smallest size is one set), with and
+    // without a purge schedule, unified and split, over references that
+    // span two lines.  A 64-way bound is above LruStack::kMaxRowBound,
+    // so every group of such a spec keeps a tree behind its row.  Every
+    // loaded image must equal the oracle's.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed * 7919);
+        const std::uint32_t line_bytes = rng.bernoulli(0.5) ? 16 : 32;
+        const auto assoc =
+            seed % 4 == 0 ? 64u
+                          : static_cast<std::uint32_t>(1u << rng.uniformInt(4));
+        const bool split = seed % 3 == 0;
+        const std::uint64_t purge =
+            split || rng.bernoulli(0.5) ? 0 : 300 + rng.uniformInt(3000);
+        std::vector<std::uint64_t> sizes = {line_bytes * assoc};
+        for (std::uint64_t k = 1; k <= 8; ++k)
+            if (rng.bernoulli(0.6))
+                sizes.push_back(std::uint64_t{line_bytes} * assoc << k);
+        SampleConfig sample = sampleTenPercent(WarmingPolicy::Checkpoint);
+        sample.unitRefs = 500;
+        sample.selection = rng.bernoulli(0.5) ? IntervalSelection::Random
+                                              : IntervalSelection::Systematic;
+        sample.seed = seed;
+        ckpt::LivePointWriteSpec spec =
+            unifiedSpec(sizes, sample, purge, assoc);
+        spec.base.lineBytes = line_bytes;
+        spec.split = split;
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << ": " << line_bytes << " B lines, "
+                     << assoc << "-way, " << sizes.size() << " sizes, purge "
+                     << purge << (split ? ", split" : ", unified"));
+
+        Trace trace = spanningTrace(seed, line_bytes, 20000);
+        EXPECT_TRUE(std::any_of(trace.begin(), trace.end(),
+                                [&](const MemoryRef &ref) {
+                                    return alignDown(ref.addr, line_bytes) !=
+                                           alignDown(ref.addr + ref.size - 1,
+                                                     line_bytes);
+                                }));
+        const OracleImages expected = oracleImages(trace, spec);
+        const std::string dir = freshDir("lvpt-oracle");
+        const ckpt::LivePointWriteSummary summary =
+            ckpt::writeLivePoints(trace, dir, spec);
+        EXPECT_EQ(summary.groups, expected.size());
+        const ckpt::LivePointStore store = ckpt::LivePointStore::load(dir);
+        for (const auto &[key, images] : expected) {
+            const auto &[role, sets] = key;
+            const std::string name = role + "-s" + std::to_string(sets);
+            const ckpt::LivePointGroup &group =
+                store.group(role, line_bytes, sets, assoc);
+            ASSERT_FALSE(images.empty()) << name;
+            for (std::size_t i = 0; i < images.size(); ++i) {
+                const ckpt::LivePointImage &got = group.image(i);
+                EXPECT_EQ(got.begin, images[i].begin) << name << " " << i;
+                EXPECT_EQ(got.sincePurge, images[i].sincePurge)
+                    << name << " " << i;
+                EXPECT_EQ(got.setOffsets, images[i].setOffsets)
+                    << name << " " << i;
+                EXPECT_TRUE(got.entries == images[i].entries)
+                    << name << " image " << i;
+            }
+        }
+        if (assoc > LruStack::kMaxRowBound) {
+            // Some set finer than s1 runs past its row into the tree.
+            bool deep = false;
+            for (const auto &[key, images] : expected) {
+                if (key.second == 1)
+                    continue;
+                for (const ckpt::LivePointImage &image : images)
+                    for (std::size_t s = 0; s < key.second; ++s)
+                        deep = deep || image.setOffsets[s + 1] -
+                                               image.setOffsets[s] >
+                                           LruStack::kTreeRowLines;
+            }
+            EXPECT_TRUE(deep);
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the per-set LRU stack core: a differential test against a
- * naive per-set move-to-front oracle, and set-associative Mattson
- * stack processing checked against direct simulation.
+ * naive per-set move-to-front oracle, set refinement between stacks
+ * whose set counts differ by a power of two (the live-point writer's
+ * retouchMru() shortcut), and set-associative Mattson stack processing
+ * checked against direct simulation.
  */
 
 #include <gtest/gtest.h>
@@ -255,6 +257,115 @@ TEST(LruStack, DirtyFromFollowsTheWriteAndDepthHistory)
     EXPECT_EQ(LruStack::dirtyFrom({0x40, 9, false}), LruStack::kClean);
     EXPECT_EQ(LruStack::dirtyFrom({0x40, 0, true}), 1u);
     EXPECT_EQ(LruStack::dirtyFrom({0x40, 5, true}), 5u);
+}
+
+/** @return @p stack's lines, MRU first, set by set. */
+std::vector<std::vector<LruLine>>
+stackLines(const LruStack &stack)
+{
+    std::vector<std::vector<LruLine>> sets(stack.setCount());
+    for (std::uint64_t s = 0; s < stack.setCount(); ++s)
+        stack.forEachMru(s, [&](const LruLine &line) {
+            sets[s].push_back(line);
+        });
+    return sets;
+}
+
+/**
+ * One seeded stream of line touches through stacks of @p sets and
+ * @p factor x @p sets sets, the set index being the line number masked
+ * to the set count.  Each finer set sees a subset of one coarse set's
+ * touches (set refinement), so a line at depth 1 in the coarse stack
+ * is at depth 1 in the finer one; unbounded, no finer depth exceeds
+ * the coarse one and a cold coarse touch is cold in the finer stack.
+ * A third stack takes retouchMru() wherever the coarse depth is 1 and
+ * touch() elsewhere, and must end in the finer stack's state.
+ */
+void
+runRefinement(std::uint64_t sets, std::uint64_t factor, std::uint64_t bound,
+              std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << sets << " sets x " << factor
+                                    << ", bound " << bound);
+    constexpr int kSteps = 30000;
+    const std::uint64_t fine_sets = sets * factor;
+    LruStack coarse(sets, bound);
+    LruStack fine(fine_sets, bound);
+    LruStack shortcut(fine_sets, bound);
+    Rng rng(seed);
+    const std::uint64_t universe =
+        bound == LruStack::kUnbounded ? 3000 : 6 * fine_sets * bound;
+    const ZipfSampler popularity(universe, 0.8);
+    std::uint64_t mru_hits = 0;
+    std::uint64_t id = 0;
+    for (int step = 0; step < kSteps; ++step) {
+        if (rng.bernoulli(0.0005)) {
+            coarse.clear();
+            fine.clear();
+            shortcut.clear();
+        }
+        // Repeat the last line a fifth of the time, as real streams do.
+        if (!rng.bernoulli(0.2))
+            id = popularity(rng);
+        const Addr line = 0x4000'0000ULL + id * 32;
+        const bool is_write = rng.bernoulli(0.3);
+        const std::uint64_t fine_set = id & (fine_sets - 1);
+        const std::uint64_t coarse_depth =
+            coarse.touch(id & (sets - 1), line, is_write);
+        const std::uint64_t fine_depth = fine.touch(fine_set, line, is_write);
+        if (coarse_depth == 1) {
+            ASSERT_EQ(fine_depth, 1u) << "step " << step;
+            shortcut.retouchMru(fine_set, is_write);
+            ++mru_hits;
+        } else {
+            ASSERT_EQ(shortcut.touch(fine_set, line, is_write), fine_depth)
+                << "step " << step;
+        }
+        if (bound == LruStack::kUnbounded) {
+            ASSERT_EQ(fine_depth == 0, coarse_depth == 0) << "step " << step;
+            ASSERT_LE(fine_depth, coarse_depth) << "step " << step;
+        }
+    }
+    EXPECT_GT(mru_hits, static_cast<std::uint64_t>(kSteps / 10));
+    EXPECT_TRUE(stackLines(shortcut) == stackLines(fine));
+    EXPECT_EQ(shortcut.size(), fine.size());
+}
+
+TEST(LruStack, SetRefinementKeepsMruLinesMru)
+{
+    std::uint64_t seed = 11;
+    for (const std::uint64_t bound :
+         {LruStack::kUnbounded, std::uint64_t{4}}) {
+        for (const std::uint64_t sets : {1, 4}) {
+            for (const std::uint64_t factor : {2, 4, 8}) {
+                runRefinement(sets, factor, bound, seed++);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(LruStack, RetouchMruAppliesTheDepthOneDirtyRule)
+{
+    // A read at depth 1 raises maxDepth to at least 1; a write marks
+    // the line written and resets it, as touch() does.
+    for (const std::uint64_t bound :
+         {LruStack::kUnbounded, std::uint64_t{2}}) {
+        LruStack stack(2, bound);
+        LruStack touched(2, bound);
+        for (LruStack *s : {&stack, &touched}) {
+            s->touch(1, 0x20, false);
+            s->touch(1, 0x60, false);
+            s->touch(1, 0x20, false); // 0x20 read at depth 2
+        }
+        for (const bool is_write : {false, true, false}) {
+            stack.retouchMru(1, is_write);
+            EXPECT_EQ(touched.touch(1, 0x20, is_write), 1u);
+            EXPECT_TRUE(stackLines(stack) == stackLines(touched));
+        }
+        EXPECT_TRUE(stackLines(stack)[1].front() == (LruLine{0x20, 1, true}));
+    }
 }
 
 // --- set-associative stack processing -------------------------------

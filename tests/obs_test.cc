@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -378,10 +382,27 @@ TEST(TraceEvents, PoolTasksLandOnWorkerSlotLanes)
     recorder.setEnabled(true);
     recorder.clear();
     ThreadPool pool(2);
-    pool.parallelFor(8, [](std::size_t) {
+    // Each task waits until both of the pool's threads (the caller in
+    // slot 0, the worker in slot 1) have entered one; otherwise the
+    // first to start can run all eight.  The wait is bounded, and a
+    // pool that never brings both in fails the test.
+    std::mutex mutex;
+    std::condition_variable entered;
+    std::set<int> slots;
+    bool timed_out = false;
+    pool.parallelFor(8, [&](std::size_t) {
         obs::TraceSpan span("task", "test");
+        std::unique_lock<std::mutex> lock(mutex);
+        slots.insert(ThreadPool::currentSlot());
+        entered.notify_all();
+        if (!entered.wait_for(lock, std::chrono::seconds(30), [&] {
+                return slots.size() == 2 || timed_out;
+            }))
+            timed_out = true;
     });
     recorder.setEnabled(false);
+    EXPECT_FALSE(timed_out) << "a pool thread entered no task in 30 s";
+    EXPECT_EQ(slots, (std::set<int>{0, 1}));
     EXPECT_EQ(recorder.eventCount(), 8u);
 
     std::ostringstream os;

@@ -796,7 +796,40 @@ reportSampledSweep(const Args &args, const std::string &input_name,
     return 0;
 }
 
-/** @p input is a const Trace (materialized) or a TraceSource. */
+/** Print (and manifest) the per-side points of a split sampled sweep. */
+int
+reportSplitSampledSweep(const std::string &title,
+                        const std::vector<SplitSampledSweepPoint> &points,
+                        obs::RunManifest &manifest)
+{
+    TextTable table(title);
+    table.setHeader({"size/side", "I miss", "D miss", "intervals"});
+    table.setAlignment(
+        {TextTable::Align::Right, TextTable::Align::Right,
+         TextTable::Align::Right, TextTable::Align::Right});
+    for (const SplitSampledSweepPoint &pt : points) {
+        table.addRow(
+            {formatSize(pt.cacheBytes),
+             formatPercent(pt.icache.missRatio.mean) + " +/- " +
+                 formatPercent(pt.icache.missRatio.halfWidth),
+             formatPercent(pt.dcache.missRatio.mean) + " +/- " +
+                 formatPercent(pt.dcache.missRatio.halfWidth),
+             std::to_string(pt.icache.intervalsMeasured) + "/" +
+                 std::to_string(pt.dcache.intervalsMeasured)});
+        manifest.sampledResults.push_back(
+            {"icache", pt.cacheBytes, pt.icache});
+        manifest.sampledResults.push_back(
+            {"dcache", pt.cacheBytes, pt.dcache});
+    }
+    std::cout << table;
+    return 0;
+}
+
+/**
+ * @p input is a const Trace (materialized) or a TraceSource.  With
+ * --split each side runs its own plan over its sub-stream, as a --ckpt
+ * split sweep does.
+ */
 template <typename Input>
 int
 runSampledSweep(const Args &args, Input &input,
@@ -805,6 +838,15 @@ runSampledSweep(const Args &args, Input &input,
 {
     const auto [lo, hi] = sweepRange(args);
     const auto sizes = powersOfTwo(lo, hi);
+    if (args.has("split")) {
+        if (run.purgeInterval != 0)
+            fatal("--split --sample --sweep runs a plan per side; the "
+                  "purge schedule applies to unified caches only");
+        return reportSplitSampledSweep(
+            "Sampled split sweep: " + input.name() + " on " +
+                base.describe() + " per side [" + sample.describe() + "]",
+            sweepSplitSampled(input, sizes, base, sample, run), manifest);
+    }
     const auto points = sweepUnifiedSampled(input, sizes, base, sample, run);
     return reportSampledSweep(args, input.name(), base, sample, points,
                               manifest);
@@ -871,33 +913,12 @@ runCkptSweep(const Args &args, TraceSource &source, const CacheConfig &base,
     manifest.config.emplace_back("ckpt_content_hash",
                                  hex64(store.contentHash()));
 
-    if (args.has("split")) {
-        const auto points =
-            sweepSplitSampled(source, sizes, base, sample, run, store);
-        TextTable table("Checkpoint split sweep: " + source.name() +
-                        " on " + base.describe() + " per side [" +
-                        sample.describe() + "]");
-        table.setHeader({"size/side", "I miss", "D miss", "intervals"});
-        table.setAlignment(
-            {TextTable::Align::Right, TextTable::Align::Right,
-             TextTable::Align::Right, TextTable::Align::Right});
-        for (const SplitSampledSweepPoint &pt : points) {
-            table.addRow(
-                {formatSize(pt.cacheBytes),
-                 formatPercent(pt.icache.missRatio.mean) + " +/- " +
-                     formatPercent(pt.icache.missRatio.halfWidth),
-                 formatPercent(pt.dcache.missRatio.mean) + " +/- " +
-                     formatPercent(pt.dcache.missRatio.halfWidth),
-                 std::to_string(pt.icache.intervalsMeasured) + "/" +
-                     std::to_string(pt.dcache.intervalsMeasured)});
-            manifest.sampledResults.push_back(
-                {"icache", pt.cacheBytes, pt.icache});
-            manifest.sampledResults.push_back(
-                {"dcache", pt.cacheBytes, pt.dcache});
-        }
-        std::cout << table;
-        return 0;
-    }
+    if (args.has("split"))
+        return reportSplitSampledSweep(
+            "Checkpoint split sweep: " + source.name() + " on " +
+                base.describe() + " per side [" + sample.describe() + "]",
+            sweepSplitSampled(source, sizes, base, sample, run, store),
+            manifest);
 
     const auto points =
         sweepUnifiedSampled(source, sizes, base, sample, run, store);

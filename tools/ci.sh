@@ -140,9 +140,11 @@ done
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
 # reproduce the functional-warming sweep bit for bit, and the manifest
-# must carry the store's provenance (key/content hash).  Two legs: fully
-# associative (one 1-set group, a deep stack) and 4-way (a group per
-# set count, every set a shallow stack).
+# must carry the store's provenance (key/content hash).  Three legs:
+# fully associative (one 1-set group, a deep stack), 4-way (a group per
+# set count, every set a shallow stack, all in one channel pass) and
+# 4-way split (an icache and a dcache channel: the one store whose
+# writer fans out over --jobs).
 ckpt_flags=(--profile ZGREP --refs 200000 --sweep 256:8192
             --sample 0.1 --sample-unit 1000 --jobs 1)
 ckpt_leg() {
@@ -184,13 +186,34 @@ for manifest, action in ((write, "write"), (fanout, "fanout")):
     assert cfg["ckpt_action"] == action, cfg
     assert cfg["ckpt_key_hash"] == store["key_hash"], cfg
     assert cfg["ckpt_content_hash"] == store["content_hash"], cfg
-groups = len(store["channels"][0]["groups"])
-print(f"    {len(a)} sizes bitwise identical to functional warming"
+groups = sum(len(channel["groups"]) for channel in store["channels"])
+print(f"    {len(a)} sweep points bitwise identical to functional warming"
       f" from {groups} group(s); key hash {store['key_hash']}")
 EOF
 }
 ckpt_leg fa
 ckpt_leg 4way --assoc 4
+ckpt_leg 4way-split --assoc 4 --split
+
+# The writer's bytes do not depend on --jobs: the 4-way store written
+# on four jobs (the trailing --jobs overrides ckpt_flags' --jobs 1)
+# matches the serial one file for file, and so does the split store,
+# whose two channels run on the pool.
+for leg in 4way 4way-split; do
+    store="build-ci/smoke-ckpt-${leg}-store"
+    extra=(--assoc 4)
+    [ "${leg}" = 4way-split ] && extra+=(--split)
+    rm -rf "${store}-jobs4"
+    ${sim} "${ckpt_flags[@]}" "${extra[@]}" --ckpt-write "${store}-jobs4" \
+        --jobs 4 > /dev/null
+    files=0
+    for file in "${store}"/*; do
+        cmp "${file}" "${store}-jobs4/$(basename "${file}")"
+        files=$((files + 1))
+    done
+    [ "$(ls "${store}-jobs4" | wc -l)" -eq "${files}" ]
+    echo "    ${leg}: ${files} store files identical at --jobs 1 and 4"
+done
 
 # A corrupt store is a one-line diagnostic (exit 1), never an uncaught
 # std::length_error (exit 134) or a silently wrong result.  Each case
@@ -626,9 +649,9 @@ UBSAN_OPTIONS=halt_on_error=1 run_config build-ci-asan -DCACHELAB_WERROR=ON \
 # TSan pass over the concurrency-sensitive layers: the worker pool,
 # the observability primitives (registry, recorder, progress meter)
 # that sweeps hammer from every worker slot, the live-point writer's
-# group fan-out, and the streamed pass that hands every batch of a
-# streamed sweep to the pool (the non-death streaming, sweep and
-# checkpoint-sweep tests).
+# channel fan-out (a split store's icache and dcache passes), and the
+# streamed pass that hands every batch of a streamed sweep to the pool
+# (the non-death streaming, sweep and checkpoint-sweep tests).
 echo "==> configure build-ci-tsan (thread sanitizer, concurrency tests)"
 cmake -B build-ci-tsan -S . -DCACHELAB_WERROR=ON -DCACHELAB_SANITIZE=thread
 cmake --build build-ci-tsan -j "${jobs}" \
