@@ -14,7 +14,6 @@
 
 #include "cache/belady.hh"
 #include "cache/cache.hh"
-#include "cache/stack_analysis.hh"
 #include "sim/run.hh"
 #include "sim/sweep.hh"
 
@@ -82,7 +81,8 @@ main()
     // single pass, checked against direct simulation at three sizes.
     const Trace &t = corpus.get(*findTraceProfile("VSPICE"));
     const auto &sizes = paperCacheSizes();
-    const std::vector<double> curve = lruMissRatioCurve(t, sizes);
+    const std::vector<SweepPoint> curve = sweepUnified(
+        t, sizes, table1Config(32), {}, SweepEngine::SinglePass);
     TextTable mattson("Mattson one-pass LRU curve (VSPICE) vs direct "
                       "simulation");
     mattson.setHeader({"size", "one-pass", "direct"});
@@ -94,7 +94,8 @@ main()
             Cache cache(table1Config(sizes[i]));
             direct = pct(runTrace(t, cache).missRatio());
         }
-        mattson.addRow({formatSize(sizes[i]), pct(curve[i]), direct});
+        mattson.addRow({formatSize(sizes[i]),
+                        pct(curve[i].stats.missRatio()), direct});
     }
     std::cout << mattson << "\n";
     return 0;

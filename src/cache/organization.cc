@@ -82,17 +82,4 @@ SplitCache::describe() const
         dcache_.config().describe() + "]";
 }
 
-std::unique_ptr<SplitCache>
-makePaperSplitCache(std::uint64_t icache_bytes, std::uint64_t dcache_bytes,
-                    FetchPolicy fetch)
-{
-    CacheConfig iconfig;
-    iconfig.sizeBytes = icache_bytes;
-    iconfig.fetchPolicy = fetch;
-    CacheConfig dconfig;
-    dconfig.sizeBytes = dcache_bytes;
-    dconfig.fetchPolicy = fetch;
-    return std::make_unique<SplitCache>(iconfig, dconfig);
-}
-
 } // namespace cachelab

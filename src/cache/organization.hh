@@ -105,15 +105,6 @@ class SplitCache : public CacheSystem
     Cache dcache_;
 };
 
-/**
- * Convenience factory for the paper's Table 3 setup: a split
- * organization with equal I and D capacities, fully associative LRU,
- * copy-back, 16-byte lines.
- */
-std::unique_ptr<SplitCache> makePaperSplitCache(
-    std::uint64_t icache_bytes, std::uint64_t dcache_bytes,
-    FetchPolicy fetch = FetchPolicy::Demand);
-
 } // namespace cachelab
 
 #endif // CACHELAB_CACHE_ORGANIZATION_HH

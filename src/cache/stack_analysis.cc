@@ -98,45 +98,6 @@ StackAnalyzer::accessAll(std::span<const MemoryRef> refs)
         access(ref);
 }
 
-std::uint64_t
-StackAnalyzer::missCountFor(std::uint64_t size_bytes) const
-{
-    const std::uint64_t lines = size_bytes / lineBytes_;
-    std::uint64_t misses = cold_;
-    for (std::uint64_t d = lines + 1; d <= distances_.size(); ++d)
-        misses += distances_[d - 1];
-    return misses;
-}
-
-double
-StackAnalyzer::refMissRatioFor(std::uint64_t size_bytes) const
-{
-    if (refs_ == 0)
-        return 0.0;
-    const std::uint64_t lines = size_bytes / lineBytes_;
-    std::uint64_t misses = 0;
-    for (std::size_t k = 0; k < 3; ++k) {
-        misses += refColdByKind_[k];
-        const auto &hist = refWorstByKind_[k];
-        for (std::uint64_t w = lines + 1; w <= hist.size(); ++w)
-            misses += hist[w - 1];
-    }
-    return static_cast<double>(misses) / static_cast<double>(refs_);
-}
-
-double
-StackAnalyzer::meanDistance() const
-{
-    std::uint64_t n = 0;
-    double sum = 0.0;
-    for (std::uint64_t d = 1; d <= distances_.size(); ++d) {
-        n += distances_[d - 1];
-        sum += static_cast<double>(d) *
-            static_cast<double>(distances_[d - 1]);
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 CacheStats
 StackAnalyzer::table1StatsFor(std::uint64_t size_bytes) const
 {
@@ -153,7 +114,10 @@ StackAnalyzer::table1StatsFor(std::uint64_t size_bytes) const
             stats.misses[k] += hist[w - 1];
     }
 
-    stats.demandFetches = missCountFor(size_bytes);
+    // A line touch misses when it is cold or deeper than the cache.
+    stats.demandFetches = cold_;
+    for (std::uint64_t d = lines + 1; d <= distances_.size(); ++d)
+        stats.demandFetches += distances_[d - 1];
     stats.bytesFromMemory = stats.demandFetches * lineBytes_;
 
     // Every fetch either fills an empty way or evicts a valid line.
@@ -182,44 +146,6 @@ StackAnalyzer::table1StatsFor(std::uint64_t size_bytes) const
     stats.dirtyReplacementPushes = static_cast<std::uint64_t>(dirty);
     stats.bytesToMemory = stats.dirtyReplacementPushes * lineBytes_;
     return stats;
-}
-
-namespace
-{
-
-std::vector<double>
-curveFrom(const StackAnalyzer &analyzer,
-          const std::vector<std::uint64_t> &sizes)
-{
-    std::vector<double> out;
-    out.reserve(sizes.size());
-    for (std::uint64_t s : sizes)
-        out.push_back(analyzer.refMissRatioFor(s));
-    return out;
-}
-
-} // namespace
-
-std::vector<double>
-lruMissRatioCurve(const Trace &trace,
-                  const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes)
-{
-    StackAnalyzer analyzer(line_bytes);
-    analyzer.accessAll(trace);
-    return curveFrom(analyzer, sizes);
-}
-
-std::vector<double>
-lruMissRatioCurve(TraceSource &source,
-                  const std::vector<std::uint64_t> &sizes,
-                  std::uint32_t line_bytes)
-{
-    StackAnalyzer analyzer(line_bytes);
-    source.forEachBatch([&](std::span<const MemoryRef> batch) {
-        analyzer.accessAll(batch);
-    });
-    return curveFrom(analyzer, sizes);
 }
 
 } // namespace cachelab

@@ -17,15 +17,17 @@
  *
  * The distances this class records are per-line-touch distances for
  * the line containing each reference; a multi-line reference records
- * one distance per touched line.  missCountFor() therefore agrees
- * with Cache's *line-fetch* count (demandFetches), and
- * refMissRatioFor() with its per-reference miss ratio, for the
- * Table 1 configuration (fully associative, LRU, demand fetch,
- * write-allocate, no purges).
+ * one distance per touched line, and counts as one miss when any line
+ * it touches misses.  table1StatsFor() turns them into the line
+ * fetches (demandFetches) and per-reference misses of a Table 1
+ * configuration (fully associative, LRU, demand fetch,
+ * write-allocate, no purges) at any size.
  *
  * Beyond distances, the analyzer tracks enough per-kind and dirty
  * state to reconstruct the *complete* CacheStats of a Table 1 run at
- * any size from the single pass — see table1StatsFor().  Dirty
+ * any size from the single pass — see table1StatsFor(), its one
+ * query.  Sweeps reach it through SweepEngine::SinglePass
+ * (sim/sweep.hh), which refuses every other configuration.  Dirty
  * accounting rests on the core's dirty rule: after any access to a
  * line, the cache sizes at which it is dirty are {N >= t} for the one
  * threshold t = LruStack::dirtyFrom().
@@ -41,7 +43,6 @@
 
 #include "cache/lru_stack.hh"
 #include "cache/stats.hh"
-#include "trace/source.hh"
 #include "trace/trace.hh"
 
 namespace cachelab
@@ -50,8 +51,8 @@ namespace cachelab
 /**
  * Incremental LRU stack profiler.
  *
- * Feed references with access(); query miss counts or full curves at
- * any point.
+ * Feed references with access(); query the statistics of any size at
+ * any point with table1StatsFor().
  */
 class StackAnalyzer
 {
@@ -71,34 +72,8 @@ class StackAnalyzer
     /** Total references recorded. */
     std::uint64_t refCount() const { return refs_; }
 
-    /** Line touches whose stack distance was d (0-based index d-1). */
-    const std::vector<std::uint64_t> &distanceCounts() const
-    {
-        return distances_;
-    }
-
-    /** First-touch (cold) line accesses. */
-    std::uint64_t coldCount() const { return cold_; }
-
     /** Distinct lines seen so far. */
     std::uint64_t distinctLineCount() const { return stack_.size(); }
-
-    /**
-     * Line fetches a fully associative LRU cache of @p size_bytes
-     * would perform on the recorded stream (distance > lines + cold).
-     */
-    std::uint64_t missCountFor(std::uint64_t size_bytes) const;
-
-    /**
-     * Per-reference miss ratio at @p size_bytes (a reference misses
-     * when any line it touches does).  Exact because the analyzer
-     * also tracks per-reference outcomes per size via the distance of
-     * the worst line touched.
-     */
-    double refMissRatioFor(std::uint64_t size_bytes) const;
-
-    /** Mean stack distance of non-cold line touches. */
-    double meanDistance() const;
 
     /**
      * The complete statistics a Table 1 run (fully associative LRU,
@@ -139,20 +114,6 @@ class StackAnalyzer
     /** The fully associative recency stack: one unbounded set. */
     LruStack stack_{1};
 };
-
-/**
- * Convenience: one pass over @p trace, returning per-reference miss
- * ratios at each size in @p sizes (Table 1 semantics).
- */
-std::vector<double> lruMissRatioCurve(const Trace &trace,
-                                      const std::vector<std::uint64_t> &sizes,
-                                      std::uint32_t line_bytes = 16);
-
-/** lruMissRatioCurve() over a streamed source (one pass, O(batch) +
- *  footprint memory; consumes from the current position). */
-std::vector<double> lruMissRatioCurve(TraceSource &source,
-                                      const std::vector<std::uint64_t> &sizes,
-                                      std::uint32_t line_bytes = 16);
 
 } // namespace cachelab
 

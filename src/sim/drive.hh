@@ -167,6 +167,14 @@ streamPass(TraceSource &source, const RunConfig &run, OnBatch &&on_batch)
     }
 }
 
+/**
+ * fatal() unless @p run's whole-run warm-up leaves at least one of
+ * @p trace's references measured.  A resident trace's length is
+ * known, so drivers check once, before any reference is driven or
+ * any size fans out.
+ */
+void checkWarmup(const RunConfig &run, const Trace &trace);
+
 /** @return @p base with sizeBytes = @p size, validated. */
 CacheConfig configAt(const CacheConfig &base, std::uint64_t size);
 

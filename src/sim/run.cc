@@ -69,6 +69,15 @@ BatchExecutor::parallelFor(std::size_t n,
     local_->parallelFor(n, fn);
 }
 
+void
+checkWarmup(const RunConfig &run, const Trace &trace)
+{
+    if (run.warmupRefs != 0 && run.warmupRefs >= trace.size())
+        fatal("warmupRefs (", run.warmupRefs,
+              ") must leave at least one measured reference; trace '",
+              trace.name(), "' has ", trace.size());
+}
+
 CacheConfig
 configAt(const CacheConfig &base, std::uint64_t size)
 {
@@ -102,10 +111,7 @@ driveTrace(const Trace &trace, System &system, const RunConfig &config,
 {
     // Check up front — the materialized length is known, so there is
     // no reason to burn a full run before reporting a bad config.
-    if (config.warmupRefs != 0 && config.warmupRefs >= trace.size())
-        fatal("warmupRefs (", config.warmupRefs,
-              ") must leave at least one measured reference; trace '",
-              trace.name(), "' has ", trace.size());
+    detail::checkWarmup(config, trace);
     CACHELAB_ASSERT(config.purgeInterval == 0 ||
                         config.purgeInterval <= trace.size(),
                     "purgeInterval (", config.purgeInterval,

@@ -15,7 +15,6 @@
 #include "obs/profile.hh"
 #include "obs/progress.hh"
 #include "obs/trace_event.hh"
-#include "sim/sampled.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 
@@ -62,6 +61,21 @@ rejectProbes(const RunConfig &run, const char *engine)
               "instrumented sweeps");
 }
 
+/**
+ * fatal() unless (@p base, @p run) is the single-pass engine's shape;
+ * SinglePass and Verify call it before they read any input.
+ */
+void
+requireSinglePassEligible(const CacheConfig &base, const RunConfig &run)
+{
+    if (!sweepSinglePassEligible(base, run))
+        fatal("the single-pass engine needs the Table 1 shape (fully "
+              "associative LRU, demand fetch, copy-back with "
+              "fetch-on-write, no purging, no warm-up), not ",
+              base.describe(), "; use the per-size engine (--engine "
+              "per-size)");
+}
+
 [[noreturn]] void
 reportMismatch(const char *what, std::uint64_t size, const CacheStats &per_size,
                const CacheStats &single_pass)
@@ -80,6 +94,7 @@ std::vector<SweepPoint>
 sweepUnifiedPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
                     const CacheConfig &base, const RunConfig &run)
 {
+    detail::checkWarmup(run, trace);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     const auto probes = probesForSizes(sizes, base, run, "unified");
     std::vector<SweepPoint> out(sizes.size());
@@ -100,6 +115,7 @@ std::vector<SplitSweepPoint>
 sweepSplitPerSize(const Trace &trace, const std::vector<std::uint64_t> &sizes,
                   const CacheConfig &base, const RunConfig &run)
 {
+    detail::checkWarmup(run, trace);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
     const auto iprobes = probesForSizes(sizes, base, run, "icache");
     const auto dprobes = probesForSizes(sizes, base, run, "dcache");
@@ -201,8 +217,7 @@ sweepUnifiedSinglePass(TraceSource &source,
                        const std::vector<std::uint64_t> &sizes,
                        const CacheConfig &base, const RunConfig &run)
 {
-    CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
-                    "single-pass sweep requires the Table 1 shape");
+    requireSinglePassEligible(base, run);
     rejectProbes(run, "single-pass Mattson");
     detail::validateSizes(base, sizes);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
@@ -232,8 +247,7 @@ sweepSplitSinglePass(TraceSource &source,
                      const std::vector<std::uint64_t> &sizes,
                      const CacheConfig &base, const RunConfig &run)
 {
-    CACHELAB_ASSERT(sweepSinglePassEligible(base, run),
-                    "single-pass sweep requires the Table 1 shape");
+    requireSinglePassEligible(base, run);
     rejectProbes(run, "single-pass Mattson");
     detail::validateSizes(base, sizes);
     obs::Registry::global().counter("sweep.points").add(sizes.size());
@@ -270,8 +284,8 @@ sweepSplitSinglePass(TraceSource &source,
 /**
  * The unified engine switch over either input: @p input picks the
  * per-size engine (point-major for a resident trace, streamed for a
- * source) and the sampled overload; @p source is what the single-pass
- * engine reads (@p input itself, or a view of the resident trace).
+ * source); @p source is what the single-pass engine reads (@p input
+ * itself, or a view of the resident trace).
  */
 template <typename Input>
 std::vector<SweepPoint>
@@ -293,6 +307,7 @@ sweepUnifiedOver(Input &input, TraceSource &source,
         return sweepUnifiedSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
+        requireSinglePassEligible(base, run);
         const auto per_size = sweepUnifiedPerSize(input, sizes, base, run);
         source.reset();
         const auto fast = sweepUnifiedSinglePass(source, sizes, base, run);
@@ -302,16 +317,6 @@ sweepUnifiedOver(Input &input, TraceSource &source,
                                fast[i].stats);
         }
         return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepUnifiedSampled(input, sizes, base, SampleConfig{}, run);
-        std::vector<SweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.result.estimated});
-        return out;
       }
     }
     panic("unreachable sweep engine");
@@ -337,6 +342,7 @@ sweepSplitOver(Input &input, TraceSource &source,
         return sweepSplitSinglePass(source, sizes, base, run);
       case SweepEngine::Verify: {
         rejectProbes(run, "verify");
+        requireSinglePassEligible(base, run);
         const auto per_size = sweepSplitPerSize(input, sizes, base, run);
         source.reset();
         const auto fast = sweepSplitSinglePass(source, sizes, base, run);
@@ -349,17 +355,6 @@ sweepSplitOver(Input &input, TraceSource &source,
                                fast[i].dcache);
         }
         return per_size;
-      }
-      case SweepEngine::Sampled: {
-        rejectProbes(run, "sampled");
-        const auto sampled =
-            sweepSplitSampled(input, sizes, base, SampleConfig{}, run);
-        std::vector<SplitSweepPoint> out;
-        out.reserve(sampled.size());
-        for (const SplitSampledSweepPoint &pt : sampled)
-            out.push_back({pt.cacheBytes, pt.icache.estimated,
-                           pt.dcache.estimated});
-        return out;
       }
     }
     panic("unreachable sweep engine");

@@ -47,25 +47,28 @@ struct SweepPoint
     CacheStats stats;
 };
 
-/** How a sweep turns its size axis into results. */
+/**
+ * How a sweep turns its size axis into results.  Sampled sweeps
+ * (estimates with confidence intervals, not bitwise results) have
+ * their own entries: sweepUnifiedSampled() and sweepSplitSampled() in
+ * sim/sampled.hh.
+ */
 enum class SweepEngine
 {
     /** Single-pass when the config allows it, else parallel per-size. */
     Auto,
     /** One full cache run per size (parallel unless jobs = 1). */
     PerSize,
-    /** One Mattson pass for the whole curve; fatal if config unfit. */
-    SinglePass,
-    /** Run both PerSize and SinglePass and panic on any mismatch. */
-    Verify,
     /**
-     * Statistically sampled per-size runs with a default SampleConfig
-     * (10% systematic sampling, functional warming).  The returned
-     * statistics are *estimates*, not bitwise results; use
-     * sweepUnifiedSampled() / sweepSplitSampled() (sim/sampled.hh)
-     * directly to control the plan and read confidence intervals.
+     * One Mattson pass for the whole curve.  A configuration outside
+     * sweepSinglePassEligible() is fatal before any input is read.
      */
-    Sampled,
+    SinglePass,
+    /**
+     * Run both PerSize and SinglePass and panic on any mismatch; the
+     * configuration is checked as for SinglePass, before either run.
+     */
+    Verify,
 };
 
 /**
@@ -114,9 +117,8 @@ std::vector<SplitSweepPoint> sweepSplit(
  * materialized sweep.  Single-pass streams the Mattson analyzer; its
  * memory is O(footprint), not O(length).
  *
- * The source must be positioned at its beginning.  Engines that need
- * more than one pass (Verify; Sampled when the length is unknown)
- * reset() it between passes.
+ * The source must be positioned at its beginning.  Verify, the one
+ * engine that needs two passes, reset()s it between them.
  */
 std::vector<SweepPoint> sweepUnified(TraceSource &source,
                                      const std::vector<std::uint64_t> &sizes,

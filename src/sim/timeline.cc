@@ -12,31 +12,20 @@
 namespace cachelab
 {
 
-namespace
+std::vector<TimelineBucket>
+missRatioTimeline(TraceSource &source, Cache &cache,
+                  std::uint64_t bucket_refs, std::uint64_t purge_interval,
+                  std::uint64_t batch_refs)
 {
-
-/**
- * The shared streaming loop: pull batches, purge on schedule, access,
- * and hand each hit/miss outcome to @p sink(ref_index, hit).  Returns
- * the number of references driven.
- */
-template <typename Sink>
-std::uint64_t
-driveTimeline(TraceSource &source, Cache &cache,
-              std::uint64_t purge_interval, std::uint64_t batch_refs,
-              Sink &&sink)
-{
-    const std::size_t batch = batch_refs != 0
-        ? static_cast<std::size_t>(batch_refs)
-        : static_cast<std::size_t>(TraceSource::kDefaultBatchRefs);
-    std::vector<MemoryRef> buffer(batch);
+    CACHELAB_ASSERT(bucket_refs > 0, "bucket size must be positive");
+    std::vector<TimelineBucket> buckets;
+    TimelineBucket current;
+    std::vector<MemoryRef> buffer(
+        batch_refs != 0 ? batch_refs : TraceSource::kDefaultBatchRefs);
     std::uint64_t since_purge = 0;
     std::uint64_t index = 0;
 
-    for (;;) {
-        const std::size_t got = source.nextBatch(buffer);
-        if (got == 0)
-            break;
+    while (const std::size_t got = source.nextBatch(buffer)) {
         for (const MemoryRef &ref :
              std::span<const MemoryRef>(buffer.data(), got)) {
             if (purge_interval && since_purge == purge_interval) {
@@ -46,33 +35,15 @@ driveTimeline(TraceSource &source, Cache &cache,
             const bool hit = cache.access(ref);
             ++since_purge;
             ++index;
-            sink(index, hit);
+            ++current.refs;
+            current.misses += hit ? 0 : 1;
+            if (current.refs == bucket_refs) {
+                buckets.push_back(current);
+                current = TimelineBucket{};
+                current.startRef = index;
+            }
         }
     }
-    return index;
-}
-
-} // namespace
-
-std::vector<TimelineBucket>
-missRatioTimeline(TraceSource &source, Cache &cache,
-                  std::uint64_t bucket_refs, std::uint64_t purge_interval,
-                  std::uint64_t batch_refs)
-{
-    CACHELAB_ASSERT(bucket_refs > 0, "bucket size must be positive");
-    std::vector<TimelineBucket> buckets;
-    TimelineBucket current;
-
-    driveTimeline(source, cache, purge_interval, batch_refs,
-                  [&](std::uint64_t index, bool hit) {
-                      ++current.refs;
-                      current.misses += hit ? 0 : 1;
-                      if (current.refs == bucket_refs) {
-                          buckets.push_back(current);
-                          current = TimelineBucket{};
-                          current.startRef = index;
-                      }
-                  });
     if (current.refs > 0)
         buckets.push_back(current);
     return buckets;
@@ -84,51 +55,6 @@ missRatioTimeline(const Trace &trace, Cache &cache,
 {
     MemorySource source(trace.refs(), std::string(trace.name()));
     return missRatioTimeline(source, cache, bucket_refs, purge_interval);
-}
-
-std::vector<ClassifiedInterval>
-classifiedTimeline(TraceSource &source, Cache &cache,
-                   std::uint64_t bucket_refs, std::uint64_t purge_interval,
-                   std::uint64_t batch_refs)
-{
-    CACHELAB_ASSERT(bucket_refs > 0, "bucket size must be positive");
-    CACHELAB_ASSERT(cache.accessClock() == 0,
-                    "classified timelines require a fresh cache: interval "
-                    "boundaries are keyed to the cache's event clock");
-
-    MissClassifier classifier(cache.config(), bucket_refs);
-    ProbeFanout fanout;
-    CacheProbe *previous = cache.probe();
-    fanout.add(previous);
-    fanout.add(&classifier);
-    cache.setProbe(&fanout);
-
-    const std::uint64_t total = driveTimeline(
-        source, cache, purge_interval, batch_refs,
-        [](std::uint64_t, bool) {});
-
-    cache.setProbe(previous);
-    classifier.finalize(total);
-    return classifier.intervals();
-}
-
-std::vector<ClassifiedInterval>
-classifiedTimeline(const Trace &trace, Cache &cache,
-                   std::uint64_t bucket_refs, std::uint64_t purge_interval)
-{
-    MemorySource source(trace.refs(), std::string(trace.name()));
-    return classifiedTimeline(source, cache, bucket_refs, purge_interval);
-}
-
-std::vector<TimelineBucket>
-toTimeline(const std::vector<ClassifiedInterval> &intervals)
-{
-    std::vector<TimelineBucket> buckets;
-    buckets.reserve(intervals.size());
-    for (const ClassifiedInterval &interval : intervals)
-        buckets.push_back(TimelineBucket{interval.startRef, interval.refs,
-                                         interval.misses});
-    return buckets;
 }
 
 std::vector<double>

@@ -15,11 +15,11 @@
  *    per-interval view shows the cold-start spike and the steady
  *    state the purge interval allows.
  *
- * The primary drivers are streaming (TraceSource) so out-of-core runs
- * get timelines in O(batch) memory; the materialized overloads are
- * thin wrappers.  classifiedTimeline() folds the 3C classifier
- * (obs/classify) into the same bucketing, so each interval reports
- * not just *how often* the cache missed but *why*.
+ * The primary driver is streaming (TraceSource) so out-of-core runs
+ * get timelines in O(batch) memory; the materialized overload is a
+ * thin wrapper.  For *why* each interval missed, attach a
+ * MissClassifier (obs/classify) with the same interval length to the
+ * cache.
  */
 
 #ifndef CACHELAB_SIM_TIMELINE_HH
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "cache/organization.hh"
-#include "obs/classify.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
 
@@ -71,30 +70,6 @@ std::vector<TimelineBucket> missRatioTimeline(
 std::vector<TimelineBucket> missRatioTimeline(
     const Trace &trace, Cache &cache, std::uint64_t bucket_refs,
     std::uint64_t purge_interval = 0);
-
-/**
- * missRatioTimeline() with the 3C classifier attached: each bucket
- * additionally splits its misses into compulsory/capacity/conflict.
- * @p cache must be fresh (accessClock() == 0) so bucket boundaries
- * align with the event clock; a probe already attached to the cache
- * keeps receiving every event through a fan-out.
- *
- * The plain-timeline fields of the result (startRef/refs/misses)
- * are identical to what missRatioTimeline() would report for the
- * same run.
- */
-std::vector<ClassifiedInterval> classifiedTimeline(
-    TraceSource &source, Cache &cache, std::uint64_t bucket_refs,
-    std::uint64_t purge_interval = 0, std::uint64_t batch_refs = 0);
-
-/** Materialized wrapper over the streaming classified driver. */
-std::vector<ClassifiedInterval> classifiedTimeline(
-    const Trace &trace, Cache &cache, std::uint64_t bucket_refs,
-    std::uint64_t purge_interval = 0);
-
-/** Project classified intervals onto their plain timeline buckets. */
-std::vector<TimelineBucket> toTimeline(
-    const std::vector<ClassifiedInterval> &intervals);
 
 /**
  * Cumulative miss ratio after each bucket — the "what would I have

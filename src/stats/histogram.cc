@@ -5,10 +5,7 @@
 
 #include "stats/histogram.hh"
 
-#include <sstream>
-
 #include "util/bits.hh"
-#include "util/format.hh"
 
 namespace cachelab
 {
@@ -45,25 +42,6 @@ double
 Log2Histogram::mean() const
 {
     return total_ ? sum_ / static_cast<double>(total_) : 0.0;
-}
-
-std::string
-Log2Histogram::render() const
-{
-    std::ostringstream os;
-    for (std::size_t k = 0; k < buckets_.size(); ++k) {
-        if (!buckets_[k])
-            continue;
-        const std::uint64_t lo = k == 0 ? 0 : (1ULL << (k - 1));
-        const std::uint64_t hi = k == 0 ? 0 : (1ULL << k) - 1;
-        const double frac =
-            static_cast<double>(buckets_[k]) / static_cast<double>(total_);
-        os << padLeft(std::to_string(lo), 10) << " - "
-           << padLeft(std::to_string(hi), 10) << "  "
-           << padLeft(std::to_string(buckets_[k]), 10) << "  "
-           << formatPercent(frac) << '\n';
-    }
-    return os.str();
 }
 
 } // namespace cachelab

@@ -10,7 +10,6 @@
 #define CACHELAB_STATS_HISTOGRAM_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cachelab
@@ -40,9 +39,6 @@ class Log2Histogram
 
     /** @return mean of the raw samples. */
     double mean() const;
-
-    /** Render "bucket-range count fraction" lines for reports. */
-    std::string render() const;
 
   private:
     std::vector<std::uint64_t> buckets_;

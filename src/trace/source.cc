@@ -112,13 +112,4 @@ LimitSource::skip(std::uint64_t n)
     return got;
 }
 
-std::size_t
-OffsetSource::nextBatch(std::span<MemoryRef> out)
-{
-    const std::size_t got = inner_->nextBatch(out);
-    for (std::size_t i = 0; i < got; ++i)
-        out[i].addr += delta_;
-    return got;
-}
-
 } // namespace cachelab

@@ -151,32 +151,6 @@ class LimitSource : public TraceSource
     std::uint64_t emitted_ = 0;
 };
 
-/**
- * Owning address-offset view: every reference of the inner stream
- * shifted by @p delta bytes (the streaming face of offsetAddresses(),
- * used to give multiprogrammed address spaces disjoint ranges).
- */
-class OffsetSource : public TraceSource
-{
-  public:
-    OffsetSource(std::unique_ptr<TraceSource> inner, Addr delta)
-        : inner_(std::move(inner)), delta_(delta)
-    {}
-
-    const std::string &name() const override { return inner_->name(); }
-    std::size_t nextBatch(std::span<MemoryRef> out) override;
-    void reset() override { inner_->reset(); }
-    std::uint64_t knownLength() const override
-    {
-        return inner_->knownLength();
-    }
-    std::uint64_t skip(std::uint64_t n) override { return inner_->skip(n); }
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    Addr delta_;
-};
-
 } // namespace cachelab
 
 #endif // CACHELAB_TRACE_SOURCE_HH

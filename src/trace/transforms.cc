@@ -22,20 +22,6 @@ truncate(const Trace &trace, std::uint64_t max_refs)
 }
 
 Trace
-concatenate(const std::vector<Trace> &traces, std::string name)
-{
-    Trace out(std::move(name));
-    std::size_t total = 0;
-    for (const Trace &t : traces)
-        total += t.size();
-    out.reserve(total);
-    for (const Trace &t : traces)
-        for (const MemoryRef &ref : t)
-            out.append(ref);
-    return out;
-}
-
-Trace
 interleaveRoundRobin(const std::vector<Trace> &traces, std::uint64_t quantum,
                      std::string name, std::uint64_t max_refs)
 {

@@ -26,9 +26,6 @@ namespace cachelab
 /** @return the first @p max_refs references of @p trace. */
 Trace truncate(const Trace &trace, std::uint64_t max_refs);
 
-/** @return the concatenation of @p traces, named @p name. */
-Trace concatenate(const std::vector<Trace> &traces, std::string name);
-
 /**
  * Round-robin interleave of several traces.
  *

@@ -426,7 +426,8 @@ TEST(SetAssocStack, SingleSetEqualsFullyAssociativeAnalyzer)
     StackAnalyzer full(16);
     full.accessAll(t);
     for (std::uint64_t lines : {16u, 64u, 256u}) {
-        EXPECT_EQ(missesAt(depths, lines), full.missCountFor(lines * 16));
+        EXPECT_EQ(missesAt(depths, lines),
+                  full.table1StatsFor(lines * 16).demandFetches);
     }
 }
 

@@ -75,20 +75,6 @@ TEST(SplitCache, DescribeNamesBothCaches)
     EXPECT_NE(d.find("512"), std::string::npos);
 }
 
-TEST(MakePaperSplitCache, AppliesFetchPolicy)
-{
-    auto split = makePaperSplitCache(16384, 16384,
-                                     FetchPolicy::PrefetchAlways);
-    EXPECT_EQ(split->icache().config().fetchPolicy,
-              FetchPolicy::PrefetchAlways);
-    EXPECT_EQ(split->dcache().config().fetchPolicy,
-              FetchPolicy::PrefetchAlways);
-    EXPECT_EQ(split->icache().config().sizeBytes, 16384u);
-    // Table 1 baseline parameters otherwise.
-    EXPECT_EQ(split->icache().config().lineBytes, 16u);
-    EXPECT_EQ(split->icache().config().associativity, 0u);
-}
-
 TEST(CacheSystem, PolymorphicUse)
 {
     std::unique_ptr<CacheSystem> sys =

@@ -9,8 +9,7 @@
  *    the whole corpus stay inside their own reported 95% confidence
  *    intervals and within 5% relative error of the full run;
  *  - the sequential stopping rule terminates early and still meets
- *    its target;
- *  - SweepEngine::Sampled agrees with sweepUnifiedSampled().
+ *    its target.
  *
  * All traces and plans are deterministic, so these are exact checks,
  * not flaky statistical ones.
@@ -191,25 +190,6 @@ TEST(SamplingSequential, StopsEarlyOnceTargetReached)
     // deterministic trace we can assert the estimate landed close.
     EXPECT_NEAR(r.missRatio.mean, full_miss,
                 cfg.targetRelativeError * full_miss * 2.0);
-}
-
-TEST(SamplingSweep, EngineSampledMatchesExplicitSampledSweep)
-{
-    const Trace trace = generateTrace(*findTraceProfile("ZOD"), 50000);
-    const auto sizes = powersOfTwo(256, 4096);
-    RunConfig run;
-    run.jobs = 1;
-
-    const auto via_engine = sweepUnified(trace, sizes, table1Config(256),
-                                         run, SweepEngine::Sampled);
-    const auto explicit_sweep = sweepUnifiedSampled(
-        trace, sizes, table1Config(256), SampleConfig{}, run);
-    ASSERT_EQ(via_engine.size(), explicit_sweep.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        EXPECT_EQ(via_engine[i].cacheBytes, explicit_sweep[i].cacheBytes);
-        EXPECT_TRUE(statsBitwiseEqual(via_engine[i].stats,
-                                      explicit_sweep[i].result.estimated));
-    }
 }
 
 TEST(SamplingSweep, SplitSampledReportsBothSides)

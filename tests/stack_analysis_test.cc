@@ -25,10 +25,10 @@ TEST(StackAnalyzer, ColdTouchesCounted)
     StackAnalyzer a(16);
     a.access({0x000, 4, AccessKind::Read});
     a.access({0x010, 4, AccessKind::Read});
-    EXPECT_EQ(a.coldCount(), 2u);
     EXPECT_EQ(a.refCount(), 2u);
+    EXPECT_EQ(a.distinctLineCount(), 2u);
     // Every size misses both cold touches.
-    EXPECT_EQ(a.missCountFor(1 << 20), 2u);
+    EXPECT_EQ(a.table1StatsFor(1 << 20).demandFetches, 2u);
 }
 
 TEST(StackAnalyzer, DistanceOfImmediateReuseIsOne)
@@ -36,10 +36,10 @@ TEST(StackAnalyzer, DistanceOfImmediateReuseIsOne)
     StackAnalyzer a(16);
     a.access({0x000, 4, AccessKind::Read});
     a.access({0x004, 4, AccessKind::Read}); // same line, distance 1
-    ASSERT_GE(a.distanceCounts().size(), 1u);
-    EXPECT_EQ(a.distanceCounts()[0], 1u);
     // One line in the cache suffices to hit it.
-    EXPECT_EQ(a.missCountFor(16), 1u); // just the cold fetch
+    const CacheStats one_line = a.table1StatsFor(16);
+    EXPECT_EQ(one_line.demandFetches, 1u); // just the cold fetch
+    EXPECT_EQ(one_line.totalMisses(), 1u);
 }
 
 TEST(StackAnalyzer, DistanceCountsInterveningLines)
@@ -49,21 +49,9 @@ TEST(StackAnalyzer, DistanceCountsInterveningLines)
     a.access({0x010, 4, AccessKind::Read});
     a.access({0x020, 4, AccessKind::Read});
     a.access({0x000, 4, AccessKind::Read}); // distance 3
-    ASSERT_GE(a.distanceCounts().size(), 3u);
-    EXPECT_EQ(a.distanceCounts()[2], 1u);
     // A 2-line cache misses the revisit; a 3-line one hits it.
-    EXPECT_EQ(a.missCountFor(32), 4u);
-    EXPECT_EQ(a.missCountFor(48), 3u);
-}
-
-TEST(StackAnalyzer, MeanDistance)
-{
-    StackAnalyzer a(16);
-    a.access({0x000, 4, AccessKind::Read});
-    a.access({0x000, 4, AccessKind::Read}); // d=1
-    a.access({0x010, 4, AccessKind::Read});
-    a.access({0x000, 4, AccessKind::Read}); // d=2
-    EXPECT_DOUBLE_EQ(a.meanDistance(), 1.5);
+    EXPECT_EQ(a.table1StatsFor(32).demandFetches, 4u);
+    EXPECT_EQ(a.table1StatsFor(48).demandFetches, 3u);
 }
 
 class StackSeedSweep : public ::testing::TestWithParam<std::uint64_t>
@@ -83,13 +71,13 @@ TEST_P(StackSeedSweep, OnePassCurveMatchesDirectSimulation)
     params.seed = GetParam();
     const Trace t = generateWorkload(params, "sweep");
 
-    const auto sizes = powersOfTwo(64, 16384);
-    const std::vector<double> curve = lruMissRatioCurve(t, sizes);
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        Cache cache(table1Config(sizes[i]));
+    StackAnalyzer a(16);
+    a.accessAll(t);
+    for (std::uint64_t size : powersOfTwo(64, 16384)) {
+        Cache cache(table1Config(size));
         const CacheStats s = runTrace(t, cache);
-        EXPECT_NEAR(curve[i], s.missRatio(), 1e-12)
-            << "size " << sizes[i];
+        EXPECT_NEAR(a.table1StatsFor(size).missRatio(), s.missRatio(), 1e-12)
+            << "size " << size;
     }
 }
 
@@ -106,7 +94,7 @@ TEST_P(StackSeedSweep, LineFetchCountMatchesDirectSimulation)
     for (std::uint64_t size : {512u, 4096u, 32768u}) {
         Cache cache(table1Config(size));
         const CacheStats s = runTrace(t, cache);
-        EXPECT_EQ(a.missCountFor(size), s.demandFetches)
+        EXPECT_EQ(a.table1StatsFor(size).demandFetches, s.demandFetches)
             << "size " << size;
     }
 }

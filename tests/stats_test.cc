@@ -199,15 +199,6 @@ TEST(Log2Histogram, MeanOfSamples)
     EXPECT_DOUBLE_EQ(h.mean(), 20.0);
 }
 
-TEST(Log2Histogram, RenderMentionsCounts)
-{
-    Log2Histogram h;
-    h.add(5);
-    const std::string text = h.render();
-    EXPECT_NE(text.find("4"), std::string::npos);
-    EXPECT_NE(text.find("7"), std::string::npos);
-}
-
 TEST(TextTable, RendersAlignedColumns)
 {
     TextTable t("Demo");

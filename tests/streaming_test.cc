@@ -6,22 +6,22 @@
  *
  * Covered:
  *  - the TraceSource contract on the packaged sources (Trace,
- *    MemorySource, LimitSource, OffsetSource), including chunk sizes
+ *    MemorySource, LimitSource), including chunk sizes
  *    of 1, an odd prime, and larger than the stream;
  *  - file round-trips streamed through all three TraceFormats,
  *    including the mmap CLT1 fast path and streaming saveTrace();
  *  - streamed synthetic workloads vs generateTrace();
  *  - InterleaveSource vs the materialized round-robin transform;
- *  - analyzeTrace(), runTrace(), lruMissRatioCurve(), every
- *    SweepEngine of sweepUnified()/sweepSplit(), runSampled(), and
- *    the sampled sweeps — streamed vs materialized;
+ *  - analyzeTrace(), runTrace(), every SweepEngine of
+ *    sweepUnified()/sweepSplit(), runSampled(), and the sampled
+ *    sweeps — streamed vs materialized;
  *  - the unknown-length fallback (counting pass) for sampled runs,
  *    and the split sampled sweep stopping its reads once both sides'
  *    plans are done;
  *  - progress credit: every driven reference counted exactly once;
  *  - the whole-run warm-up rule (fatal when nothing would be
- *    measured) on both driver flavours, and size checks that fire
- *    before any input is read.
+ *    measured) on both driver flavours, and size and single-pass
+ *    shape checks that fire before any input is read.
  */
 
 #include <gtest/gtest.h>
@@ -187,18 +187,6 @@ TEST(TraceSourceContract, LimitAndOffsetSources)
         ASSERT_EQ(head[i], trace[i]);
     limited.reset();
     expectSameRefs(limited.materialize(), head);
-
-    constexpr Addr kDelta = 0x40000000;
-    OffsetSource shifted(
-        std::make_unique<MemorySource>(trace.refs(), "inner"), kDelta);
-    EXPECT_EQ(shifted.knownLength(), trace.size());
-    const Trace moved = shifted.materialize();
-    ASSERT_EQ(moved.size(), trace.size());
-    for (std::size_t i = 0; i < moved.size(); ++i) {
-        ASSERT_EQ(moved[i].addr, trace[i].addr + kDelta);
-        ASSERT_EQ(moved[i].kind, trace[i].kind);
-        ASSERT_EQ(moved[i].size, trace[i].size);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -414,20 +402,6 @@ TEST(StreamingDrivers, RunTraceBitwiseAcrossConfigs)
                                         streamed_cache, c.run);
         EXPECT_TRUE(statsBitwiseEqual(got, want)) << c.label;
     }
-}
-
-TEST(StreamingDrivers, LruCurveMatchesMaterialized)
-{
-    const Trace trace = testTrace("ZGREP");
-    const std::vector<std::uint64_t> sizes = {256, 1024, 4096, 16384};
-    const std::vector<double> want = lruMissRatioCurve(trace, sizes);
-
-    MemorySource source(trace.refs(), trace.name());
-    const std::vector<double> got =
-        lruMissRatioCurve(static_cast<TraceSource &>(source), sizes);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(got[i], want[i]) << "size " << sizes[i];
 }
 
 TEST(StreamingDrivers, SweepUnifiedBitwiseForEveryEngine)
@@ -803,6 +777,30 @@ TEST(StreamingDeathTest, SinglePassSweepChecksSizesBeforeReading)
     }
 }
 
+TEST(StreamingDeathTest, SinglePassEnginesCheckShapeBeforeReading)
+{
+    // A base outside the Table 1 shape is one fatal() naming it, and
+    // Verify refuses it before its per-size run reads the input.
+    CacheConfig base = table1Config(1024);
+    base.associativity = 2;
+    const std::vector<std::uint64_t> sizes = {1024, 4096};
+    for (const SweepEngine engine :
+         {SweepEngine::SinglePass, SweepEngine::Verify}) {
+        EXPECT_DEATH(
+            {
+                UnreadableSource source;
+                sweepUnified(source, sizes, base, RunConfig{}, engine);
+            },
+            "needs the Table 1 shape.*not 1K/16B/2-way/LRU");
+        EXPECT_DEATH(
+            {
+                UnreadableSource source;
+                sweepSplit(source, sizes, base, RunConfig{}, engine);
+            },
+            "needs the Table 1 shape.*not 1K/16B/2-way/LRU");
+    }
+}
+
 TEST(StreamingDeathTest, SampledSweepsCheckSizesBeforeReading)
 {
     // The sampled sweeps must read their input to plan (a counting
@@ -819,13 +817,6 @@ TEST(StreamingDeathTest, SampledSweepsCheckSizesBeforeReading)
         {
             UnreadableSource source;
             sweepSplitSampled(source, sizes, base, SampleConfig{});
-        },
-        "cache size 3000 is not a power of two");
-    EXPECT_DEATH(
-        {
-            UnreadableSource source;
-            sweepUnified(source, sizes, base, RunConfig{},
-                         SweepEngine::Sampled);
         },
         "cache size 3000 is not a power of two");
 }

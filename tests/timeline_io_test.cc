@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "obs/classify.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
 #include "sim/timeline.hh"
@@ -122,6 +123,25 @@ TEST(Timeline, BatchSizeDoesNotChangeBuckets)
         EXPECT_EQ(coarse[i].misses, fine[i].misses);
 }
 
+/**
+ * The 3C view of a timeline: a MissClassifier with the bucket length,
+ * attached to a fresh Table 1 cache of @p cache_bytes, splits each
+ * bucket's misses by cause.
+ */
+template <typename Input>
+std::vector<ClassifiedInterval>
+classifiedIntervals(Input &input, std::uint64_t cache_bytes,
+                    std::uint64_t bucket_refs,
+                    std::uint64_t purge_interval = 0)
+{
+    Cache cache(table1Config(cache_bytes));
+    MissClassifier classifier(cache.config(), bucket_refs);
+    cache.setProbe(&classifier);
+    missRatioTimeline(input, cache, bucket_refs, purge_interval);
+    classifier.finalize(cache.accessClock());
+    return classifier.intervals();
+}
+
 TEST(Timeline, ClassifiedBucketsAgreeWithPlainTimeline)
 {
     const TraceProfile &p = *findTraceProfile("ZGREP");
@@ -129,15 +149,12 @@ TEST(Timeline, ClassifiedBucketsAgreeWithPlainTimeline)
     Cache plain(table1Config(1024));
     const auto buckets = missRatioTimeline(t, plain, 5000, 7000);
 
-    Cache classified(table1Config(1024));
-    const auto intervals = classifiedTimeline(t, classified, 5000, 7000);
-    const auto as_buckets = toTimeline(intervals);
-
-    ASSERT_EQ(as_buckets.size(), buckets.size());
+    const auto intervals = classifiedIntervals(t, 1024, 5000, 7000);
+    ASSERT_EQ(intervals.size(), buckets.size());
     for (std::size_t i = 0; i < buckets.size(); ++i) {
-        EXPECT_EQ(as_buckets[i].startRef, buckets[i].startRef);
-        EXPECT_EQ(as_buckets[i].refs, buckets[i].refs);
-        EXPECT_EQ(as_buckets[i].misses, buckets[i].misses);
+        EXPECT_EQ(intervals[i].startRef, buckets[i].startRef);
+        EXPECT_EQ(intervals[i].refs, buckets[i].refs);
+        EXPECT_EQ(intervals[i].misses, buckets[i].misses);
     }
     // Each interval carries a consistent 3C split; table1Config is
     // fully associative, so no interval may report conflict misses.
@@ -151,12 +168,10 @@ TEST(Timeline, ClassifiedStreamedMatchesClassifiedMaterialized)
 {
     const TraceProfile &p = *findTraceProfile("ZOD");
     const Trace t = generateTrace(p, 20000);
-    Cache a(table1Config(2048));
-    const auto materialized = classifiedTimeline(t, a, 4000);
+    const auto materialized = classifiedIntervals(t, 2048, 4000);
 
     const std::unique_ptr<TraceSource> source = streamTrace(p, 20000);
-    Cache b(table1Config(2048));
-    const auto streamed = classifiedTimeline(*source, b, 4000);
+    const auto streamed = classifiedIntervals(*source, 2048, 4000);
 
     ASSERT_EQ(streamed.size(), materialized.size());
     for (std::size_t i = 0; i < streamed.size(); ++i) {
@@ -165,15 +180,6 @@ TEST(Timeline, ClassifiedStreamedMatchesClassifiedMaterialized)
         EXPECT_EQ(streamed[i].capacity, materialized[i].capacity);
         EXPECT_EQ(streamed[i].conflict, materialized[i].conflict);
     }
-}
-
-TEST(TimelineDeathTest, ClassifiedTimelineRequiresFreshCache)
-{
-    const Trace t = generateTrace(*findTraceProfile("ZOD"), 1000);
-    Cache cache(table1Config(1024));
-    runTrace(t, cache);
-    EXPECT_DEATH({ (void)classifiedTimeline(t, cache, 500); },
-                 "fresh cache");
 }
 
 // --- compressed trace format ----------------------------------------

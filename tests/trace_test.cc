@@ -144,17 +144,6 @@ TEST(Transforms, TruncateShortensAndPreservesPrefix)
     EXPECT_EQ(truncate(t, 0).size(), 0u);
 }
 
-TEST(Transforms, ConcatenatePreservesOrder)
-{
-    const Trace a = smallTrace();
-    Trace b("b");
-    b.append(0x9000, 4, AccessKind::Read);
-    const Trace joined = concatenate({a, b}, "joined");
-    ASSERT_EQ(joined.size(), a.size() + 1);
-    EXPECT_EQ(joined[a.size()].addr, 0x9000u);
-    EXPECT_EQ(joined.name(), "joined");
-}
-
 TEST(Transforms, OffsetAddresses)
 {
     const Trace t = smallTrace();

@@ -44,7 +44,9 @@ modes (one required):
 generation options:
   --out FILE            output path; .din = text, else binary (required
                         with --profile / --machine)
-  --refs N              trace length (default: profile length / 250000)
+  --refs N              trace length; a profile runs on past its own
+                        length (default: the profile's length, or
+                        250000 with --machine)
   --seed S              PRNG seed for --machine (default 1)
   --code BYTES          code region size (default 16384)
   --data BYTES          data region size (default 24576)
@@ -145,8 +147,9 @@ main(int argc, char **argv)
         const TraceProfile *p = findTraceProfile(args.get("profile"));
         if (p == nullptr)
             fatal("unknown profile '", args.get("profile"), "'");
-        trace = args.has("refs") ? generateTrace(*p, args.getUint("refs", 0))
-                                 : generateTrace(*p);
+        trace = args.has("refs")
+            ? generateTraceExactly(*p, args.getUint("refs", 0))
+            : generateTrace(*p);
     } else if (args.has("machine")) {
         WorkloadParams params;
         params.machine = machineFromName(args.get("machine"));

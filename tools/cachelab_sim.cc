@@ -3,9 +3,9 @@
  * cachelab-sim: the Dinero-flavored command-line cache simulator.
  *
  * Input is either a trace file (din text or binary) or a named corpus
- * profile; the cache is fully parameterizable; sweeps, split
- * organizations, sector caches, the OPT bound and the one-pass Mattson
- * curve are available, plus CSV emission for scripting and a full
+ * profile; the cache is fully parameterizable; sweeps (per size or in
+ * one Mattson pass), split organizations, sector caches and the OPT
+ * bound are available, plus CSV emission for scripting and a full
  * observability surface: run manifests (--metrics-json), Chrome trace
  * export (--trace-out), phase profiling (--phase-profile) and periodic
  * progress lines (--progress).
@@ -36,7 +36,6 @@
 #include "cache/cache.hh"
 #include "cache/organization.hh"
 #include "cache/sector_cache.hh"
-#include "cache/stack_analysis.hh"
 #include "ckpt/live_points.hh"
 #include "obs/classify.hh"
 #include "obs/event_log.hh"
@@ -110,7 +109,8 @@ cache parameters:
   --write P             copyback | writethrough (default copyback)
   --write-miss P        allocate | noallocate (default allocate)
   --fetch P             demand | prefetch (default demand)
-  --split               split I/D organization (size per side)
+  --split               split I/D organization (size per side); with
+                        --sweep, one row of I and D miss ratios per size
   --sector BYTES        sector cache with this sub-block size
   --purge N             purge every N refs (default 0 = never)
   --timing SPEC         AMAT timing model as key=value list (keys hit,
@@ -123,10 +123,14 @@ cache parameters:
 modes:
   --sweep LO:HI         sweep power-of-two sizes LO..HI
   --engine E            sweep engine: auto | per-size | single-pass |
-                        verify | sampled (default auto; see sim/sweep.hh)
-  --stack-curve         one-pass Mattson LRU curve over --sweep range
+                        verify | sampled (default auto; see sim/sweep.hh).
+                        single-pass is one Mattson pass over every size;
+                        it and verify need the Table 1 shape (fully
+                        associative LRU, demand fetch, copy-back with
+                        fetch-on-write, no --purge, no --warmup)
   --opt                 also report the Belady OPT bound
-  --csv FILE            write sweep results as CSV ('-' = stdout)
+  --csv FILE            write unified sweep results as CSV ('-' =
+                        stdout); split sweeps write none
 
 sampled simulation (estimates with confidence intervals; all flags in
 this family start with --sample):
@@ -173,8 +177,9 @@ cache-event introspection (probe sinks; see DESIGN.md section 4f):
   --set-heatmap FILE    write a per-set hit/miss/fill/eviction CSV;
                         suffixed like --events under --sweep/--split
                         Instrumentation needs a real simulated cache:
-                        --stack-curve, --sample and the single-pass /
-                        sampled engines reject it; --sector supports
+                        --sample and the single-pass / sampled engines
+                        reject it, and so do split sweeps (their I and
+                        D files would share names); --sector supports
                         --events only
 
 observability:
@@ -252,20 +257,21 @@ streamInput(const Args &args)
     fatal("need --trace FILE or --profile NAME\n", kUsage);
 }
 
-/** Total refs of either input flavour (0 when a stream can't say). */
-std::uint64_t
-inputRefs(const Trace &trace)
-{
-    return trace.size();
-}
-
+/** Total refs of a stream (0 when it can't say). */
 std::uint64_t
 inputRefs(TraceSource &source)
 {
     return source.lengthKnown() ? source.knownLength() : 0;
 }
 
-/** @return the engine the --engine flag names. */
+/** @return true when --engine names the sampled sweeps. */
+bool
+sampledEngine(const Args &args)
+{
+    return args.get("engine") == "sampled";
+}
+
+/** @return the bitwise sweep engine the --engine flag names. */
 SweepEngine
 engineFrom(const Args &args)
 {
@@ -278,8 +284,6 @@ engineFrom(const Args &args)
         return SweepEngine::SinglePass;
     if (name == "verify")
         return SweepEngine::Verify;
-    if (name == "sampled")
-        return SweepEngine::Sampled;
     fatal("--engine: unknown engine '", name,
           "' (auto | per-size | single-pass | verify | sampled)");
 }
@@ -926,7 +930,31 @@ runCkptSweep(const Args &args, TraceSource &source, const CacheConfig &base,
                               manifest);
 }
 
-/** @p input is a const Trace (materialized) or a TraceSource. */
+/** Print (and manifest) the per-side points of a split sweep. */
+int
+reportSplitSweep(const std::string &title,
+                 const std::vector<SplitSweepPoint> &points,
+                 obs::RunManifest &manifest)
+{
+    TextTable table(title);
+    table.setHeader({"size/side", "I miss", "D miss"});
+    table.setAlignment(std::vector<TextTable::Align>(
+        3, TextTable::Align::Right));
+    for (const SplitSweepPoint &pt : points) {
+        table.addRow({formatSize(pt.cacheBytes),
+                      formatPercent(pt.icache.missRatio()),
+                      formatPercent(pt.dcache.missRatio())});
+        manifest.results.push_back({"icache", pt.cacheBytes, pt.icache, {}});
+        manifest.results.push_back({"dcache", pt.cacheBytes, pt.dcache, {}});
+    }
+    std::cout << table;
+    return 0;
+}
+
+/**
+ * @p input is a const Trace (materialized) or a TraceSource.  With
+ * --split the sweep runs sweepSplit() and reports each side.
+ */
 template <typename Input>
 int
 runSweep(const Args &args, Input &input, const CacheConfig &base,
@@ -936,6 +964,11 @@ runSweep(const Args &args, Input &input, const CacheConfig &base,
 {
     const auto [lo, hi] = sweepRange(args);
     const auto sizes = powersOfTwo(lo, hi);
+    if (args.has("split"))
+        return reportSplitSweep(
+            "Split sweep: " + input.name() + " on " + base.describe() +
+                " per side (size varied)",
+            sweepSplit(input, sizes, base, run, engine), manifest);
 
     std::vector<std::string> csv_columns = {"size", "miss_ratio", "imiss",
                                             "dmiss", "traffic_bytes"};
@@ -970,69 +1003,44 @@ runSweep(const Args &args, Input &input, const CacheConfig &base,
         table_columns.size(), TextTable::Align::Right));
 
     std::unique_ptr<SweepProbeFactory> probes;
-    if (args.has("stack-curve")) {
-        // One pass, all sizes: only valid for the Table 1 config.
-        const std::uint64_t refs = inputRefs(input);
-        const std::vector<double> curve =
-            lruMissRatioCurve(input, sizes, base.lineBytes);
-        obs::Registry::global().counter("sim.refs").add(refs);
-        if (obs::ProgressMeter::global().enabled())
-            obs::ProgressMeter::global().advance(refs);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            table.addRow({formatSize(sizes[i]),
-                          formatPercent(curve[i]), "-", "-", "-"});
-            if (csv) {
-                csv->field(sizes[i]).field(curve[i], 6);
-                csv->field(std::string("")).field(std::string(""));
-                csv->field(std::string(""));
-                csv->endRow();
-            }
-        }
-    } else {
-        RunConfig instrumented = run;
-        if (instr.any()) {
-            probes = std::make_unique<SweepProbeFactory>(instr, input.name());
-            instrumented.probeFactory = probes.get();
-        }
-        const auto points =
-            sweepUnified(input, sizes, base, instrumented, engine);
-        for (const SweepPoint &pt : points) {
-            TimingResult cycles;
-            if (timing.enabled())
-                cycles = computeTiming(timing, pt.stats, base.lineBytes);
+    RunConfig instrumented = run;
+    if (instr.any()) {
+        probes = std::make_unique<SweepProbeFactory>(instr, input.name());
+        instrumented.probeFactory = probes.get();
+    }
+    const auto points = sweepUnified(input, sizes, base, instrumented, engine);
+    for (const SweepPoint &pt : points) {
+        TimingResult cycles;
+        if (timing.enabled())
+            cycles = computeTiming(timing, pt.stats, base.lineBytes);
 
-            obs::ManifestResult entry{"sweep", pt.cacheBytes, pt.stats,
-                                      {}};
-            if (timing.enabled())
-                applyTimingResult(entry, cycles);
-            manifest.results.push_back(std::move(entry));
+        obs::ManifestResult entry{"sweep", pt.cacheBytes, pt.stats, {}};
+        if (timing.enabled())
+            applyTimingResult(entry, cycles);
+        manifest.results.push_back(std::move(entry));
 
-            std::vector<std::string> row = {
-                formatSize(pt.cacheBytes),
-                formatPercent(pt.stats.missRatio()),
-                formatPercent(pt.stats.missRatio(AccessKind::IFetch)),
-                formatPercent(pt.stats.dataMissRatio()),
-                formatFixed(static_cast<double>(pt.stats.trafficBytes()) /
-                                static_cast<double>(
-                                    pt.stats.totalAccesses()),
-                            2)};
-            if (timing.enabled()) {
-                row.push_back(formatFixed(cycles.amat, 2));
-                row.push_back(
-                    formatFixed(cycles.trafficLimitedRefsPerCycle, 4));
-            }
-            table.addRow(row);
-            if (csv) {
-                csv->field(pt.cacheBytes)
-                    .field(pt.stats.missRatio(), 6)
-                    .field(pt.stats.missRatio(AccessKind::IFetch), 6)
-                    .field(pt.stats.dataMissRatio(), 6)
-                    .field(pt.stats.trafficBytes());
-                if (timing.enabled())
-                    csv->field(cycles.amat, 4)
-                        .field(cycles.trafficLimitedRefsPerCycle, 6);
-                csv->endRow();
-            }
+        std::vector<std::string> row = {
+            formatSize(pt.cacheBytes), formatPercent(pt.stats.missRatio()),
+            formatPercent(pt.stats.missRatio(AccessKind::IFetch)),
+            formatPercent(pt.stats.dataMissRatio()),
+            formatFixed(static_cast<double>(pt.stats.trafficBytes()) /
+                            static_cast<double>(pt.stats.totalAccesses()),
+                        2)};
+        if (timing.enabled()) {
+            row.push_back(formatFixed(cycles.amat, 2));
+            row.push_back(formatFixed(cycles.trafficLimitedRefsPerCycle, 4));
+        }
+        table.addRow(row);
+        if (csv) {
+            csv->field(pt.cacheBytes)
+                .field(pt.stats.missRatio(), 6)
+                .field(pt.stats.missRatio(AccessKind::IFetch), 6)
+                .field(pt.stats.dataMissRatio(), 6)
+                .field(pt.stats.trafficBytes());
+            if (timing.enabled())
+                csv->field(cycles.amat, 4)
+                    .field(cycles.trafficLimitedRefsPerCycle, 6);
+            csv->endRow();
         }
     }
     if (!csv || args.get("csv") != "-")
@@ -1068,11 +1076,6 @@ runModes(const Args &args, Input &input, const CacheConfig &base,
 
     if (instr.any()) {
         // Instrumentation needs a real simulated cache to emit events.
-        if (args.has("stack-curve"))
-            fatal("--classify/--events/--set-heatmap do not support "
-                  "--stack-curve: the one-pass Mattson analyzer keeps no "
-                  "real cache to emit events (use an instrumented "
-                  "--engine per-size sweep instead)");
         if (sampling)
             fatal("--classify/--events/--set-heatmap do not support "
                   "--sample: sampled estimates are stitched from measured "
@@ -1085,20 +1088,18 @@ runModes(const Args &args, Input &input, const CacheConfig &base,
     }
 
     if (args.has("sweep")) {
-        const SweepEngine engine = engineFrom(args);
-        if (sampling && args.has("engine") &&
-            engine != SweepEngine::Sampled)
+        if (sampling && args.has("engine") && !sampledEngine(args))
             fatal("--sample with --sweep implies the sampled engine; "
                   "drop --engine or pass --engine sampled");
-        if (sampling || engine == SweepEngine::Sampled) {
+        if (sampling || sampledEngine(args)) {
             if (instr.any())
                 fatal("--classify/--events/--set-heatmap do not support "
                       "the sampled engine; use --engine per-size");
             return runSampledSweep(args, input, base, run,
                                    sampleConfigFrom(args), manifest);
         }
-        return runSweep(args, input, base, run, engine, instr, timing,
-                        manifest);
+        return runSweep(args, input, base, run, engineFrom(args), instr,
+                        timing, manifest);
     }
 
     if (sampling && args.has("sector"))
@@ -1244,7 +1245,7 @@ runSpecMode(const Args &args, int argc, char **argv)
     // mixing it with the flag-driven modes would be ambiguous.
     for (const char *flag :
          {"trace", "profile", "refs", "stream", "sweep", "sample", "opt",
-          "sector", "split", "stack-curve", "ckpt", "ckpt-write", "size",
+          "sector", "split", "ckpt", "ckpt-write", "size",
           "line", "assoc", "warmup", "purge", "classify", "events",
           "set-heatmap", "replacement", "admission", "timing"})
         if (args.has(flag) &&
@@ -1304,8 +1305,6 @@ modeName(const Args &args, bool sampling)
         return "ckpt-write";
     if (args.has("ckpt"))
         return "ckpt-sweep";
-    if (args.has("stack-curve"))
-        return "stack-curve";
     if (args.has("sweep"))
         return sampling ? "sampled-sweep" : "sweep";
     if (args.has("sector"))
@@ -1377,13 +1376,15 @@ main(int argc, char **argv)
     const bool sampling = args.has("sample");
     if (timing.enabled() &&
         (sampling || args.has("sector") || args.has("split") ||
-         args.has("stack-curve") || args.has("opt") || args.has("ckpt") ||
-         args.has("ckpt-write")))
+         args.has("opt") || args.has("ckpt") || args.has("ckpt-write")))
         fatal("--timing supports unified runs and plain --sweep only "
-              "(no --sample/--sector/--split/--stack-curve/--opt/"
-              "--ckpt modes)");
-    if (sampling && args.has("stack-curve"))
-        fatal("--sample and --stack-curve are mutually exclusive");
+              "(no --sample/--sector/--split/--opt/--ckpt modes)");
+    // Every split sweep (plain, sampled or --ckpt) prints per-side rows
+    // only, and per-size probe files would collide across the sides.
+    if (args.has("sweep") && args.has("split") &&
+        (args.has("csv") || instr.any()))
+        fatal("--split --sweep writes no --csv and supports no "
+              "--classify/--events/--set-heatmap");
     if (sampling && args.has("warmup"))
         fatal("--sample replaces --warmup with --sample-warming/"
               "--sample-warmup");
@@ -1404,10 +1405,8 @@ main(int argc, char **argv)
                   "sweep; a single size is a one-point sweep)");
         if (args.has("engine"))
             fatal(flag, " picks its own engine; drop --engine");
-        if (args.has("stack-curve") || args.has("opt") ||
-            args.has("sector"))
-            fatal(flag, " supports plain --sweep only (no --stack-curve/"
-                  "--opt/--sector)");
+        if (args.has("opt") || args.has("sector"))
+            fatal(flag, " supports plain --sweep only (no --opt/--sector)");
         if (args.has("warmup"))
             fatal(flag, " replaces --warmup with the sampling plan's "
                   "warming");
@@ -1420,9 +1419,9 @@ main(int argc, char **argv)
         std::uint64_t expected =
             stream ? inputRefs(*source) : trace->size();
         // A per-size sweep replays the input once per point; verify
-        // adds a single-pass run on top; the single-pass engine and
-        // the Mattson curve cost one pass.
-        if (args.has("sweep") && !args.has("stack-curve") && !sampling) {
+        // adds a single-pass run on top; the single-pass engine costs
+        // one pass.
+        if (args.has("sweep") && !sampling && !sampledEngine(args)) {
             SweepEngine engine = engineFrom(args);
             if (engine == SweepEngine::Auto)
                 engine = sweepSinglePassEligible(base, run)

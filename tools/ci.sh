@@ -124,18 +124,54 @@ print(f"    .{sys.argv[3]}: peak rss {rss / 2**20:.1f} MiB")
 EOF
 done
 
+echo "==> cachelab_gen --refs N writes exactly N references"
+# VSPICE's own length is 250,000; a profile runs on past it, as
+# cachelab_sim --refs does.
+build-ci/tools/cachelab_gen --profile VSPICE --refs 300000 \
+    --out build-ci/smoke-gen.bin > build-ci/smoke-gen.log
+rm -f build-ci/smoke-gen.bin
+if ! grep -q "^wrote 300,000 references" build-ci/smoke-gen.log; then
+    echo "    ERROR: $(cat build-ci/smoke-gen.log)"; exit 1
+fi
+echo "    $(cat build-ci/smoke-gen.log)"
+
 echo "==> single-pass parity at scale (verify engine, 1 M refs, 32 B to 64 KiB)"
 # The verify engine runs every size both per-size and single-pass and
 # panics on any field that differs.  At 1 M references the tree behind
 # the stack's full row renumbers and doubles many times, far past the
-# unit tests' traces.
+# unit tests' traces.  The split leg's manifest must hold both sides at
+# every size, so the leg is known to run the split sweep.
 for profile in VSPICE LISP1 MVS1 TWOD1; do
     ${sim} --profile "${profile}" --refs 1000000 --sweep 32:65536 \
         --engine verify > /dev/null
     ${sim} --profile "${profile}" --refs 1000000 --sweep 32:65536 \
-        --engine verify --split > /dev/null
+        --engine verify --split \
+        --metrics-json build-ci/smoke-verify-split.json > /dev/null
+    python3 - build-ci/smoke-verify-split.json <<'EOF'
+import json, sys
+results = json.load(open(sys.argv[1]))["results"]
+sizes = [32 << k for k in range(12)]
+for side in ("icache", "dcache"):
+    got = [r["cache_bytes"] for r in results if r["name"] == side]
+    assert got == sizes, (side, got)
+EOF
     echo "    ${profile}: unified and split sweeps agree at every size"
 done
+# The single-pass engines refuse any other shape before reading input,
+# with one fatal() line and exit 1.
+for engine in single-pass verify; do
+    status=0
+    ${sim} --profile VSPICE --refs 100000 --sweep 256:1024 --assoc 2 \
+        --engine "${engine}" > /dev/null \
+        2> build-ci/smoke-ineligible.log || status=$?
+    lines=$(grep -c "fatal:" build-ci/smoke-ineligible.log || true)
+    if [ "${status}" -ne 1 ] || [ "${lines}" -ne 1 ]; then
+        echo "    ERROR: --engine ${engine} --assoc 2 exited ${status}" \
+            "with ${lines} fatal lines, expected 1 and 1"
+        exit 1
+    fi
+done
+echo "    single-pass and verify refuse a 2-way base with one fatal line"
 
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
