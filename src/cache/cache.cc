@@ -5,6 +5,8 @@
 
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -23,7 +25,11 @@ Cache::Cache(const CacheConfig &config)
 
     const std::uint64_t n = config_.lineCount();
     lines_.assign(n, CacheLine{});
-    index_.reserve(n);
+    scan_ = assoc_ <= kMaxScanWays;
+    if (scan_)
+        hint_.assign(sets_, 0);
+    else
+        index_.reserve(n);
 
     policy_ = makeReplacementPolicy(config_.replacement);
     policy_->bind(sets_, static_cast<std::uint32_t>(assoc_),
@@ -37,6 +43,38 @@ Cache::setOf(Addr line_addr) const
     return (line_addr >> lineShift_) & setMask_;
 }
 
+std::uint32_t
+Cache::scanSet(std::uint32_t base, Addr line_addr) const
+{
+    const auto end = static_cast<std::uint32_t>(base + assoc_);
+    for (std::uint32_t way = base; way < end; ++way)
+        if (lines_[way].lineAddr == line_addr && lines_[way].valid)
+            return way;
+    return kInvalid;
+}
+
+template <bool kScan>
+std::uint32_t
+Cache::findWay(Addr line_addr)
+{
+    if constexpr (kScan) {
+        // An early exit on hits to arbitrary ways mispredicts; the hint
+        // makes the common re-touch one predictable compare.
+        const std::uint64_t set = setOf(line_addr);
+        const auto base = static_cast<std::uint32_t>(set * assoc_);
+        const std::uint32_t hinted = base + hint_[set];
+        if (lines_[hinted].lineAddr == line_addr && lines_[hinted].valid)
+            return hinted;
+        const std::uint32_t way = scanSet(base, line_addr);
+        if (way != kInvalid)
+            hint_[set] = static_cast<std::uint8_t>(way - base);
+        return way;
+    } else {
+        return index_.find(line_addr);
+    }
+}
+
+template <bool kScan>
 void
 Cache::evict(std::uint32_t idx, bool is_purge)
 {
@@ -73,12 +111,14 @@ Cache::evict(std::uint32_t idx, bool is_purge)
         }
     }
     policy_->onEvict(idx / assoc_, idx, line.lineAddr, is_purge);
-    index_.take(line.lineAddr);
+    if constexpr (!kScan)
+        index_.take(line.lineAddr);
     line.valid = false;
     line.dirty = false;
     --validLines_;
 }
 
+template <bool kScan>
 std::uint32_t
 Cache::install(Addr line_addr, bool prefetched)
 {
@@ -88,13 +128,16 @@ Cache::install(Addr line_addr, bool prefetched)
         !admission_->admit(line_addr, lines_[victim].lineAddr,
                            lines_[victim].valid))
         return kInvalid;
-    evict(victim, /*is_purge=*/false);
+    evict<kScan>(victim, /*is_purge=*/false);
 
     CacheLine &line = lines_[victim];
     line.lineAddr = line_addr;
     line.valid = true;
     line.dirty = false;
-    index_.insert(line_addr, victim);
+    if constexpr (kScan)
+        hint_[set] = static_cast<std::uint8_t>(victim - set * assoc_);
+    else
+        index_.insert(line_addr, victim);
     ++validLines_;
 
     policy_->onFill(set, victim, line_addr);
@@ -120,14 +163,14 @@ Cache::install(Addr line_addr, bool prefetched)
     return victim;
 }
 
-template <bool kProbed>
+template <bool kProbed, bool kScan>
 bool
 Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
 {
     if (admission_ != nullptr)
         admission_->onAccess(line_addr);
 
-    const std::uint32_t idx = index_.find(line_addr);
+    const std::uint32_t idx = findWay<kScan>(line_addr);
     if (idx != kInvalid) {
         policy_->onHit(setOf(line_addr), idx, line_addr);
         if constexpr (kProbed) {
@@ -170,7 +213,8 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
         return false;
     }
 
-    const std::uint32_t way = install(line_addr, /*prefetched=*/false);
+    const std::uint32_t way =
+        install<kScan>(line_addr, /*prefetched=*/false);
     if (way == kInvalid) {
         // Admission rejected the fill: the reference is still served
         // (and its memory traffic still flows), the line just is not
@@ -195,31 +239,34 @@ Cache::touchLine(Addr line_addr, AccessKind kind, std::uint32_t size)
     return false;
 }
 
+template <bool kScan>
 void
 Cache::maybePrefetch(Addr line_addr)
 {
     const Addr succ = line_addr + config_.lineBytes;
     if (succ < line_addr)
         return; // address-space wraparound
-    if (!index_.contains(succ))
-        install(succ, /*prefetched=*/true);
+    if (findWay<kScan>(succ) == kInvalid)
+        install<kScan>(succ, /*prefetched=*/true);
 }
 
+template <bool kScan>
 bool
 Cache::accessLinesProbed(Addr first, Addr last, AccessKind kind,
                          std::uint32_t size)
 {
     bool hit = true;
     for (Addr line = first;; line += config_.lineBytes) {
-        hit &= touchLine<true>(line, kind, size);
+        hit &= touchLine<true, kScan>(line, kind, size);
         if (line == last)
             break;
     }
     return hit;
 }
 
+template <bool kScan>
 bool
-Cache::access(const MemoryRef &ref)
+Cache::accessWith(const MemoryRef &ref)
 {
     CACHELAB_ASSERT(ref.size > 0, "zero-sized reference");
     ++clock_;
@@ -231,10 +278,10 @@ Cache::access(const MemoryRef &ref)
 
     bool hit = true;
     if (probe_ != nullptr) {
-        hit = accessLinesProbed(first, last, ref.kind, ref.size);
+        hit = accessLinesProbed<kScan>(first, last, ref.kind, ref.size);
     } else {
         for (Addr line = first;; line += config_.lineBytes) {
-            hit &= touchLine<false>(line, ref.kind, ref.size);
+            hit &= touchLine<false, kScan>(line, ref.kind, ref.size);
             if (line == last)
                 break;
         }
@@ -243,10 +290,13 @@ Cache::access(const MemoryRef &ref)
         ++stats_.misses[k];
 
     if (config_.fetchPolicy == FetchPolicy::PrefetchAlways)
-        maybePrefetch(last);
+        maybePrefetch<kScan>(last);
 
     return hit;
 }
+
+template bool Cache::accessWith<true>(const MemoryRef &ref);
+template bool Cache::accessWith<false>(const MemoryRef &ref);
 
 void
 Cache::purge()
@@ -257,8 +307,12 @@ Cache::purge()
         event.refIndex = clock_;
         probe_->onEvent(event);
     }
-    for (std::uint32_t idx = 0; idx < lines_.size(); ++idx)
-        evict(idx, /*is_purge=*/true);
+    for (std::uint32_t idx = 0; idx < lines_.size(); ++idx) {
+        if (scan_)
+            evict<true>(idx, /*is_purge=*/true);
+        else
+            evict<false>(idx, /*is_purge=*/true);
+    }
 
     // Reset the policy so every set drains in way order again.
     policy_->reset();
@@ -314,7 +368,10 @@ Cache::importState(const CacheState &state)
     // that order refuses it before any line is replaced.
     policy_->importRecency(state.recency);
 
-    index_.clear();
+    if (scan_)
+        std::fill(hint_.begin(), hint_.end(), 0);
+    else
+        index_.clear();
     validLines_ = 0;
     for (std::size_t idx = 0; idx < lines_.size(); ++idx) {
         CacheLine &line = lines_[idx];
@@ -326,9 +383,13 @@ Cache::importState(const CacheState &state)
                             "cache state import: line ", line.lineAddr,
                             " in way ", idx, " maps to set ",
                             setOf(line.lineAddr));
-            const bool inserted = index_.insert(
-                line.lineAddr, static_cast<std::uint32_t>(idx));
-            CACHELAB_ASSERT(inserted, "cache state import: duplicate line ",
+            // In a scanned set, no earlier way holds the line when the
+            // scan from the set's first way stops at this one.
+            const auto way = static_cast<std::uint32_t>(idx);
+            const bool unique =
+                scan_ ? scanSet(way - way % assoc_, line.lineAddr) == way
+                      : index_.insert(line.lineAddr, way);
+            CACHELAB_ASSERT(unique, "cache state import: duplicate line ",
                             line.lineAddr);
             ++validLines_;
         }
@@ -344,14 +405,23 @@ Cache::importState(const CacheState &state)
 bool
 Cache::contains(Addr addr) const
 {
-    return index_.contains(alignDown(addr, config_.lineBytes));
+    return wayOf(alignDown(addr, config_.lineBytes)) != kInvalid;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const std::uint32_t idx = index_.find(alignDown(addr, config_.lineBytes));
+    const std::uint32_t idx = wayOf(alignDown(addr, config_.lineBytes));
     return idx != kInvalid && lines_[idx].dirty;
+}
+
+std::uint32_t
+Cache::wayOf(Addr line_addr) const
+{
+    if (!scan_)
+        return index_.find(line_addr);
+    return scanSet(static_cast<std::uint32_t>(setOf(line_addr) * assoc_),
+                   line_addr);
 }
 
 } // namespace cachelab

@@ -5,9 +5,13 @@
  * A single cache parameterized by CacheConfig: direct-mapped through
  * fully associative, any replacement policy of cache/policy.hh with
  * optional admission, copy-back or write-through, demand fetch or
- * prefetch-always.  A reference costs one probe of a flat line index
- * (util/flat_map.hh) plus the policy's bookkeeping: O(1) for the
- * recency-list trio, an O(assoc) scan of the line array for the zoo.
+ * prefetch-always.  A set of at most Cache::kMaxScanWays ways is its
+ * own index: a lookup checks the way last hit or filled in the set,
+ * then scans the set's ways.  Wider sets (a fully associative cache of
+ * more than 16 lines, such as Table 1's from 512 B) find a line with
+ * one probe of a flat line index (util/flat_map.hh).  The policy's
+ * bookkeeping comes on top: O(1) for the recency-list trio, an
+ * O(assoc) scan of the line array for the zoo.
  */
 
 #ifndef CACHELAB_CACHE_CACHE_HH
@@ -102,6 +106,13 @@ struct CacheState
 class Cache
 {
   public:
+    /**
+     * Widest set found by a scan of its ways rather than the line
+     * index; the geometry alone decides (DESIGN.md §2, "One flat line
+     * index", has the crossover it comes from).
+     */
+    static constexpr std::uint64_t kMaxScanWays = 16;
+
     /** Construct from a validated configuration. */
     explicit Cache(const CacheConfig &config);
 
@@ -118,7 +129,11 @@ class Cache
      *
      * @return true when the reference hit.
      */
-    bool access(const MemoryRef &ref);
+    bool
+    access(const MemoryRef &ref)
+    {
+        return scan_ ? accessWith<true>(ref) : accessWith<false>(ref);
+    }
 
     /**
      * Invalidate the whole cache, as on a task switch in a machine
@@ -202,7 +217,25 @@ class Cache
 
     std::uint64_t setOf(Addr line_addr) const;
 
+    /**
+     * @return the way of the set starting at way @p base that holds
+     * @p line_addr, or kInvalid: a scan of the set in way order.
+     */
+    std::uint32_t scanSet(std::uint32_t base, Addr line_addr) const;
+
+    /** @return the way holding @p line_addr, or kInvalid (no hint). */
+    std::uint32_t wayOf(Addr line_addr) const;
+
+    /**
+     * @return the way holding @p line_addr, or kInvalid.  @tparam kScan
+     * selects the lookup: the set's hinted way, then a scan that moves
+     * the hint to the way it finds; or one probe of the line index.
+     */
+    template <bool kScan>
+    std::uint32_t findWay(Addr line_addr);
+
     /** Evict (and account) the line in way @p idx if valid. */
+    template <bool kScan>
     void evict(std::uint32_t idx, bool is_purge);
 
     /**
@@ -211,6 +244,7 @@ class Cache
      * admission policy rejected the fill (nothing was evicted or
      * installed).
      */
+    template <bool kScan>
     std::uint32_t install(Addr line_addr, bool prefetched);
 
     /**
@@ -221,18 +255,29 @@ class Cache
      * @tparam kProbed compiled-in probe dispatch: the false
      * instantiation carries no probe branches at all, keeping the
      * uninstrumented hot path identical to a probe-free build.
+     * @tparam kScan the lookup findWay() uses.
      */
-    template <bool kProbed>
+    template <bool kProbed, bool kScan>
     bool touchLine(Addr line_addr, AccessKind kind, std::uint32_t size);
+
+    /**
+     * access() with the lookup fixed (@tparam kScan as in findWay()):
+     * the caller picks it once per reference, so each lookup's line
+     * loop is compiled on its own.
+     */
+    template <bool kScan>
+    bool accessWith(const MemoryRef &ref);
 
     /** The instrumented line loop, kept out of line so its bulk does
      *  not eat access()'s inlining budget (which would deopt the
      *  probe-off hot path). */
+    template <bool kScan>
     [[gnu::noinline]] bool accessLinesProbed(Addr first, Addr last,
                                              AccessKind kind,
                                              std::uint32_t size);
 
     /** Apply prefetch-always for the successor of @p line_addr. */
+    template <bool kScan>
     void maybePrefetch(Addr line_addr);
 
     CacheConfig config_;
@@ -242,8 +287,16 @@ class Cache
     std::vector<ProbeMeta> probeMeta_; ///< empty until a probe attaches
     std::unique_ptr<ReplacementPolicy> policy_;
     std::unique_ptr<AdmissionPolicy> admission_; ///< nullptr = admit all
-    AddrIndex index_; ///< lineAddr -> way of every valid line
+    /** lineAddr -> way of every valid line; empty when scan_. */
+    AddrIndex index_;
+    /**
+     * Per set, the way (counted from the set's first) last hit or
+     * filled there; empty unless scan_.  A lookup hint, not state: it
+     * may name an invalid or reused way, so it is always checked.
+     */
+    std::vector<std::uint8_t> hint_;
 
+    bool scan_; ///< assoc_ <= kMaxScanWays: sets are scanned, no index
     std::uint64_t assoc_;
     std::uint64_t sets_;
     unsigned lineShift_;    ///< log2(lineBytes): setOf() without division

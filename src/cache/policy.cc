@@ -14,7 +14,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <limits>
 
 #include "util/logging.hh"
@@ -596,6 +595,64 @@ class ScanPolicy : public ReplacementPolicy
 };
 
 /**
+ * Per-set FIFO directories of evicted line addresses (2Q's A1out,
+ * ARC's B1 and B2) in one flat array: set s owns the slice
+ * [s * capacity, (s + 1) * capacity), oldest entry first, and a count.
+ * The newest entry is pushed at the end and the oldest popped from
+ * the front; an erased entry's gap is closed by shifting.
+ */
+class GhostList
+{
+  public:
+    void
+    init(std::uint64_t sets, std::uint32_t capacity)
+    {
+        capacity_ = capacity;
+        addrs_.assign(sets * capacity, 0);
+        sizes_.assign(sets, 0);
+    }
+
+    std::uint32_t size(std::uint64_t set) const { return sizes_[set]; }
+
+    /** @return @p line_addr's position in @p set's list, or kNoWay. */
+    std::uint32_t
+    find(std::uint64_t set, Addr line_addr) const
+    {
+        const Addr *list = &addrs_[set * capacity_];
+        for (std::uint32_t pos = 0; pos < sizes_[set]; ++pos)
+            if (list[pos] == line_addr)
+                return pos;
+        return kNoWay;
+    }
+
+    /** Remove the entry at @p pos of @p set's list. */
+    void
+    erase(std::uint64_t set, std::uint32_t pos)
+    {
+        Addr *list = &addrs_[set * capacity_];
+        std::copy(list + pos + 1, list + sizes_[set], list + pos);
+        --sizes_[set];
+    }
+
+    /** Remove @p set's oldest entry. */
+    void popOldest(std::uint64_t set) { erase(set, 0); }
+
+    /** Append @p line_addr as @p set's newest entry. */
+    void
+    push(std::uint64_t set, Addr line_addr)
+    {
+        CACHELAB_ASSERT(sizes_[set] < capacity_, "ghost list of set ", set,
+                        " is full at ", capacity_, " entries");
+        addrs_[set * capacity_ + sizes_[set]++] = line_addr;
+    }
+
+  private:
+    std::vector<Addr> addrs_;
+    std::vector<std::uint32_t> sizes_;
+    std::uint32_t capacity_ = 0;
+};
+
+/**
  * Segmented LRU.  Each set is split into a probationary and a
  * protected segment (param `probation` = probationary fraction,
  * default 0.2).  Fills land probationary; a hit promotes to
@@ -854,11 +911,9 @@ class TwoQPolicy final : public ScanPolicy
     void
     onFill(std::uint64_t set, std::uint32_t way, Addr line_addr) override
     {
-        auto &ghosts = a1out_[set];
-        const auto ghost =
-            std::find(ghosts.begin(), ghosts.end(), line_addr);
-        if (ghost != ghosts.end()) {
-            ghosts.erase(ghost);
+        const std::uint32_t ghost = a1out_.find(set, line_addr);
+        if (ghost != kNoWay) {
+            a1out_.erase(set, ghost);
             inA1_[way] = 0; // straight into the main space
         } else {
             inA1_[way] = 1;
@@ -882,10 +937,9 @@ class TwoQPolicy final : public ScanPolicy
     {
         if (is_purge || !inA1_[way])
             return;
-        auto &ghosts = a1out_[set];
-        ghosts.push_back(line_addr);
-        if (ghosts.size() > kout_)
-            ghosts.pop_front();
+        if (a1out_.size(set) == kout_)
+            a1out_.popOldest(set);
+        a1out_.push(set, line_addr);
     }
 
   private:
@@ -895,13 +949,13 @@ class TwoQPolicy final : public ScanPolicy
         inA1_.assign(sets_ * assoc_, 0);
         fillStamp_.assign(sets_ * assoc_, 0);
         lastTouch_.assign(sets_ * assoc_, 0);
-        a1out_.assign(sets_, {});
         kin_ = std::max<std::uint32_t>(
             1, static_cast<std::uint32_t>(
                    std::llround(kinFraction_ * assoc_)));
         kout_ = std::max<std::uint32_t>(
             1, static_cast<std::uint32_t>(
                    std::llround(koutFraction_ * assoc_)));
+        a1out_.init(sets_, kout_);
     }
 
     double kinFraction_;
@@ -911,7 +965,7 @@ class TwoQPolicy final : public ScanPolicy
     std::vector<std::uint8_t> inA1_;
     std::vector<std::uint64_t> fillStamp_;
     std::vector<std::uint64_t> lastTouch_;
-    std::vector<std::deque<std::uint64_t>> a1out_;
+    GhostList a1out_; ///< kout_ entries a set
 };
 
 /**
@@ -931,28 +985,26 @@ class ArcPolicy final : public ScanPolicy
     victimWay(std::uint64_t set, Addr incoming) override
     {
         pending_ = Pending{};
-        auto &b1 = b1_[set];
-        auto &b2 = b2_[set];
-        const auto b1Hit = std::find(b1.begin(), b1.end(), incoming);
-        const auto b2Hit = std::find(b2.begin(), b2.end(), incoming);
+        const std::uint32_t b1Size = b1_.size(set);
+        const std::uint32_t b2Size = b2_.size(set);
 
         Pending p;
         p.active = true;
         p.set = set;
         p.incoming = incoming;
         p.newTarget = target_[set];
-        if (b1Hit != b1.end()) {
+        if (b1_.find(set, incoming) != kNoWay) {
             p.newTarget = std::min<double>(
                 assoc_, p.newTarget +
-                    std::max<double>(1.0, double(b2.size()) /
-                                              double(b1.size())));
+                    std::max<double>(1.0, double(b2Size) /
+                                              double(b1Size)));
             p.removeFromB1 = true;
             p.fillToT2 = true;
-        } else if (b2Hit != b2.end()) {
+        } else if (b2_.find(set, incoming) != kNoWay) {
             p.newTarget = std::max<double>(
                 0.0, p.newTarget -
-                    std::max<double>(1.0, double(b1.size()) /
-                                              double(b2.size())));
+                    std::max<double>(1.0, double(b1Size) /
+                                              double(b2Size)));
             p.removeFromB2 = true;
             p.fillToT2 = true;
         }
@@ -973,8 +1025,8 @@ class ArcPolicy final : public ScanPolicy
         } else {
             // Neither ghost knows the address: trim the directory the
             // way ARC's case IV does before REPLACE.
-            const std::uint64_t l1 = t1 + b1.size();
-            const std::uint64_t total = assoc_ + b1.size() + b2.size();
+            const std::uint64_t l1 = t1 + b1Size;
+            const std::uint64_t total = assoc_ + b1Size + b2Size;
             if (l1 == assoc_) {
                 if (t1 < assoc_)
                     p.popB1Front = true;
@@ -1004,20 +1056,18 @@ class ArcPolicy final : public ScanPolicy
         bool toT2 = false;
         if (pending_.active && pending_.set == set &&
             pending_.incoming == line_addr) {
-            auto &b1 = b1_[set];
-            auto &b2 = b2_[set];
             target_[set] = pending_.newTarget;
             if (pending_.removeFromB1)
-                b1.erase(std::find(b1.begin(), b1.end(), line_addr));
+                b1_.erase(set, b1_.find(set, line_addr));
             if (pending_.removeFromB2)
-                b2.erase(std::find(b2.begin(), b2.end(), line_addr));
-            if (pending_.popB1Front && !b1.empty())
-                b1.pop_front();
-            if (pending_.popB2Front && !b2.empty())
-                b2.pop_front();
+                b2_.erase(set, b2_.find(set, line_addr));
+            if (pending_.popB1Front && b1_.size(set) != 0)
+                b1_.popOldest(set);
+            if (pending_.popB2Front && b2_.size(set) != 0)
+                b2_.popOldest(set);
             if (pending_.evicting && !pending_.suppressGhostPush) {
-                auto &ghosts = pending_.victimWasT1 ? b1 : b2;
-                ghosts.push_back(pending_.victimAddr);
+                GhostList &ghosts = pending_.victimWasT1 ? b1_ : b2_;
+                ghosts.push(set, pending_.victimAddr);
             }
             toT2 = pending_.fillToT2;
         }
@@ -1057,8 +1107,9 @@ class ArcPolicy final : public ScanPolicy
         inT1_.assign(sets_ * assoc_, 0);
         lastTouch_.assign(sets_ * assoc_, 0);
         target_.assign(sets_, 0.0);
-        b1_.assign(sets_, {});
-        b2_.assign(sets_, {});
+        // The directory logic keeps |B1| + |B2| <= assoc.
+        b1_.init(sets_, assoc_);
+        b2_.init(sets_, assoc_);
         pending_ = Pending{};
     }
 
@@ -1092,8 +1143,8 @@ class ArcPolicy final : public ScanPolicy
     std::vector<std::uint8_t> inT1_;
     std::vector<std::uint64_t> lastTouch_;
     std::vector<double> target_;
-    std::vector<std::deque<std::uint64_t>> b1_;
-    std::vector<std::deque<std::uint64_t>> b2_;
+    GhostList b1_;
+    GhostList b2_;
     Pending pending_;
 };
 

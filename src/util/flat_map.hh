@@ -1,8 +1,9 @@
 /**
  * @file
  * AddrIndex: the one open-addressing address -> uint32_t hash index
- * behind the cache models' line lookups (Cache: line to way,
- * SectorCache: sector to slot, LruStack: tree line to stamp).
+ * behind the cache models' line lookups (Cache: line to way in caches
+ * wider than Cache::kMaxScanWays, whose narrower sets are scanned
+ * instead; SectorCache: sector to slot; LruStack: tree line to stamp).
  *
  * Power-of-two slots, linear probing from a Fibonacci hash of the key,
  * backward-shift deletion (no tombstones) and doubling at load 1/2.

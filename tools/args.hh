@@ -4,14 +4,20 @@
  *
  * Accepts "--name value" and "--flag" styles; values are fetched with
  * typed getters that fatal() on malformed input so tools fail loudly.
+ * Each tool declares its flags, and any other flag is a one-line
+ * fatal(): a misspelled or retired flag must not change the experiment
+ * without a word.
  */
 
 #ifndef CACHELAB_TOOLS_ARGS_HH
 #define CACHELAB_TOOLS_ARGS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/logging.hh"
@@ -23,12 +29,19 @@ namespace cachelab::tools
 class Args
 {
   public:
-    Args(int argc, char **argv)
+    /**
+     * Parse @p argv against @p flags, the tool's flag names without
+     * "--" (static storage).  fatal() on any other flag.
+     */
+    Args(int argc, char **argv, std::span<const std::string_view> flags)
+        : flags_(flags)
     {
         for (int i = 1; i < argc; ++i) {
             std::string token = argv[i];
             if (token.rfind("--", 0) == 0) {
                 const std::string name = token.substr(2);
+                if (!declared(name))
+                    fatal("unknown flag '", token, "' (see --help)");
                 if (i + 1 < argc &&
                     std::string(argv[i + 1]).rfind("--", 0) != 0) {
                     options_[name] = argv[++i];
@@ -43,20 +56,20 @@ class Args
 
     bool has(const std::string &name) const
     {
-        return options_.contains(name);
+        return options_.contains(checked(name));
     }
 
     std::string
     get(const std::string &name, const std::string &fallback = "") const
     {
-        const auto it = options_.find(name);
+        const auto it = options_.find(checked(name));
         return it == options_.end() ? fallback : it->second;
     }
 
     std::uint64_t
     getUint(const std::string &name, std::uint64_t fallback) const
     {
-        const auto it = options_.find(name);
+        const auto it = options_.find(checked(name));
         if (it == options_.end())
             return fallback;
         try {
@@ -73,7 +86,7 @@ class Args
     double
     getDouble(const std::string &name, double fallback) const
     {
-        const auto it = options_.find(name);
+        const auto it = options_.find(checked(name));
         if (it == options_.end())
             return fallback;
         try {
@@ -93,6 +106,22 @@ class Args
     }
 
   private:
+    bool
+    declared(std::string_view name) const
+    {
+        return std::find(flags_.begin(), flags_.end(), name) != flags_.end();
+    }
+
+    /** @return @p name; panic() when the tool reads an undeclared flag. */
+    const std::string &
+    checked(const std::string &name) const
+    {
+        CACHELAB_ASSERT(declared(name), "flag --", name,
+                        " is read but not declared");
+        return name;
+    }
+
+    std::span<const std::string_view> flags_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
 };

@@ -392,11 +392,16 @@ splitCommaList(const std::string &text)
     return out;
 }
 
+/** The flags kUsage documents; Args refuses any other. */
+constexpr std::string_view kFlags[] = {
+    "help", "jobs", "list", "out-dir", "perf", "refs", "reps",
+    "scenario", "seed", "warmup"};
+
 int
 run(int argc, char **argv)
 {
     handleVersionFlag(argc, argv, "cachelab_bench");
-    const Args args(argc, argv);
+    const Args args(argc, argv, kFlags);
     if (args.has("help")) {
         std::cout << kUsage;
         return 0;

@@ -131,12 +131,17 @@ readSpecFile(const std::string &path)
 
 } // namespace
 
+/** The flags kUsage documents; Args refuses any other. */
+constexpr std::string_view kFlags[] = {
+    "help", "json", "out", "ping", "quiet", "shutdown", "socket",
+    "spec", "stats"};
+
 int
 main(int argc, char **argv)
 {
     using namespace cachelab;
     tools::handleVersionFlag(argc, argv, "cachelab_client");
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv, kFlags);
 
     if (args.has("help")) {
         std::cout << kUsage;

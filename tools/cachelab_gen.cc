@@ -125,11 +125,16 @@ cmdAnalyze(const std::string &path)
 
 } // namespace
 
+/** The flags kUsage documents; Args refuses any other. */
+constexpr std::string_view kFlags[] = {
+    "analyze", "branch", "code", "data", "help", "ifetch", "list",
+    "machine", "out", "profile", "refs", "seed"};
+
 int
 main(int argc, char **argv)
 {
     handleVersionFlag(argc, argv, "cachelab_gen");
-    const Args args(argc, argv);
+    const Args args(argc, argv, kFlags);
     if (args.has("help") || argc == 1) {
         std::cout << kUsage;
         return args.has("help") ? 0 : 2;

@@ -718,11 +718,16 @@ benchCompare(const std::string &baseline_path,
 
 } // namespace
 
+/** The flags kUsage documents; Args refuses any other. */
+constexpr std::string_view kFlags[] = {
+    "bench-compare", "bench-csv", "bench-threshold", "events", "help",
+    "manifest", "out-dir", "registry", "top"};
+
 int
 main(int argc, char **argv)
 {
     handleVersionFlag(argc, argv, "cachelab_report");
-    const Args args(argc, argv);
+    const Args args(argc, argv, kFlags);
     if (args.has("help")) {
         std::cout << kUsage;
         return 0;

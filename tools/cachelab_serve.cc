@@ -71,12 +71,18 @@ handleSignal(int)
 
 } // namespace
 
+/** The flags kUsage documents; Args refuses any other. */
+constexpr std::string_view kFlags[] = {
+    "batch-window-ms", "cache-mb", "help", "jobs", "max-queue",
+    "max-requests", "metrics-interval-s", "metrics-snapshot",
+    "registry", "registry-max-runs", "socket", "trace-out"};
+
 int
 main(int argc, char **argv)
 {
     using namespace cachelab;
     tools::handleVersionFlag(argc, argv, "cachelab_serve");
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv, kFlags);
 
     if (args.has("help")) {
         std::cout << kUsage;

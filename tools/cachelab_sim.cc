@@ -982,20 +982,6 @@ runSweep(const Args &args, Input &input, const CacheConfig &base,
                              {"AMAT", "refs/cycle"});
     }
 
-    std::ofstream csv_file;
-    std::unique_ptr<CsvWriter> csv;
-    if (args.has("csv")) {
-        std::ostream *os = &std::cout;
-        if (args.get("csv") != "-") {
-            csv_file.open(args.get("csv"));
-            if (!csv_file)
-                fatal("cannot open '", args.get("csv"), "'");
-            os = &csv_file;
-        }
-        csv = std::make_unique<CsvWriter>(*os);
-        csv->header(csv_columns);
-    }
-
     TextTable table("Sweep: " + input.name() + " on " + base.describe() +
                     " (size varied)");
     table.setHeader(table_columns);
@@ -1009,6 +995,22 @@ runSweep(const Args &args, Input &input, const CacheConfig &base,
         instrumented.probeFactory = probes.get();
     }
     const auto points = sweepUnified(input, sizes, base, instrumented, engine);
+
+    // Only a sweep that ran writes CSV: a refused one leaves no header
+    // on stdout and no file.
+    std::ofstream csv_file;
+    std::unique_ptr<CsvWriter> csv;
+    if (args.has("csv")) {
+        std::ostream *os = &std::cout;
+        if (args.get("csv") != "-") {
+            csv_file.open(args.get("csv"));
+            if (!csv_file)
+                fatal("cannot open '", args.get("csv"), "'");
+            os = &csv_file;
+        }
+        csv = std::make_unique<CsvWriter>(*os);
+        csv->header(csv_columns);
+    }
     for (const SweepPoint &pt : points) {
         TimingResult cycles;
         if (timing.enabled())
@@ -1316,11 +1318,23 @@ modeName(const Args &args, bool sampling)
 
 } // namespace
 
+/** The flags kUsage documents; Args refuses any other. */
+constexpr std::string_view kFlags[] = {
+    "admission", "assoc", "batch", "ckpt", "ckpt-write", "classify",
+    "classify-interval", "csv", "engine", "events", "events-sample",
+    "fetch", "help", "jobs", "line", "metrics-json", "opt", "perf",
+    "phase-profile", "profile", "progress", "purge", "refs",
+    "replacement", "sample", "sample-confidence", "sample-error",
+    "sample-select", "sample-unit", "sample-warming", "sample-warmup",
+    "sector", "seed", "set-heatmap", "size", "spec", "split", "stream",
+    "sweep", "timing", "trace", "trace-out", "warmup", "write",
+    "write-miss"};
+
 int
 main(int argc, char **argv)
 {
     handleVersionFlag(argc, argv, "cachelab_sim");
-    const Args args(argc, argv);
+    const Args args(argc, argv, kFlags);
     if (args.has("help")) {
         std::cout << kUsage;
         return 0;

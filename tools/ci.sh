@@ -172,15 +172,53 @@ for engine in single-pass verify; do
     fi
 done
 echo "    single-pass and verify refuse a 2-way base with one fatal line"
+# A refused sweep writes no CSV: no header on stdout, no file.
+status=0
+${sim} --profile ZGREP --refs 2000 --sweep 256:1024 --assoc 2 \
+    --engine single-pass --csv - > build-ci/smoke-refused-stdout.txt \
+    2> /dev/null || status=$?
+rm -f build-ci/smoke-refused.csv
+${sim} --profile ZGREP --refs 2000 --sweep 256:1024 --assoc 2 \
+    --engine single-pass --csv build-ci/smoke-refused.csv \
+    > /dev/null 2>&1 || true
+if [ "${status}" -ne 1 ] || [ -s build-ci/smoke-refused-stdout.txt ] ||
+    [ -e build-ci/smoke-refused.csv ]; then
+    echo "    ERROR: a refused --csv sweep exited ${status} or wrote CSV"
+    exit 1
+fi
+echo "    a refused sweep prints no CSV header and writes no CSV file"
+
+echo "==> undeclared flags (one fatal line, exit 1)"
+# A misspelled or retired flag must not change the experiment silently.
+unknown_flag() {
+    local status=0 lines
+    "$@" > /dev/null 2> build-ci/smoke-unknown-flag.log || status=$?
+    lines=$(grep -c "fatal:" build-ci/smoke-unknown-flag.log || true)
+    if [ "${status}" -ne 1 ] || [ "${lines}" -ne 1 ] ||
+        ! grep -q "unknown flag" build-ci/smoke-unknown-flag.log; then
+        echo "    ERROR: '$*' exited ${status} with ${lines} fatal lines," \
+            "expected 1 and 1"
+        exit 1
+    fi
+}
+unknown_flag ${sim} --profile VSPICE --refs 100000 --sweep 256:1024 \
+    --assco 2
+unknown_flag ${sim} --profile VSPICE --refs 100000 --sweep 256:1024 \
+    --stack-curve
+for tool in cachelab_gen cachelab_bench cachelab_report cachelab_serve \
+    cachelab_client; do
+    unknown_flag "build-ci/tools/${tool}" --no-such-flag
+done
+echo "    every tool refuses an undeclared flag with one fatal line"
 
 echo "==> checkpoint smoke (live-point store: write, fan out, bitwise parity)"
 # One functional pass writes the store; the --ckpt sweep must then
 # reproduce the functional-warming sweep bit for bit, and the manifest
-# must carry the store's provenance (key/content hash).  Three legs:
+# must carry the store's provenance (key/content hash).  Four legs:
 # fully associative (one 1-set group, a deep stack), 4-way (a group per
-# set count, every set a shallow stack, all in one channel pass) and
+# set count, every set a shallow stack, all in one channel pass),
 # 4-way split (an icache and a dcache channel: the one store whose
-# writer fans out over --jobs).
+# writer fans out over --jobs) and 16-way.
 ckpt_flags=(--profile ZGREP --refs 200000 --sweep 256:8192
             --sample 0.1 --sample-unit 1000 --jobs 1)
 ckpt_leg() {
@@ -230,6 +268,9 @@ EOF
 ckpt_leg fa
 ckpt_leg 4way --assoc 4
 ckpt_leg 4way-split --assoc 4 --split
+# The widest geometry whose sets are scanned rather than indexed
+# (Cache::kMaxScanWays): the restore imports into scanned sets.
+ckpt_leg 16way --assoc 16
 
 # The writer's bytes do not depend on --jobs: the 4-way store written
 # on four jobs (the trailing --jobs overrides ckpt_flags' --jobs 1)
