@@ -102,8 +102,10 @@ CacheConfig::describe() const
         ? "full"
         : std::to_string(associativity) + "-way";
     std::string policy = replacement.display();
-    if (!admission.empty())
-        policy += "+" + admission.toString();
+    if (!admission.empty()) {
+        policy += '+';
+        policy += admission.toString();
+    }
     return formatSize(sizeBytes) + "/" + formatSize(lineBytes) + "B/" +
         assoc + "/" + policy + "/" + toString(writePolicy) + "/" +
         toString(fetchPolicy);

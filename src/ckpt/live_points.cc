@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +23,8 @@
 #include "obs/metrics.hh"
 #include "sample/sampler.hh"
 #include "util/bits.hh"
+#include "util/format.hh"
+#include "util/hash.hh"
 #include "util/json_reader.hh"
 #include "util/json_writer.hh"
 #include "util/logging.hh"
@@ -40,32 +40,6 @@ namespace
 constexpr std::uint32_t kStoreVersion = 2;
 constexpr char kStoreSchema[] = "cachelab.ckpt_store";
 constexpr char kGroupMagic[4] = {'L', 'V', 'P', 'T'};
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const void *data, std::size_t n)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        hash ^= bytes[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aU64(std::uint64_t hash, std::uint64_t v)
-{
-    return fnv1a(hash, &v, sizeof(v));
-}
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
-}
 
 std::uint64_t
 parseHexU64(const std::string &s, const char *what)
@@ -790,8 +764,8 @@ writeLivePoints(TraceSource &source, const std::string &dir,
         w.beginObject();
         w.member("schema", kStoreSchema);
         w.member("version", kStoreVersion);
-        w.member("key_hash", hexU64(key_hash));
-        w.member("content_hash", hexU64(content_hash));
+        w.member("key_hash", formatHex64(key_hash));
+        w.member("content_hash", formatHex64(content_hash));
         w.key("trace").beginObject();
         w.member("name", trace_name);
         w.member("refs", total);
@@ -897,8 +871,8 @@ LivePointStore::load(const std::string &dir)
         parseHexU64(doc->at("key_hash").asString(), "key_hash");
     if (recorded_hash != store.keyHash_)
         fatal("live points: '", store_path, "' records key hash ",
-              hexU64(recorded_hash), " but its fields hash to ",
-              hexU64(store.keyHash_), " — store corrupt or written by an "
+              formatHex64(recorded_hash), " but its fields hash to ",
+              formatHex64(store.keyHash_), " — store corrupt or written by an "
               "incompatible build");
 
     // The sampled engine trusts an image's begin and purge carry (it
@@ -956,8 +930,8 @@ LivePointStore::load(const std::string &dir)
             const auto file_key = in.pod<std::uint64_t>();
             if (file_key != store.keyHash_)
                 fatal("live points: '", path, "' belongs to key ",
-                      hexU64(file_key), ", store.json describes ",
-                      hexU64(store.keyHash_));
+                      formatHex64(file_key), ", store.json describes ",
+                      formatHex64(store.keyHash_));
             const auto line_bytes = in.pod<std::uint32_t>();
             const auto set_count = in.pod<std::uint64_t>();
             const auto max_assoc = in.pod<std::uint32_t>();
@@ -1043,8 +1017,8 @@ LivePointStore::checkCompatible(const LivePointKey &key) const
     field("split", key_.split, key.split);
     field("ifetch refs", key_.ifetchRefs, key.ifetchRefs);
     field("data refs", key_.dataRefs, key.dataRefs);
-    fatal("live points: store '", dir_, "' (key ", hexU64(keyHash_),
-          ") is incompatible with this run (key ", hexU64(want), "):",
+    fatal("live points: store '", dir_, "' (key ", formatHex64(keyHash_),
+          ") is incompatible with this run (key ", formatHex64(want), "):",
           diff.str(), "\n  re-run with --ckpt-write to produce a matching "
           "store");
 }

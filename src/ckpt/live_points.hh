@@ -126,9 +126,6 @@ std::uint64_t hashRefs(std::uint64_t hash, std::span<const MemoryRef> refs);
 /** Initial value of a trace content hash chain (hashRefs()). */
 inline constexpr std::uint64_t kContentHashSeed = 0x6a09e667f3bcc908ULL;
 
-/** FNV-1a offset basis (initial value of the key hash). */
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-
 /** One resident line of a live-point image: a line of the core. */
 using LivePointEntry = LruLine;
 

@@ -32,7 +32,7 @@ namespace cachelab::obs
 namespace
 {
 
-constexpr int kSchemaVersion = 2;
+constexpr int kSchemaVersion = 3;
 
 /** Emit one PolicySpec as the structured {"name", "params"} object. */
 void
@@ -303,7 +303,6 @@ writeManifest(std::ostream &os, const RunManifest &manifest, int indent)
     if (manifest.timingConfigured) {
         w.key("timing").beginObject();
         w.member("hit_cycles", manifest.timingHitCycles);
-        w.member("l2_hit_cycles", manifest.timingL2HitCycles);
         w.member("memory_cycles", manifest.timingMemoryCycles);
         w.member("width_bytes", manifest.timingWidthBytes);
         w.endObject();

@@ -12,7 +12,7 @@
  * scraping tables.
  *
  * Schema: the top-level object carries
- *   "schema": "cachelab.run_manifest", "schema_version": 2
+ *   "schema": "cachelab.run_manifest", "schema_version": 3
  * and consumers must ignore unknown keys, so the version only bumps on
  * incompatible changes.  Key order is fixed (JsonWriter preserves
  * insertion order), making manifests diffable.
@@ -26,6 +26,12 @@
  *       per-result "timing" blocks (AMAT, bus cycles, traffic-limited
  *       throughput).  Readers of v1 manifests still work: every v1
  *       key is unchanged.
+ *   3 — the "metrics" section writes every histogram under
+ *       "histograms" as {count, mean, max, p50, p90, p99,
+ *       log2_buckets} (v2 wrote {total, mean, log2_buckets} there and
+ *       the latency series under a separate "latencies" object), and
+ *       the "timing" config object drops "l2_hit_cycles", a latency
+ *       no result used.
  */
 
 #ifndef CACHELAB_OBS_MANIFEST_HH
@@ -126,7 +132,6 @@ struct RunManifest
      */
     bool timingConfigured = false;
     double timingHitCycles = 0;
-    double timingL2HitCycles = 0;
     double timingMemoryCycles = 0;
     double timingWidthBytes = 0;
 

@@ -6,7 +6,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/json_writer.hh"
 #include "util/thread_pool.hh"
@@ -14,121 +13,56 @@
 namespace cachelab::obs
 {
 
-namespace
-{
-
-/** Bucket of @p ns under the Log2Histogram convention. */
-std::size_t
-latencyBucket(std::uint64_t ns)
-{
-    return static_cast<std::size_t>(std::bit_width(ns));
-}
-
-/** Lower edge (inclusive) of bucket @p k. */
-std::uint64_t
-bucketLow(std::size_t k)
-{
-    return k == 0 ? 0 : std::uint64_t{1} << (k - 1);
-}
-
-/** Upper edge (exclusive) of bucket @p k; == low for the {0} bucket. */
-std::uint64_t
-bucketHigh(std::size_t k)
-{
-    if (k == 0)
-        return 0;
-    if (k >= 64)
-        return ~std::uint64_t{0};
-    return std::uint64_t{1} << k;
-}
-
-} // namespace
-
 void
-LatencyHistogram::record(std::uint64_t ns)
+Histogram::raiseMax(std::uint64_t value)
 {
-    buckets_[latencyBucket(ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sumNs_.fetch_add(ns, std::memory_order_relaxed);
-    std::uint64_t seen = maxNs_.load(std::memory_order_relaxed);
-    while (ns > seen &&
-           !maxNs_.compare_exchange_weak(seen, ns,
-                                         std::memory_order_relaxed)) {
+    std::uint64_t seen = max_.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !max_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
     }
 }
 
-LatencyHistogram::Snapshot
-LatencyHistogram::snapshot() const
+void
+Histogram::record(std::uint64_t sample)
 {
-    Snapshot snap;
-    snap.count = count_.load(std::memory_order_relaxed);
-    snap.sumNs = sumNs_.load(std::memory_order_relaxed);
-    snap.maxNs = maxNs_.load(std::memory_order_relaxed);
-    for (std::size_t k = 0; k < kBuckets; ++k)
+    buckets_[Log2Histogram::bucketOf(sample)].fetch_add(
+        1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(sample, std::memory_order_relaxed);
+    raiseMax(sample);
+}
+
+void
+Histogram::merge(const Log2Histogram &other)
+{
+    for (std::size_t k = 0; k < Log2Histogram::kBuckets; ++k)
+        buckets_[k].fetch_add(other.buckets[k], std::memory_order_relaxed);
+    count_.fetch_add(other.count, std::memory_order_relaxed);
+    sum_.fetch_add(other.sum, std::memory_order_relaxed);
+    raiseMax(other.max);
+}
+
+Log2Histogram
+Histogram::snapshot() const
+{
+    Log2Histogram snap;
+    for (std::size_t k = 0; k < Log2Histogram::kBuckets; ++k)
         snap.buckets[k] = buckets_[k].load(std::memory_order_relaxed);
+    snap.count = count_.load(std::memory_order_relaxed);
+    snap.sum = sum_.load(std::memory_order_relaxed);
+    snap.max = max_.load(std::memory_order_relaxed);
     return snap;
 }
 
 void
-LatencyHistogram::reset()
+Histogram::reset()
 {
     for (auto &bucket : buckets_)
         bucket.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
-    sumNs_.store(0, std::memory_order_relaxed);
-    maxNs_.store(0, std::memory_order_relaxed);
-}
-
-double
-LatencyHistogram::Snapshot::meanNs() const
-{
-    return count == 0
-               ? 0.0
-               : static_cast<double>(sumNs) / static_cast<double>(count);
-}
-
-double
-LatencyHistogram::Snapshot::quantileNs(double q) const
-{
-    // Sum the buckets rather than trusting `count`: a concurrent
-    // record() may have bumped the total before its bucket, and the
-    // rank walk must stay inside what the buckets actually hold.
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : buckets)
-        total += b;
-    if (total == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    // 1-based rank of the sample the quantile names.
-    const double rank = std::max(1.0, q * static_cast<double>(total));
-    std::uint64_t cumulative = 0;
-    for (std::size_t k = 0; k < buckets.size(); ++k) {
-        if (buckets[k] == 0)
-            continue;
-        const std::uint64_t before = cumulative;
-        cumulative += buckets[k];
-        if (static_cast<double>(cumulative) < rank)
-            continue;
-        const double lo = static_cast<double>(bucketLow(k));
-        const double hi = static_cast<double>(bucketHigh(k));
-        const double within = (rank - static_cast<double>(before)) /
-                              static_cast<double>(buckets[k]);
-        const double estimate = lo + within * (hi - lo);
-        // Never report past the observed maximum (the top bucket is a
-        // factor-of-two wide; max tightens it).
-        return maxNs > 0 ? std::min(estimate, static_cast<double>(maxNs))
-                         : estimate;
-    }
-    return static_cast<double>(maxNs);
-}
-
-std::size_t
-LatencyHistogram::Snapshot::usedBuckets() const
-{
-    std::size_t used = buckets.size();
-    while (used > 0 && buckets[used - 1] == 0)
-        --used;
-    return used;
+    sum_.store(0, std::memory_order_relaxed);
+    max_.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -140,12 +74,12 @@ MetricsSnapshot::counterValue(std::string_view name) const
     return 0;
 }
 
-const LatencyHistogram::Snapshot *
-MetricsSnapshot::latencyFor(std::string_view name) const
+const Log2Histogram *
+MetricsSnapshot::histogramFor(std::string_view name) const
 {
-    for (const LatencySnapshot &entry : latencies)
-        if (entry.name == name)
-            return &entry.latency;
+    for (const auto &[key, histogram] : histograms)
+        if (key == name)
+            return &histogram;
     return nullptr;
 }
 
@@ -162,36 +96,21 @@ MetricsSnapshot::writeJson(JsonWriter &w) const
         w.member(name, value);
     w.endObject();
     w.key("histograms").beginObject();
-    for (const HistogramSnapshot &h : histograms) {
-        w.key(h.name).beginObject();
-        w.member("total", h.histogram.total());
-        w.member("mean", h.histogram.mean());
+    for (const auto &[name, h] : histograms) {
+        w.key(name).beginObject();
+        w.member("count", h.count);
+        w.member("mean", h.mean());
+        w.member("max", h.max);
+        w.member("p50", h.quantile(0.50));
+        w.member("p90", h.quantile(0.90));
+        w.member("p99", h.quantile(0.99));
         w.key("log2_buckets").beginArray();
-        for (std::size_t k = 0; k < h.histogram.bucketCount(); ++k)
-            w.value(h.histogram.bucket(k));
+        for (std::size_t k = 0; k < h.usedBuckets(); ++k)
+            w.value(h.buckets[k]);
         w.endArray();
         w.endObject();
     }
     w.endObject();
-    if (!latencies.empty()) {
-        w.key("latencies").beginObject();
-        for (const LatencySnapshot &entry : latencies) {
-            const LatencyHistogram::Snapshot &s = entry.latency;
-            w.key(entry.name).beginObject();
-            w.member("count", s.count);
-            w.member("mean_ns", s.meanNs());
-            w.member("max_ns", s.maxNs);
-            w.member("p50_ns", s.quantileNs(0.50));
-            w.member("p90_ns", s.quantileNs(0.90));
-            w.member("p99_ns", s.quantileNs(0.99));
-            w.key("log2_buckets").beginArray();
-            for (std::size_t k = 0; k < s.usedBuckets(); ++k)
-                w.value(s.buckets[k]);
-            w.endArray();
-            w.endObject();
-        }
-        w.endObject();
-    }
     w.endObject();
 }
 
@@ -252,16 +171,6 @@ Registry::histogram(std::string_view name, const std::vector<Label> &labels)
     return *slot;
 }
 
-LatencyHistogram &
-Registry::latency(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = latencies_[std::string(name)];
-    if (!slot)
-        slot = std::make_unique<LatencyHistogram>();
-    return *slot;
-}
-
 MetricsSnapshot
 Registry::snapshot() const
 {
@@ -275,10 +184,7 @@ Registry::snapshot() const
         snap.gauges.emplace_back(name, gauge->value());
     snap.histograms.reserve(histograms_.size());
     for (const auto &[name, histogram] : histograms_)
-        snap.histograms.push_back({name, histogram->snapshot()});
-    snap.latencies.reserve(latencies_.size());
-    for (const auto &[name, latency] : latencies_)
-        snap.latencies.push_back({name, latency->snapshot()});
+        snap.histograms.emplace_back(name, histogram->snapshot());
     return snap;
 }
 
@@ -310,7 +216,6 @@ Registry::clear()
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
-    latencies_.clear();
 }
 
 void
@@ -323,8 +228,6 @@ Registry::resetForTesting()
         gauge->set(0.0);
     for (const auto &[name, histogram] : histograms_)
         histogram->reset();
-    for (const auto &[name, latency] : latencies_)
-        latency->reset();
 }
 
 } // namespace cachelab::obs

@@ -18,10 +18,9 @@
  *  3. **Zero cost when unused.** Nothing registers itself; a binary
  *     that never touches the registry pays nothing.
  *
- * Histograms reuse stats/histogram's Log2Histogram under a per-metric
- * mutex (observe() is not a per-reference hot-path operation here —
- * the simulator records per-interval and per-task durations, not
- * per-access samples).
+ * Histograms keep stats/histogram's Log2Histogram buckets as relaxed
+ * atomics, so the campaign server can stamp every request without a
+ * shared lock on the reply path; see Histogram.
  *
  * Labels: histogram("task_ns", {{"engine", "per_size"}}) registers a
  * distinct time series per label set.  Labels are folded into the
@@ -87,138 +86,64 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Log2-bucketed distribution of uint64 samples (durations, sizes). */
+/**
+ * Log2-bucketed distribution of uint64 samples (durations, sizes):
+ * the registry cell behind every histogram series.  Buckets follow
+ * Log2Histogram::bucketOf.
+ *
+ * record() is wait-free — one relaxed fetch_add into the sample's
+ * bucket plus count/sum/max upkeep.  snapshot() reads every cell
+ * atomically; concurrent record()s or merge()s can make a snapshot
+ * lag, never tear a cell.
+ */
 class Histogram
 {
   public:
-    void observe(std::uint64_t sample)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        histogram_.add(sample);
-    }
+    /** Record one sample (wait-free, relaxed atomics). */
+    void record(std::uint64_t sample);
 
     /** Fold a locally accumulated histogram in (bulk publication). */
-    void merge(const Log2Histogram &other)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        histogram_.merge(other);
-    }
+    void merge(const Log2Histogram &other);
 
-    /** Drop all samples (per-run scoping). */
-    void reset()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        histogram_ = Log2Histogram{};
-    }
-
-    /** @return a copy consistent at the time of the call. */
-    Log2Histogram snapshot() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return histogram_;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    Log2Histogram histogram_;
-};
-
-/**
- * Lock-cheap latency distribution: log2-bucketed nanoseconds with
- * quantile snapshots.
- *
- * Unlike Histogram (mutex + Log2Histogram, meant for per-interval
- * bulk merges), record() is wait-free — one relaxed fetch_add into the
- * sample's bucket plus count/sum upkeep — so the campaign server can
- * stamp every request without a shared lock on the reply path.
- * Buckets follow the Log2Histogram convention: bucket k holds samples
- * in [2^(k-1), 2^k) with bucket 0 holding {0}.
- *
- * snapshot() reads every bucket atomically-per-cell; concurrent
- * record()s can make a snapshot lag, never tear.  Quantiles are
- * estimated by rank-walking the cumulative bucket counts with linear
- * interpolation inside the crossing bucket, which makes
- * p50 <= p90 <= p99 monotone by construction.
- */
-class LatencyHistogram
-{
-  public:
-    /** Buckets cover the whole uint64 ns range: ~584 years. */
-    static constexpr std::size_t kBuckets = 65;
-
-    /** Record one sample (wait-free, relaxed atomics). */
-    void record(std::uint64_t ns);
-
-    /** A point-in-time copy with derived statistics. */
-    struct Snapshot
-    {
-        std::uint64_t count = 0;
-        std::uint64_t sumNs = 0;
-        std::uint64_t maxNs = 0;
-        std::array<std::uint64_t, kBuckets> buckets{};
-
-        double meanNs() const;
-
-        /** Estimated @p q quantile in ns, q in [0, 1]; 0 when empty. */
-        double quantileNs(double q) const;
-
-        /** @return index of the last non-empty bucket + 1 (0 = empty),
-         *  so writers can trim the long zero tail. */
-        std::size_t usedBuckets() const;
-    };
-
-    Snapshot snapshot() const;
+    /** @return a copy of every cell. */
+    Log2Histogram snapshot() const;
 
     /** Zero every cell (per-run scoping; concurrent-use caveat as
      *  Registry::resetForTesting). */
     void reset();
 
   private:
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+    void raiseMax(std::uint64_t value);
+
+    std::array<std::atomic<std::uint64_t>, Log2Histogram::kBuckets>
+        buckets_{};
     std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sumNs_{0};
-    std::atomic<std::uint64_t> maxNs_{0};
+    std::atomic<std::uint64_t> sum_{0};
+    std::atomic<std::uint64_t> max_{0};
 };
 
 /** One label: name -> value, e.g. {"engine", "single_pass"}. */
 using Label = std::pair<std::string, std::string>;
-
-/** A point-in-time copy of one histogram for reporting. */
-struct HistogramSnapshot
-{
-    std::string name; ///< full key incl. canonical labels
-    Log2Histogram histogram;
-};
-
-/** A point-in-time copy of one latency histogram for reporting. */
-struct LatencySnapshot
-{
-    std::string name;
-    LatencyHistogram::Snapshot latency;
-};
 
 /** Every registered metric's value at one snapshot() call. */
 struct MetricsSnapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
-    std::vector<HistogramSnapshot> histograms;
-    std::vector<LatencySnapshot> latencies;
+    /** Keyed by the full name incl. canonical labels. */
+    std::vector<std::pair<std::string, Log2Histogram>> histograms;
 
     /** @return the named counter's value, or 0 when absent. */
     std::uint64_t counterValue(std::string_view name) const;
 
-    /** @return the named latency snapshot, or nullptr when absent. */
-    const LatencyHistogram::Snapshot *
-    latencyFor(std::string_view name) const;
+    /** @return the named histogram, or nullptr when absent. */
+    const Log2Histogram *histogramFor(std::string_view name) const;
 
     /**
      * Emit as a JSON object: {"counters": {...}, "gauges": {...},
-     * "histograms": {...}} with keys in sorted order.  A "latencies"
-     * member (count/mean/max/p50/p90/p99 + trimmed log2 buckets per
-     * series) is appended only when at least one LatencyHistogram is
-     * registered, so documents from binaries that never touch the
-     * serve layer are byte-identical to the pre-telemetry schema.
+     * "histograms": {...}} with keys in sorted order.  Each histogram
+     * series is {count, mean, max, p50, p90, p99, log2_buckets}, its
+     * buckets trimmed after the last non-empty one.
      */
     void writeJson(JsonWriter &w) const;
 };
@@ -237,7 +162,6 @@ class Registry
     Gauge &gauge(std::string_view name);
     Histogram &histogram(std::string_view name,
                          const std::vector<Label> &labels = {});
-    LatencyHistogram &latency(std::string_view name);
 
     /** @return every metric's value, sorted by name. */
     MetricsSnapshot snapshot() const;
@@ -270,7 +194,6 @@ class Registry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-    std::map<std::string, std::unique_ptr<LatencyHistogram>> latencies_;
 };
 
 /**

@@ -66,15 +66,15 @@ void
 ServiceTelemetry::recordRequest(const RequestSpan &span,
                                 const RequestRecord &record)
 {
-    registry_.latency(kEndToEndSeries).record(span.endToEndNs());
+    registry_.histogram(kEndToEndSeries).record(span.endToEndNs());
     // Stage histograms only for requests that reached the executor;
     // recording zeros for early rejections would drag the quantiles
     // toward stages the request never entered.
     if (span.executeStart != RequestSpan::TimePoint{}) {
-        registry_.latency(kQueueWaitSeries).record(span.queueWaitNs());
-        registry_.latency(kExecSeries).record(span.execNs());
+        registry_.histogram(kQueueWaitSeries).record(span.queueWaitNs());
+        registry_.histogram(kExecSeries).record(span.execNs());
         if (span.windowOpened != RequestSpan::TimePoint{}) {
-            registry_.latency(kCoalesceWaitSeries)
+            registry_.histogram(kCoalesceWaitSeries)
                 .record(span.coalesceWaitNs());
         }
     }
@@ -146,7 +146,7 @@ writeMetricsSnapshotLine(std::ostream &os, const MetricsSnapshot &snap,
     JsonWriter w(os, JsonWriter::Compact);
     w.beginObject();
     w.member("schema", "cachelab.metrics_snapshot");
-    w.member("schema_version", 1);
+    w.member("schema_version", 2);
     w.member("seq", seq);
     w.member("unix_ms", unixMs);
     w.member("uptime_ns", uptimeNs);

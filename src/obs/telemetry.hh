@@ -19,7 +19,7 @@
  * where windowOpened marks the start of the batch-coalescing window
  * the request joined (unset when coalescing is off).  On reply the
  * server feeds the span to ServiceTelemetry::recordRequest, which
- * populates four LatencyHistograms
+ * populates four registry histograms
  *
  *     serve.latency.queue_wait_ns     queued       -> executeStart
  *     serve.latency.coalesce_wait_ns  window join  -> executeStart
@@ -34,7 +34,7 @@
  *
  * Cost discipline (same as PR 3): the span stamps are steady_clock
  * reads per *request*, never per memory reference; recordRequest is a
- * handful of wait-free LatencyHistogram::record calls plus counter
+ * handful of wait-free obs::Histogram::record calls plus counter
  * adds.  With every telemetry flag off the serve hot path is
  * unchanged and manifests stay bitwise identical.
  */
@@ -140,8 +140,13 @@ class ServiceTelemetry
  * Write one flight-recorder line: a schema-versioned, single-line JSON
  * document wrapping a full MetricsSnapshot.
  *
- *     {"schema":"cachelab.metrics_snapshot","schema_version":1,
+ *     {"schema":"cachelab.metrics_snapshot","schema_version":2,
  *      "seq":N,"unix_ms":...,"uptime_ns":...,"metrics":{...}}
+ *
+ * Version 2 writes every histogram, the latency series included,
+ * under "histograms" as {count, mean, max, p50, p90, p99,
+ * log2_buckets}; version 1 kept the latency series apart under
+ * "latencies" (with _ns-suffixed keys).
  *
  * The server appends one line per --metrics-interval-s tick (plus a
  * final line at shutdown), making the snapshot file a JSONL time

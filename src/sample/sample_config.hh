@@ -70,8 +70,8 @@ enum class WarmingPolicy : std::uint8_t
      * warming work was paid once, by the store's producer, for every
      * configuration the store can serve.  Only the checkpoint-aware
      * drivers (sweepUnifiedSampled / sweepSplitSampled with a
-     * LivePointStore, or warmToInterval with a restorer) accept this
-     * policy; plain runSampled() rejects it.
+     * LivePointStore) accept this policy; plain runSampled() rejects
+     * it.
      */
     Checkpoint,
 };

@@ -5,14 +5,14 @@
 
 #include "serve/run_registry.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "serve/spec.hh"
+#include "util/format.hh"
+#include "util/hash.hh"
 #include "util/json_reader.hh"
 #include "util/json_writer.hh"
 
@@ -22,39 +22,11 @@ namespace cachelab::serve
 namespace
 {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnv1aBytes(std::uint64_t hash, const void *data, std::size_t n)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        hash ^= bytes[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aU64(std::uint64_t hash, std::uint64_t v)
-{
-    return fnv1aBytes(hash, &v, sizeof(v));
-}
-
 std::uint64_t
 fnv1aString(std::uint64_t hash, std::string_view s)
 {
     hash = fnv1aU64(hash, s.size());
-    return fnv1aBytes(hash, s.data(), s.size());
-}
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
+    return fnv1a(hash, s.data(), s.size());
 }
 
 /** Write @p body to @p path via tmp + rename (atomic for readers). */
@@ -224,7 +196,7 @@ RunRegistry::rewriteIndexLocked(std::string *error)
         w.member("tenant", record.tenant);
         w.member("input", record.input);
         w.member("input_kind", record.inputKind);
-        w.member("spec_hash", hexU64(record.specHash));
+        w.member("spec_hash", formatHex64(record.specHash));
         w.member("outcome", record.outcome);
         w.member("refs", record.refs);
         w.member("cache_hit", record.cacheHit);

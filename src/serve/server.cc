@@ -546,7 +546,7 @@ Server::statsLine()
                         .count()));
     // The full registry snapshot rides along so one stats round-trip
     // answers "what is the daemon doing" — including the latency
-    // histograms' quantiles (metrics.latencies.*.p50_ns etc).
+    // histograms' quantiles (metrics.histograms.*.p50 etc).
     w.key("metrics");
     obs::Registry::global().snapshot().writeJson(w);
     w.endObject();

@@ -24,6 +24,17 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** @return @p what prefixed with the quoted member name @p key. */
+std::string
+memberError(std::string_view key, std::string_view what)
+{
+    std::string out = "\"";
+    out += key;
+    out += "\" ";
+    out += what;
+    return out;
+}
+
 /** Fetch an optional non-negative integer member into @p out. */
 std::optional<std::string>
 readUint(const JsonValue &obj, std::string_view key, std::uint64_t &out)
@@ -32,8 +43,7 @@ readUint(const JsonValue &obj, std::string_view key, std::uint64_t &out)
     if (v == nullptr)
         return std::nullopt;
     if (!v->isUint())
-        return std::string("\"") + std::string(key) +
-               "\" must be a non-negative integer";
+        return memberError(key, "must be a non-negative integer");
     out = v->asUint();
     return std::nullopt;
 }
@@ -46,7 +56,7 @@ readDouble(const JsonValue &obj, std::string_view key, double &out)
     if (v == nullptr)
         return std::nullopt;
     if (!v->isNumber())
-        return std::string("\"") + std::string(key) + "\" must be a number";
+        return memberError(key, "must be a number");
     out = v->asDouble();
     return std::nullopt;
 }
@@ -59,7 +69,7 @@ readString(const JsonValue &obj, std::string_view key, std::string &out)
     if (v == nullptr)
         return std::nullopt;
     if (!v->isString())
-        return std::string("\"") + std::string(key) + "\" must be a string";
+        return memberError(key, "must be a string");
     out = v->asString();
     return std::nullopt;
 }
@@ -98,9 +108,8 @@ parsePolicyMember(const JsonValue &doc, std::string_view key,
                             : parseReplacementPolicy(text, out);
     }
     if (!v->isObject())
-        return "\"" + std::string(key) +
-               "\" must be a policy string or a "
-               "{\"name\", \"params\"} object";
+        return memberError(key, "must be a policy string or a "
+                                "{\"name\", \"params\"} object");
     PolicySpec spec;
     spec.name.clear();
     if (auto err = readString(*v, "name", spec.name))
@@ -110,12 +119,11 @@ parsePolicyMember(const JsonValue &doc, std::string_view key,
         spec.name.clear();
     if (const JsonValue *params = v->find("params")) {
         if (!params->isObject())
-            return "\"" + std::string(key) +
-                   "\" \"params\" must be an object";
+            return memberError(key, "\"params\" must be an object");
         for (const auto &[pkey, pvalue] : params->members()) {
             if (!pvalue.isNumber())
-                return "\"" + std::string(key) + "\" parameter \"" +
-                       pkey + "\" must be a number";
+                return memberError(key, "parameter \"" + pkey +
+                                            "\" must be a number");
             spec.params.emplace_back(lowerCopy(pkey),
                                      pvalue.asDouble());
         }
@@ -144,16 +152,13 @@ parseTimingSpec(const JsonValue &doc, TimingConfig &out)
                    "\" must be non-negative";
         if (key == "hit_cycles")
             timing.hitCycles = parsed;
-        else if (key == "l2_hit_cycles")
-            timing.l2HitCycles = parsed;
         else if (key == "memory_cycles")
             timing.memoryCycles = parsed;
         else if (key == "width_bytes")
             timing.widthBytes = parsed;
         else
             return "unknown timing parameter \"" + key +
-                   "\" (valid: hit_cycles, l2_hit_cycles, "
-                   "memory_cycles, width_bytes)";
+                   "\" (valid: hit_cycles, memory_cycles, width_bytes)";
     }
     out = timing;
     return std::nullopt;

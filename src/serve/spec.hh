@@ -38,8 +38,7 @@
  *     "purge_interval": 0,
  *     "warmup_refs": 0,
  *     "timing": {                            // optional; enables AMAT
- *       "hit_cycles": 1, "l2_hit_cycles": 10,
- *       "memory_cycles": 100, "width_bytes": 8
+ *       "hit_cycles": 1, "memory_cycles": 100, "width_bytes": 8
  *     }
  *   }
  *

@@ -6,17 +6,19 @@
  * chunk-fed state machine over the sampling plan, and the materialized
  * runSampled() is literally the engine fed the whole trace as a single
  * span — so the streamed and materialized paths cannot diverge.  The
- * engine replicates the reference semantics of warmToInterval()
- * (sample/warming.hh) operation for operation:
+ * engine is also the one implementation of every warming policy:
  *
  *  - Cold warming skips to the interval and purges.  The engine fires
  *    that purge when the cursor crosses interval.begin; no access
  *    happens between skip-start and the crossing, so the system sees
- *    the identical operation sequence.
+ *    the same operations as a purge at skip start.
  *  - FixedWarmup replays the last warmupRefs references before the
- *    interval; Functional replays everything, honouring the purge
- *    schedule.  since_purge survives across intervals exactly as the
- *    materialized cursor loop carries it.
+ *    interval (clamped at the trace start), keeping the stale state
+ *    of earlier intervals; Functional replays everything, honouring
+ *    the purge schedule, whose carry (references since the last
+ *    purge) survives across intervals.
+ *  - Checkpoint replays nothing: the store-backed sweeps restore the
+ *    functionally warmed state at each interval start instead.
  */
 
 #include "sim/sampled.hh"

@@ -42,8 +42,7 @@ transferCycles(const TimingConfig &config, double bytes)
 void
 TimingConfig::validate() const
 {
-    if (hitCycles < 0 || l2HitCycles < 0 || memoryCycles < 0 ||
-        widthBytes < 0)
+    if (hitCycles < 0 || memoryCycles < 0 || widthBytes < 0)
         fatal("timing parameters must be non-negative (",
               describe(), ")");
 }
@@ -52,7 +51,6 @@ std::string
 TimingConfig::describe() const
 {
     return "hit=" + formatCycles(hitCycles) +
-        ",l2hit=" + formatCycles(l2HitCycles) +
         ",mem=" + formatCycles(memoryCycles) +
         ",width=" + formatCycles(widthBytes);
 }
@@ -85,15 +83,13 @@ parseTimingConfig(std::string_view text, TimingConfig &out)
                 "\" must be non-negative";
         if (key == "hit")
             config.hitCycles = parsed;
-        else if (key == "l2hit")
-            config.l2HitCycles = parsed;
         else if (key == "mem")
             config.memoryCycles = parsed;
         else if (key == "width")
             config.widthBytes = parsed;
         else
             return "unknown timing parameter \"" + std::string(key) +
-                "\" (valid: hit, l2hit, mem, width)";
+                "\" (valid: hit, mem, width)";
     }
     out = config;
     return std::nullopt;
@@ -125,53 +121,6 @@ computeTiming(const TimingConfig &config, const CacheStats &stats,
     return result;
 }
 
-TimingResult
-computeTwoLevelTiming(const TimingConfig &config,
-                      const CacheStats &l1_stats,
-                      const CacheStats &l2_stats,
-                      std::uint32_t l1_line_bytes,
-                      std::uint32_t l2_line_bytes)
-{
-    TimingResult result;
-    const double l1Accesses =
-        static_cast<double>(l1_stats.totalAccesses());
-    const double l1Misses = static_cast<double>(l1_stats.totalMisses());
-    const double l2Accesses =
-        static_cast<double>(l2_stats.totalAccesses());
-    const double l2Misses = static_cast<double>(l2_stats.totalMisses());
-
-    // An L1 miss pays the L2 hit latency plus the L1-line transfer
-    // from L2; the fraction of those that miss on to memory pays the
-    // memory latency plus the (wider) L2-line transfer.
-    const double l2Penalty =
-        config.l2HitCycles + transferCycles(config, l1_line_bytes);
-    const double memPenalty =
-        config.memoryCycles + transferCycles(config, l2_line_bytes);
-
-    const double l1MissRatio = l1Accesses > 0 ? l1Misses / l1Accesses : 0.0;
-    const double l2MissRatio = l2Accesses > 0 ? l2Misses / l2Accesses : 0.0;
-    result.amat = config.hitCycles +
-        l1MissRatio * (l2Penalty + l2MissRatio * memPenalty);
-    result.totalCycles = config.hitCycles * l1Accesses +
-        l2Penalty * l1Misses + memPenalty * l2Misses;
-
-    // Memory-bus occupancy is the hierarchy's *memory* traffic — what
-    // L2 exchanges with memory — not the internal L1<->L2 transfers.
-    result.busCycles = transferCycles(
-        config, static_cast<double>(l2_stats.trafficBytes()));
-    result.trafficLimitedRefsPerCycle =
-        result.busCycles > 0 ? l1Accesses / result.busCycles : 0.0;
-
-    result.levels.push_back({"l1", l1Accesses,
-                             config.hitCycles * l1Accesses,
-                             l2Penalty * l1Misses});
-    result.levels.push_back({"l2", l1Misses, l2Penalty * l1Misses,
-                             memPenalty * l2Misses});
-    result.levels.push_back({"memory", l2Misses, memPenalty * l2Misses,
-                             0.0});
-    return result;
-}
-
 void
 applyTimingConfig(obs::RunManifest &manifest, const TimingConfig &config)
 {
@@ -179,7 +128,6 @@ applyTimingConfig(obs::RunManifest &manifest, const TimingConfig &config)
         return;
     manifest.timingConfigured = true;
     manifest.timingHitCycles = config.hitCycles;
-    manifest.timingL2HitCycles = config.l2HitCycles;
     manifest.timingMemoryCycles = config.memoryCycles;
     manifest.timingWidthBytes = config.widthBytes;
 }

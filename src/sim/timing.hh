@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-level cache timing model: AMAT and traffic-limited throughput.
+ * Cache timing model: AMAT and traffic-limited throughput.
  *
  * The paper (like most of its era) judges designs by miss ratio
  * alone, but misses are not all equally expensive: once policies and
@@ -10,9 +10,9 @@
  *     AMAT = t_hit + m * penalty,
  *     penalty = t_next + lineBytes / width
  *
- * composed level by level along L1 -> L2 -> memory, where `width` is
- * the memory-interface width in bytes per cycle (the line-transfer
- * term) and m the local miss ratio of the level.  The model also
+ * for one cache in front of memory, where `width` is the
+ * memory-interface width in bytes per cycle (the line-transfer term)
+ * and m the cache's miss ratio.  The model also
  * converts a run's total memory traffic into bus-busy cycles, giving
  * the traffic-limited throughput ceiling — the paper's Table 4
  * bandwidth concern, expressed in cycles.
@@ -55,9 +55,6 @@ struct TimingConfig
     /** L1 hit latency in cycles. */
     double hitCycles = 1.0;
 
-    /** L2 hit latency in cycles; used only for two-level systems. */
-    double l2HitCycles = 10.0;
-
     /** Memory access latency in cycles (first word). */
     double memoryCycles = 100.0;
 
@@ -78,12 +75,12 @@ struct TimingConfig
     /** fatal() if any parameter is out of range. */
     void validate() const;
 
-    /** @return canonical "hit=1,l2hit=10,mem=100,width=8" rendering. */
+    /** @return canonical "hit=1,mem=100,width=8" rendering. */
     std::string describe() const;
 };
 
 /**
- * Parse `hit=1,l2hit=10,mem=100,width=8` (any subset; unnamed keys
+ * Parse `hit=1,mem=100,width=8` (any subset; unnamed keys
  * keep their defaults) into @p out with configured = true.  @return
  * std::nullopt on success, else a one-line diagnostic naming the
  * valid keys.  Never fatal()s, matching the serve-spec validation
@@ -95,7 +92,7 @@ std::optional<std::string> parseTimingConfig(std::string_view text,
 /** Cycle accounting for one level of the hierarchy. */
 struct LevelTiming
 {
-    std::string level;     ///< "l1", "l2", "memory"
+    std::string level;     ///< "l1", "memory"
     double accesses = 0;   ///< references that reached this level
     double hitCycles = 0;  ///< cycles spent on hits here
     double missCycles = 0; ///< cycles handed to the next level
@@ -134,17 +131,6 @@ struct TimingResult
 TimingResult computeTiming(const TimingConfig &config,
                            const CacheStats &stats,
                            std::uint32_t line_bytes);
-
-/**
- * Two-level composition: L1 misses access L2 (l2HitCycles), L2
- * misses access memory.  @p l2_stats counts the L1-miss stream, as
- * TwoLevelCache keeps it.
- */
-TimingResult computeTwoLevelTiming(const TimingConfig &config,
-                                   const CacheStats &l1_stats,
-                                   const CacheStats &l2_stats,
-                                   std::uint32_t l1_line_bytes,
-                                   std::uint32_t l2_line_bytes);
 
 /**
  * Copy @p config into @p manifest's timing members so the manifest

@@ -22,7 +22,6 @@ TraceAnalyzer::closeRun(Addr end_addr)
 {
     if (runLen_ == 0)
         return;
-    out_.sequentialRuns.add(runLen_);
     runBytesSum_ += static_cast<double>(end_addr - runStart_);
     ++runCount_;
     runLen_ = 0;

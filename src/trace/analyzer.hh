@@ -20,7 +20,6 @@
 #include <span>
 #include <unordered_set>
 
-#include "stats/histogram.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
 
@@ -58,8 +57,6 @@ struct TraceCharacteristics
     std::uint64_t dlines = 0;       ///< distinct data lines touched
     std::uint64_t aspaceBytes = 0;  ///< lineBytes * (ilines + dlines)
     double branchFraction = 0.0;    ///< taken branches / instruction fetches
-    /** Distribution of sequential ifetch run lengths (in references). */
-    Log2Histogram sequentialRuns;
     /** Mean bytes covered by one sequential instruction run. */
     double meanSequentialRunBytes = 0.0;
 };

@@ -67,103 +67,6 @@ interleaveRoundRobin(const std::vector<Trace> &traces, std::uint64_t quantum,
     return out;
 }
 
-InterleaveSource::InterleaveSource(
-    std::vector<std::unique_ptr<TraceSource>> children,
-    std::uint64_t quantum, std::string name, std::uint64_t max_refs)
-    : name_(std::move(name)), quantum_(quantum), maxRefs_(max_refs)
-{
-    CACHELAB_ASSERT(quantum_ > 0, "interleave quantum must be positive");
-    children_.reserve(children.size());
-    for (auto &src : children) {
-        CACHELAB_ASSERT(src != nullptr, "InterleaveSource needs sources");
-        children_.push_back(Child{std::move(src), {}, 0});
-    }
-    rotation_.resize(children_.size());
-    for (std::size_t i = 0; i < rotation_.size(); ++i)
-        rotation_[i] = i;
-}
-
-bool
-InterleaveSource::refill(Child &child)
-{
-    if (child.pos < child.buf.size())
-        return true;
-    child.buf.resize(kDefaultBatchRefs);
-    const std::size_t got = child.source->nextBatch(child.buf);
-    child.buf.resize(got);
-    child.pos = 0;
-    return got != 0;
-}
-
-std::size_t
-InterleaveSource::nextBatch(std::span<MemoryRef> out)
-{
-    std::size_t n = 0;
-    while (n < out.size() && !rotation_.empty() &&
-           (maxRefs_ == 0 || emitted_ < maxRefs_)) {
-        Child &cur = children_[rotation_[turn_]];
-        bool dry = false;
-        while (issuedThisQuantum_ < quantum_ && n < out.size() &&
-               (maxRefs_ == 0 || emitted_ < maxRefs_)) {
-            if (!refill(cur)) {
-                dry = true;
-                break;
-            }
-            out[n++] = cur.buf[cur.pos++];
-            ++issuedThisQuantum_;
-            ++emitted_;
-        }
-        if (dry) {
-            // Drop the child; its successor slides into this rotation
-            // index and takes the next quantum, matching the
-            // materialized transform.  (A child that exhausts exactly
-            // on its quantum boundary is only discovered dry one
-            // rotation later, but a dry visit emits nothing and passes
-            // the turn to the same successor, so the sequence is
-            // unchanged.)
-            rotation_.erase(rotation_.begin() +
-                            static_cast<std::ptrdiff_t>(turn_));
-            if (turn_ >= rotation_.size())
-                turn_ = 0;
-            issuedThisQuantum_ = 0;
-        } else if (issuedThisQuantum_ == quantum_) {
-            turn_ = (turn_ + 1) % rotation_.size();
-            issuedThisQuantum_ = 0;
-        }
-        // Otherwise `out` filled mid-quantum; state carries over.
-    }
-    return n;
-}
-
-void
-InterleaveSource::reset()
-{
-    for (Child &child : children_) {
-        child.source->reset();
-        child.buf.clear();
-        child.pos = 0;
-    }
-    rotation_.resize(children_.size());
-    for (std::size_t i = 0; i < rotation_.size(); ++i)
-        rotation_[i] = i;
-    turn_ = 0;
-    issuedThisQuantum_ = 0;
-    emitted_ = 0;
-}
-
-std::uint64_t
-InterleaveSource::knownLength() const
-{
-    std::uint64_t total = 0;
-    for (const Child &child : children_) {
-        const std::uint64_t len = child.source->knownLength();
-        if (len == kUnknownLength)
-            return kUnknownLength;
-        total += len;
-    }
-    return maxRefs_ ? std::min(total, maxRefs_) : total;
-}
-
 Trace
 offsetAddresses(const Trace &trace, Addr delta)
 {

@@ -14,10 +14,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "trace/source.hh"
 #include "trace/trace.hh"
 
 namespace cachelab
@@ -40,52 +39,6 @@ Trace truncate(const Trace &trace, std::uint64_t max_refs);
 Trace interleaveRoundRobin(const std::vector<Trace> &traces,
                            std::uint64_t quantum, std::string name,
                            std::uint64_t max_refs = 0);
-
-/**
- * Streaming round-robin interleave: the pull-based counterpart of
- * interleaveRoundRobin(), producing the identical reference sequence
- * without materializing the inputs.  Children that run out are dropped
- * from the rotation with the turn passing to their successor, exactly
- * like the materialized transform; a mid-quantum position is carried
- * across nextBatch() boundaries.
- *
- * reset() rewinds every child (children must support reset()).
- * knownLength() is the sum of the children's lengths when all are
- * known (capped by @p max_refs), unknown otherwise.
- */
-class InterleaveSource : public TraceSource
-{
-  public:
-    /** @param max_refs stop after this many total references (0 = all). */
-    InterleaveSource(std::vector<std::unique_ptr<TraceSource>> children,
-                     std::uint64_t quantum, std::string name,
-                     std::uint64_t max_refs = 0);
-
-    const std::string &name() const override { return name_; }
-    std::size_t nextBatch(std::span<MemoryRef> out) override;
-    void reset() override;
-    std::uint64_t knownLength() const override;
-
-  private:
-    struct Child
-    {
-        std::unique_ptr<TraceSource> source;
-        std::vector<MemoryRef> buf; ///< lookahead refill buffer
-        std::size_t pos = 0;        ///< next unread index into buf
-    };
-
-    /** Refill @p child's buffer; @return false when it is dry. */
-    bool refill(Child &child);
-
-    std::string name_;
-    std::vector<Child> children_;
-    std::vector<std::size_t> rotation_; ///< indices of live children
-    std::uint64_t quantum_;
-    std::uint64_t maxRefs_;
-    std::size_t turn_ = 0;
-    std::uint64_t issuedThisQuantum_ = 0;
-    std::uint64_t emitted_ = 0;
-};
 
 /**
  * Offset every address in @p trace by @p delta bytes (used to give

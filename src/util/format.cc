@@ -5,6 +5,7 @@
 
 #include "util/format.hh"
 
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
@@ -67,6 +68,14 @@ formatCount(std::uint64_t value)
         ++run;
     }
     return {out.rbegin(), out.rend()};
+}
+
+std::string
+formatHex64(std::uint64_t value)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
+    return buf;
 }
 
 } // namespace cachelab

@@ -31,6 +31,10 @@ std::string padRight(const std::string &s, std::size_t width);
 /** Format @p value with thousands separators, e.g. 250000 -> "250,000". */
 std::string formatCount(std::uint64_t value);
 
+/** Format @p value as 16 lower-case hex digits, e.g. 255 ->
+ *  "00000000000000ff" (hash keys in stores, registries and manifests). */
+std::string formatHex64(std::uint64_t value);
+
 } // namespace cachelab
 
 #endif // CACHELAB_UTIL_FORMAT_HH

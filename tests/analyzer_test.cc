@@ -115,8 +115,10 @@ TEST(Analyzer, SequentialRunLengths)
     t.append(0x400, 4, AccessKind::IFetch);
     t.append(0x404, 4, AccessKind::IFetch);
     const TraceCharacteristics c = analyzeTrace(t);
-    EXPECT_EQ(c.sequentialRuns.total(), 2u);
-    EXPECT_GT(c.meanSequentialRunBytes, 0.0);
+    // The first run ends where the branch target's size past its last
+    // fetch reaches (0x100..0x10c, 12 bytes); the final run is closed
+    // at its last fetch address (0x400..0x404, 4 bytes).
+    EXPECT_DOUBLE_EQ(c.meanSequentialRunBytes, 8.0);
 }
 
 TEST(Analyzer, CustomLineSize)

@@ -20,8 +20,7 @@
  *    every pool worker refuses one at once, the process exits 1 with
  *    one line;
  *  - the trace content hash ignores batch cuts and changes when any
- *    field of one reference changes or two references swap;
- *  - warmToInterval() edge cases around the checkpoint overload.
+ *    field of one reference changes or two references swap.
  */
 
 #include <gtest/gtest.h>
@@ -39,11 +38,11 @@
 #include "cache/organization.hh"
 #include "ckpt/live_points.hh"
 #include "sample/sampler.hh"
-#include "sample/warming.hh"
 #include "sim/experiments.hh"
 #include "sim/run.hh"
 #include "sim/sampled.hh"
 #include "util/bits.hh"
+#include "util/hash.hh"
 #include "util/random.hh"
 #include "workload/profiles.hh"
 
@@ -459,11 +458,15 @@ TEST(CheckpointSweep, UnifiedBitwiseWithPurgeSchedule)
     const std::vector<SampledSweepPoint> restored =
         sweepUnifiedSampled(trace, sizes, base, checkpoint, run, store);
 
-    for (std::size_t i = 0; i < sizes.size(); ++i)
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
         expectSampledResultsIdentical(restored[i].result,
                                       reference[i].result,
                                       "purge, size " +
                                           std::to_string(sizes[i]));
+        // Restored, not replayed: only measured references are applied.
+        EXPECT_EQ(restored[i].result.processedRefs,
+                  restored[i].result.measuredRefs);
+    }
 }
 
 TEST(CheckpointSweep, SplitBitwise)
@@ -735,7 +738,7 @@ storeFileHashes(const std::string &dir)
 {
     std::map<std::string, std::uint64_t> hashes;
     for (const auto &[name, bytes] : storeFiles(dir)) {
-        std::uint64_t hash = ckpt::kFnvOffset;
+        std::uint64_t hash = kFnvOffset;
         for (const char c : bytes) {
             hash ^= static_cast<unsigned char>(c);
             hash *= 1099511628211ULL;
@@ -1299,99 +1302,6 @@ TEST(ContentHash, IsPinned)
         {~Addr{0}, 1, AccessKind::Read},
     };
     EXPECT_EQ(contentHash(refs), 0x47d6c2dbf280f1dcULL);
-}
-
-// ---------------------------------------------------------------- //
-//  warmToInterval edge cases (incl. the checkpoint overload)        //
-// ---------------------------------------------------------------- //
-
-TEST(WarmToInterval, FixedWarmupClampsWhenWarmupExceedsIntervalStart)
-{
-    const Trace trace = testTrace();
-    Cache cache(table1Config(1024));
-    SampleConfig config;
-    config.warming = WarmingPolicy::FixedWarmup;
-    config.warmupRefs = 500;
-    const SampleInterval interval{100, 200}; // begin < warmupRefs
-
-    std::uint64_t pos = 0, since_purge = 0, processed = 0;
-    warmToInterval(trace, cache, config, 0, interval, pos, since_purge,
-                   processed);
-    EXPECT_EQ(pos, interval.begin);
-    // Clamped to the trace start: exactly `begin` refs replayed.
-    EXPECT_EQ(processed, interval.begin);
-}
-
-TEST(WarmToInterval, ZeroWarmupIsRejectedByValidation)
-{
-    SampleConfig config;
-    config.warming = WarmingPolicy::FixedWarmup;
-    config.warmupRefs = 0;
-    EXPECT_DEATH({ config.validate(); }, "warmupRefs");
-}
-
-TEST(WarmToInterval, CursorPastIntervalStartPanics)
-{
-    const Trace trace = testTrace();
-    Cache cache(table1Config(1024));
-    SampleConfig config;
-    config.warming = WarmingPolicy::Functional;
-    const SampleInterval interval{100, 200};
-
-    std::uint64_t pos = 150, since_purge = 0, processed = 0;
-    EXPECT_DEATH({
-        warmToInterval(trace, cache, config, 0, interval, pos, since_purge,
-                       processed);
-    }, "past interval start");
-}
-
-TEST(WarmToInterval, CheckpointNeedsARestorer)
-{
-    const Trace trace = testTrace();
-    Cache cache(table1Config(1024));
-    SampleConfig config;
-    config.warming = WarmingPolicy::Checkpoint;
-    const SampleInterval interval{100, 200};
-
-    std::uint64_t pos = 0, since_purge = 0, processed = 0;
-    EXPECT_DEATH({
-        warmToInterval(trace, cache, config, 0, interval, pos, since_purge,
-                       processed);
-    }, "needs a restorer");
-}
-
-TEST(WarmToInterval, CheckpointOverloadRestoresInsteadOfReplaying)
-{
-    const Trace trace = testTrace();
-    Cache cache(table1Config(1024));
-    SampleConfig config;
-    config.warming = WarmingPolicy::Checkpoint;
-    const SampleInterval interval{100, 200};
-
-    std::uint64_t pos = 0, since_purge = 0, processed = 0;
-    std::size_t restored_idx = ~std::size_t{0};
-    warmToInterval(trace, cache, config, 0, interval, std::size_t{7}, pos,
-                   since_purge, processed,
-                   [&](Cache &, std::size_t idx, std::uint64_t &sp) {
-                       restored_idx = idx;
-                       sp = 42;
-                   });
-    EXPECT_EQ(pos, interval.begin);
-    EXPECT_EQ(processed, 0u);      // nothing replayed
-    EXPECT_EQ(since_purge, 42u);   // the restorer's carry wins
-    EXPECT_EQ(restored_idx, 7u);
-
-    // Non-checkpoint policies pass through to the base overload.
-    SampleConfig functional;
-    functional.warming = WarmingPolicy::Functional;
-    std::uint64_t fpos = 0, fsince = 0, fprocessed = 0;
-    warmToInterval(trace, cache, functional, 0, interval, std::size_t{0},
-                   fpos, fsince, fprocessed,
-                   [&](Cache &, std::size_t, std::uint64_t &) {
-                       FAIL() << "restorer must not run for Functional";
-                   });
-    EXPECT_EQ(fpos, interval.begin);
-    EXPECT_EQ(fprocessed, interval.begin);
 }
 
 } // namespace

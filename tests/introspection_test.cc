@@ -328,7 +328,7 @@ TEST(EventStats, LifetimesDeadLinesAndSetPressure)
 
     EXPECT_EQ(sink.evictions(), 2u);
     EXPECT_EQ(sink.deadOnEviction(), 1u);
-    EXPECT_EQ(sink.evictLifetime().total(), 2u);
+    EXPECT_EQ(sink.evictLifetime().count, 2u);
     ASSERT_GE(sink.sets().size(), 2u);
     EXPECT_EQ(sink.sets()[0].evictions, 2u);
     EXPECT_EQ(sink.sets()[1].evictions, 0u);
@@ -353,7 +353,7 @@ TEST(EventStats, ReuseDistanceCountsGaps)
     cache.access(read(0x10));
     cache.access(read(0x20));
     cache.access(read(0x0)); // ref 4: distance 3 from ref 1
-    EXPECT_EQ(sink.reuseDistance().total(), 1u);
+    EXPECT_EQ(sink.reuseDistance().count, 1u);
     EXPECT_DOUBLE_EQ(sink.reuseDistance().mean(), 3.0);
 }
 

@@ -259,7 +259,9 @@ emitRandomValue(JsonWriter &w, Rng &rng, int depth)
         const std::uint64_t n = rng.uniformInt(3);
         w.beginObject();
         for (std::uint64_t i = 0; i <= n; ++i) {
-            w.key("k" + std::to_string(i));
+            std::string key = "k";
+            key += std::to_string(i);
+            w.key(key);
             emitRandomValue(w, rng, depth - 1);
         }
         w.endObject();

@@ -81,8 +81,12 @@ TEST(ManifestTest, CacheStatsCountersRoundTripExactly)
     std::string accesses = "\"accesses\":[";
     std::string misses = "\"misses\":[";
     for (std::size_t k = 0; k < 3; ++k) {
-        accesses += (k ? "," : "") + std::to_string(s.accesses[k]);
-        misses += (k ? "," : "") + std::to_string(s.misses[k]);
+        if (k) {
+            accesses += ',';
+            misses += ',';
+        }
+        accesses += std::to_string(s.accesses[k]);
+        misses += std::to_string(s.misses[k]);
     }
     EXPECT_NE(json.find(accesses + "]"), std::string::npos) << json;
     EXPECT_NE(json.find(misses + "]"), std::string::npos) << json;
@@ -112,7 +116,7 @@ TEST(ManifestTest, ManifestCarriesSchemaBuildAndResults)
 
     EXPECT_NE(out.find("\"schema\": \"cachelab.run_manifest\""),
               std::string::npos);
-    EXPECT_NE(out.find("\"schema_version\": 2"), std::string::npos);
+    EXPECT_NE(out.find("\"schema_version\": 3"), std::string::npos);
     EXPECT_NE(out.find("\"tool\": \"manifest_test\""), std::string::npos);
     EXPECT_NE(out.find("\"git\": "), std::string::npos);
     EXPECT_NE(out.find("\"compiler\": "), std::string::npos);

@@ -90,11 +90,11 @@ TEST(MetricsRegistry, HistogramLabelsCanonicalize)
     obs::Histogram &h2 =
         registry.histogram("task_ns", {{"size", "1K"}, {"engine", "pool"}});
     EXPECT_EQ(&h1, &h2);
-    h1.observe(17);
+    h1.record(17);
     const auto snap = registry.snapshot();
     ASSERT_EQ(snap.histograms.size(), 1u);
-    EXPECT_EQ(snap.histograms[0].name, "task_ns{engine=pool,size=1K}");
-    EXPECT_EQ(snap.histograms[0].histogram.total(), 1u);
+    EXPECT_EQ(snap.histograms[0].first, "task_ns{engine=pool,size=1K}");
+    EXPECT_EQ(snap.histograms[0].second.count, 1u);
 }
 
 TEST(MetricsRegistry, SnapshotIsSortedAndComplete)
@@ -129,7 +129,7 @@ TEST(MetricsRegistry, ResetForTestingZeroesInPlace)
     obs::Histogram &histogram = registry.histogram("task_ns");
     counter.add(42);
     gauge.set(8.0);
-    histogram.observe(17);
+    histogram.record(17);
 
     registry.resetForTesting();
 
@@ -139,7 +139,7 @@ TEST(MetricsRegistry, ResetForTestingZeroesInPlace)
     EXPECT_EQ(registry.snapshot().counterValue("sim.refs"), 0u);
     const auto snap = registry.snapshot();
     ASSERT_EQ(snap.histograms.size(), 1u);
-    EXPECT_EQ(snap.histograms[0].histogram.total(), 0u);
+    EXPECT_EQ(snap.histograms[0].second.count, 0u);
 
     // The regression this guards: back-to-back library runs in one
     // process must not accumulate into each other's counters.
@@ -256,7 +256,7 @@ TEST(JsonWriterTest, SnapshotWritesValidJson)
     obs::Registry registry;
     registry.counter("c").add(7);
     registry.gauge("g").set(0.25);
-    registry.histogram("h").observe(100);
+    registry.histogram("h").record(100);
     const std::string out = compactJson(
         [&](JsonWriter &w) { registry.snapshot().writeJson(w); });
     EXPECT_NE(out.find("\"counters\":{\"c\":7}"), std::string::npos);

@@ -233,6 +233,16 @@ TEST(ServeSpecPolicy, TimingSpecParsesAndValidates)
     bad.insert(bad.rfind('}'), R"(, "timing": {"l3_cycles": 1})");
     serve::ExperimentSpec rejected;
     EXPECT_TRUE(parseExperimentSpec(bad, rejected));
+
+    // The L2 hit latency went with the two-level model that read it.
+    std::string retired = specJson(R"("replacement": "lru")");
+    retired.insert(retired.rfind('}'), R"(, "timing": {"l2_hit_cycles": 5})");
+    const auto error = parseExperimentSpec(retired, rejected);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_NE(error->find("unknown timing parameter \"l2_hit_cycles\" "
+                          "(valid: hit_cycles, memory_cycles, width_bytes)"),
+              std::string::npos)
+        << *error;
 }
 
 // ---------------------------------------------------------------- //

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the sampled-simulation subsystem: interval
- * selection, the warming layer, and the confidence engine.
+ * selection, what each warming policy replays, and the confidence
+ * engine.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,8 @@
 #include "sample/confidence.hh"
 #include "sample/sample_config.hh"
 #include "sample/sampler.hh"
-#include "sample/warming.hh"
 #include "sim/experiments.hh"
+#include "sim/sampled.hh"
 #include "stats/summary.hh"
 #include "trace/trace.hh"
 
@@ -118,6 +119,14 @@ TEST(SampleConfig, ValidateRejectsBadParameters)
     EXPECT_DEATH({ cfg.validate(); }, "warmupRefs");
 }
 
+TEST(SampleConfig, ZeroWarmupIsRejectedByValidation)
+{
+    SampleConfig config;
+    config.warming = WarmingPolicy::FixedWarmup;
+    config.warmupRefs = 0;
+    EXPECT_DEATH({ config.validate(); }, "warmupRefs");
+}
+
 /** A trace that touches @p lines distinct lines once each. */
 Trace
 lineWalkTrace(std::uint64_t lines)
@@ -128,69 +137,122 @@ lineWalkTrace(std::uint64_t lines)
     return t;
 }
 
+/**
+ * A random-selection plan over @p refs references whose only interval
+ * is [@p begin, @p begin + @p unit).  The seed is searched, so the
+ * plan does not depend on how the generator maps seeds to slots.
+ */
+SampleConfig
+oneIntervalAt(std::uint64_t refs, std::uint64_t unit, std::uint64_t begin)
+{
+    SampleConfig cfg;
+    cfg.unitRefs = unit;
+    cfg.fraction = static_cast<double>(unit) / static_cast<double>(refs);
+    cfg.selection = IntervalSelection::Random;
+    for (cfg.seed = 0;; ++cfg.seed) {
+        const std::vector<SampleInterval> plan = selectIntervals(refs, cfg);
+        if (plan.size() == 1 && plan[0].begin == begin)
+            return cfg;
+    }
+}
+
+/** @return how many of lineWalkTrace's lines [lo, hi) @p cache holds. */
+std::uint64_t
+residentWalkLines(const Cache &cache, std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t i = lo; i < hi; ++i)
+        n += cache.contains(i * 16) ? 1 : 0;
+    return n;
+}
+
 TEST(Warming, ColdPurgesAndSkips)
 {
-    const Trace trace = lineWalkTrace(1000);
-    Cache cache(table1Config(4096));
-    // Pre-warm so the purge is observable.
-    for (std::uint64_t i = 0; i < 100; ++i)
-        cache.access(trace[i]);
-    ASSERT_GT(cache.validLineCount(), 0u);
+    const Trace trace = lineWalkTrace(600);
+    Cache cache(table1Config(65536));
+    // Pre-warm with lines outside the walk so the purge is observable.
+    for (std::uint64_t i = 1000; i < 1100; ++i)
+        cache.access({i * 16, 4, AccessKind::Read});
 
-    SampleConfig cfg = systematicConfig(100, 0.5);
+    SampleConfig cfg = oneIntervalAt(600, 100, 500);
     cfg.warming = WarmingPolicy::Cold;
-    std::uint64_t pos = 100, since_purge = 0, processed = 0;
-    warmToInterval(trace, cache, cfg, 0, {500, 600}, pos, since_purge,
-                   processed);
-    EXPECT_EQ(pos, 500u);
-    EXPECT_EQ(processed, 0u); // skipped, nothing simulated
-    EXPECT_EQ(cache.validLineCount(), 0u);
+    const SampledRunResult r = runSampled(trace, cache, cfg);
+    // Skipped, then purged: only the measured references were applied.
+    EXPECT_EQ(r.processedRefs, 100u);
+    EXPECT_EQ(r.measured.purges, 0u); // the purge precedes measurement
+    EXPECT_EQ(cache.validLineCount(), 100u);
+    EXPECT_EQ(residentWalkLines(cache, 500, 600), 100u);
 }
 
 TEST(Warming, FixedWarmupReplaysTail)
 {
-    const Trace trace = lineWalkTrace(1000);
+    const Trace trace = lineWalkTrace(600);
     Cache cache(table1Config(65536));
-    SampleConfig cfg = systematicConfig(100, 0.5);
+    SampleConfig cfg = oneIntervalAt(600, 100, 500);
     cfg.warming = WarmingPolicy::FixedWarmup;
     cfg.warmupRefs = 50;
-    std::uint64_t pos = 0, since_purge = 0, processed = 0;
-    warmToInterval(trace, cache, cfg, 0, {500, 600}, pos, since_purge,
-                   processed);
-    EXPECT_EQ(pos, 500u);
-    EXPECT_EQ(processed, 50u); // exactly the warm-up tail
+    const SampledRunResult r = runSampled(trace, cache, cfg);
+    // Exactly the warm-up tail plus the interval.
+    EXPECT_EQ(r.processedRefs, 150u);
     // The warmed lines are the 50 immediately before the interval.
-    EXPECT_EQ(cache.validLineCount(), 50u);
-    EXPECT_TRUE(cache.contains(499 * 16));
+    EXPECT_EQ(cache.validLineCount(), 150u);
     EXPECT_TRUE(cache.contains(450 * 16));
     EXPECT_FALSE(cache.contains(449 * 16));
+    EXPECT_EQ(residentWalkLines(cache, 450, 600), 150u);
+}
+
+TEST(Warming, FixedWarmupClampsWhenWarmupExceedsIntervalStart)
+{
+    const Trace trace = lineWalkTrace(600);
+    Cache cache(table1Config(65536));
+    SampleConfig cfg = oneIntervalAt(600, 100, 100);
+    cfg.warming = WarmingPolicy::FixedWarmup;
+    cfg.warmupRefs = 500; // more than the interval's begin
+    const SampledRunResult r = runSampled(trace, cache, cfg);
+    // Clamped to the trace start: the 100 references before the
+    // interval, then the interval itself.
+    EXPECT_EQ(r.processedRefs, 200u);
+    EXPECT_EQ(cache.validLineCount(), 200u);
+    EXPECT_EQ(residentWalkLines(cache, 0, 200), 200u);
 }
 
 TEST(Warming, FunctionalReplaysEverything)
 {
-    const Trace trace = lineWalkTrace(1000);
+    const Trace trace = lineWalkTrace(600);
     Cache cache(table1Config(65536));
-    SampleConfig cfg = systematicConfig(100, 0.5);
-    std::uint64_t pos = 0, since_purge = 0, processed = 0;
-    warmToInterval(trace, cache, cfg, 0, {500, 600}, pos, since_purge,
-                   processed);
-    EXPECT_EQ(pos, 500u);
-    EXPECT_EQ(processed, 500u);
-    EXPECT_EQ(cache.validLineCount(), 500u);
+    const SampledRunResult r =
+        runSampled(trace, cache, oneIntervalAt(600, 100, 500));
+    EXPECT_EQ(r.processedRefs, 600u);
+    EXPECT_EQ(cache.validLineCount(), 600u);
 }
 
 TEST(Warming, FunctionalHonorsPurgeSchedule)
 {
+    // Intervals [0, 100) and [500, 600); a purge every 250 references.
+    // The count since the last purge carries across intervals and
+    // gaps, so purges fall before references 250 and 500 — the second
+    // one inside the measured interval — and only 500..599 survive.
     const Trace trace = lineWalkTrace(1000);
     Cache cache(table1Config(65536));
-    SampleConfig cfg = systematicConfig(100, 0.5);
-    std::uint64_t pos = 0, since_purge = 0, processed = 0;
-    // Purge every 200 refs: purges fire at 200 and 400, so only refs
-    // 400..499 survive in the cache.
-    warmToInterval(trace, cache, cfg, 200, {500, 600}, pos, since_purge,
-                   processed);
+    RunConfig run;
+    run.purgeInterval = 250;
+    const SampledRunResult r =
+        runSampled(trace, cache, systematicConfig(100, 0.2), run);
+    EXPECT_EQ(r.intervalsMeasured, 2u);
+    EXPECT_EQ(r.processedRefs, 600u);
+    EXPECT_EQ(r.measured.purges, 1u);
     EXPECT_EQ(cache.validLineCount(), 100u);
-    EXPECT_EQ(since_purge, 100u);
+    EXPECT_EQ(residentWalkLines(cache, 500, 600), 100u);
+}
+
+TEST(Warming, CheckpointWithoutAStoreIsFatal)
+{
+    const Trace trace = lineWalkTrace(600);
+    Cache cache(table1Config(1024));
+    SampleConfig cfg = oneIntervalAt(600, 100, 100);
+    cfg.warming = WarmingPolicy::Checkpoint;
+    EXPECT_DEATH({ runSampled(trace, cache, cfg); },
+                 "checkpoint warming needs a live-point store");
 }
 
 TEST(Confidence, ZScoreMatchesStandardNormal)

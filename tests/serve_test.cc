@@ -155,6 +155,8 @@ TEST(Serve, InvalidSpecsGetErrorsAndTheServerSurvives)
                  "sizes": [1024]})",
              R"({"input": {"kind": "kv", "refs": 100},
                  "warmup_refs": 100, "sizes": [1024]})",
+             R"({"input": {"kind": "profile", "name": "VSPICE"},
+                 "sizes": [1024], "timing": {"l2_hit_cycles": 5}})",
              R"([1, 2, 3])",
          }) {
         outcome = client->run(bad);
@@ -509,23 +511,23 @@ TEST(ServeTelemetry, StatsOpExposesHistogramsMatchingCompletedRequests)
 
     // The histogram invariant CI also checks: e2e samples == completed
     // requests (early rejections never reach the histograms).
-    const JsonValue &latencies = stats->at("metrics").at("latencies");
-    const JsonValue &e2e = latencies.at("serve.latency.e2e_ns");
+    const JsonValue &histograms = stats->at("metrics").at("histograms");
+    const JsonValue &e2e = histograms.at("serve.latency.e2e_ns");
     EXPECT_EQ(e2e.at("count").asUint(), kRuns);
-    EXPECT_EQ(latencies.at("serve.latency.exec_ns").at("count").asUint(),
+    EXPECT_EQ(histograms.at("serve.latency.exec_ns").at("count").asUint(),
               kRuns);
     EXPECT_EQ(
-        latencies.at("serve.latency.queue_wait_ns").at("count").asUint(),
+        histograms.at("serve.latency.queue_wait_ns").at("count").asUint(),
         kRuns);
 
     // Quantiles are monotone and bounded by the observed max.
-    const double p50 = e2e.at("p50_ns").asDouble();
-    const double p90 = e2e.at("p90_ns").asDouble();
-    const double p99 = e2e.at("p99_ns").asDouble();
+    const double p50 = e2e.at("p50").asDouble();
+    const double p90 = e2e.at("p90").asDouble();
+    const double p99 = e2e.at("p99").asDouble();
     EXPECT_GT(p50, 0.0);
     EXPECT_LE(p50, p90);
     EXPECT_LE(p90, p99);
-    EXPECT_LE(p99, static_cast<double>(e2e.at("max_ns").asUint()));
+    EXPECT_LE(p99, static_cast<double>(e2e.at("max").asUint()));
 
     // Per-tenant counters: both tenants show up with their runs.
     const JsonValue &counters = stats->at("metrics").at("counters");
@@ -577,10 +579,8 @@ TEST(ServeTelemetry, RejectionsAndErrorsAreCounted)
     // Nothing completed, so no latency samples were recorded.  (The
     // series may exist at count 0 when an earlier same-process test
     // registered it; resetForTesting zeroes in place.)
-    const JsonValue *latencies = stats->at("metrics").find("latencies");
-    const JsonValue *e2e = latencies != nullptr
-        ? latencies->find("serve.latency.e2e_ns")
-        : nullptr;
+    const JsonValue *e2e =
+        stats->at("metrics").at("histograms").find("serve.latency.e2e_ns");
     if (e2e != nullptr) {
         EXPECT_EQ(e2e->at("count").asUint(), 0u);
     }

@@ -181,13 +181,14 @@ TEST(Log2Histogram, BucketBoundaries)
     h.add(3);
     h.add(4);
     h.add(1024);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.bucket(0), 1u); // {0}
-    EXPECT_EQ(h.bucket(1), 1u); // {1}
-    EXPECT_EQ(h.bucket(2), 2u); // {2,3}
-    EXPECT_EQ(h.bucket(3), 1u); // {4..7}
-    EXPECT_EQ(h.bucket(11), 1u); // {1024..2047}
-    EXPECT_EQ(h.bucket(99), 0u);
+    EXPECT_EQ(h.count, 6u);
+    EXPECT_EQ(h.buckets[0], 1u); // {0}
+    EXPECT_EQ(h.buckets[1], 1u); // {1}
+    EXPECT_EQ(h.buckets[2], 2u); // {2,3}
+    EXPECT_EQ(h.buckets[3], 1u); // {4..7}
+    EXPECT_EQ(h.buckets[11], 1u); // {1024..2047}
+    EXPECT_EQ(h.usedBuckets(), 12u);
+    EXPECT_EQ(h.max, 1024u);
 }
 
 TEST(Log2Histogram, MeanOfSamples)
@@ -197,6 +198,14 @@ TEST(Log2Histogram, MeanOfSamples)
     h.add(20);
     h.add(30);
     EXPECT_DOUBLE_EQ(h.mean(), 20.0);
+    // merge() folds in every field: the mean of the union follows.
+    Log2Histogram other;
+    other.add(100);
+    h.merge(other);
+    EXPECT_EQ(h.count, 4u);
+    EXPECT_EQ(h.sum, 160u);
+    EXPECT_EQ(h.max, 100u);
+    EXPECT_DOUBLE_EQ(h.mean(), 40.0);
 }
 
 TEST(TextTable, RendersAlignedColumns)

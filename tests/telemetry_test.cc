@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the service-telemetry layer: the LatencyHistogram and its
- * quantile estimator, request lifecycle spans, the metrics-snapshot
+ * Tests for the service-telemetry layer: the registry histogram cell
+ * and its quantile estimator, request lifecycle spans, the metrics-snapshot
  * flight-recorder line format, structured log lines, and the run
  * registry's persistence + bounded retention.
  */
@@ -32,23 +32,21 @@ namespace cachelab
 namespace
 {
 
-using obs::LatencyHistogram;
-
-TEST(LatencyHistogram, EmptySnapshotIsAllZero)
+TEST(RegistryHistogram, EmptySnapshotIsAllZero)
 {
-    LatencyHistogram h;
-    const auto snap = h.snapshot();
+    obs::Histogram h;
+    const Log2Histogram snap = h.snapshot();
     EXPECT_EQ(snap.count, 0u);
-    EXPECT_EQ(snap.maxNs, 0u);
-    EXPECT_EQ(snap.meanNs(), 0.0);
-    EXPECT_EQ(snap.quantileNs(0.5), 0.0);
+    EXPECT_EQ(snap.max, 0u);
+    EXPECT_EQ(snap.mean(), 0.0);
+    EXPECT_EQ(snap.quantile(0.5), 0.0);
     EXPECT_EQ(snap.usedBuckets(), 0u);
 }
 
-TEST(LatencyHistogram, BucketsFollowTheLog2Convention)
+TEST(RegistryHistogram, BucketsFollowTheLog2Convention)
 {
     // Bucket k holds [2^(k-1), 2^k); bucket 0 holds {0}.
-    LatencyHistogram h;
+    obs::Histogram h;
     h.record(0);
     h.record(1);
     h.record(2);
@@ -56,90 +54,102 @@ TEST(LatencyHistogram, BucketsFollowTheLog2Convention)
     h.record(4);
     h.record(1024);
     h.record(1025);
-    const auto snap = h.snapshot();
+    const Log2Histogram snap = h.snapshot();
     EXPECT_EQ(snap.buckets[0], 1u); // {0}
     EXPECT_EQ(snap.buckets[1], 1u); // [1, 2)
     EXPECT_EQ(snap.buckets[2], 2u); // [2, 4)
     EXPECT_EQ(snap.buckets[3], 1u); // [4, 8)
     EXPECT_EQ(snap.buckets[11], 2u); // [1024, 2048)
     EXPECT_EQ(snap.count, 7u);
-    EXPECT_EQ(snap.maxNs, 1025u);
+    EXPECT_EQ(snap.sum, 2059u);
+    EXPECT_EQ(snap.max, 1025u);
     EXPECT_EQ(snap.usedBuckets(), 12u);
 }
 
-TEST(LatencyHistogram, QuantilesAreMonotoneAndBoundedByMax)
+TEST(RegistryHistogram, QuantilesAreMonotoneAndBoundedByMax)
 {
-    LatencyHistogram h;
+    obs::Histogram h;
     for (std::uint64_t v : {10u, 20u, 40u, 80u, 200u, 500u, 900u, 5000u})
         h.record(v);
-    const auto snap = h.snapshot();
-    const double p50 = snap.quantileNs(0.50);
-    const double p90 = snap.quantileNs(0.90);
-    const double p99 = snap.quantileNs(0.99);
+    const Log2Histogram snap = h.snapshot();
+    const double p50 = snap.quantile(0.50);
+    const double p90 = snap.quantile(0.90);
+    const double p99 = snap.quantile(0.99);
     EXPECT_LE(p50, p90);
     EXPECT_LE(p90, p99);
     EXPECT_GT(p50, 0.0);
-    EXPECT_LE(p99, static_cast<double>(snap.maxNs));
+    EXPECT_LE(p99, static_cast<double>(snap.max));
     // The p50 must land in the vicinity of the middle samples, not at
     // either extreme.
     EXPECT_GE(p50, 10.0);
     EXPECT_LE(p50, 200.0);
 }
 
-TEST(LatencyHistogram, MeanMaxAndResetBehave)
+TEST(RegistryHistogram, MeanMaxAndResetBehave)
 {
-    LatencyHistogram h;
+    obs::Histogram h;
     h.record(100);
     h.record(300);
-    auto snap = h.snapshot();
-    EXPECT_DOUBLE_EQ(snap.meanNs(), 200.0);
-    EXPECT_EQ(snap.maxNs, 300u);
+    Log2Histogram snap = h.snapshot();
+    EXPECT_DOUBLE_EQ(snap.mean(), 200.0);
+    EXPECT_EQ(snap.max, 300u);
     h.reset();
     snap = h.snapshot();
     EXPECT_EQ(snap.count, 0u);
-    EXPECT_EQ(snap.maxNs, 0u);
+    EXPECT_EQ(snap.sum, 0u);
+    EXPECT_EQ(snap.max, 0u);
     EXPECT_EQ(snap.usedBuckets(), 0u);
 }
 
-TEST(LatencyHistogram, TopBucketCoversTheUpperHalfOfUint64)
+TEST(RegistryHistogram, TopBucketCoversTheUpperHalfOfUint64)
 {
     // Bucket 64 holds [2^63, 2^64): the largest representable
     // latencies must land there — not wrap, not fall off the array.
-    LatencyHistogram h;
+    obs::Histogram h;
     const std::uint64_t huge = std::uint64_t{1} << 63;
     h.record(huge - 1); // top of bucket 63
     h.record(huge);     // bottom of bucket 64
     h.record(std::numeric_limits<std::uint64_t>::max());
-    const auto snap = h.snapshot();
+    const Log2Histogram snap = h.snapshot();
     EXPECT_EQ(snap.buckets[63], 1u);
     EXPECT_EQ(snap.buckets[64], 2u);
     EXPECT_EQ(snap.count, 3u);
-    EXPECT_EQ(snap.maxNs, std::numeric_limits<std::uint64_t>::max());
-    EXPECT_EQ(snap.usedBuckets(), LatencyHistogram::kBuckets);
+    EXPECT_EQ(snap.max, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(snap.usedBuckets(), Log2Histogram::kBuckets);
     // Quantiles at the extreme top stay finite and never exceed the
     // observed maximum.
-    const double p99 = snap.quantileNs(0.99);
+    const double p99 = snap.quantile(0.99);
     EXPECT_TRUE(std::isfinite(p99));
     EXPECT_GT(p99, 0.0);
-    EXPECT_LE(p99, static_cast<double>(snap.maxNs));
+    EXPECT_LE(p99, static_cast<double>(snap.max));
 }
 
-TEST(LatencyHistogram, QuantileInterpolationClampsAtTheRecordedMax)
+TEST(RegistryHistogram, QuantileInterpolationClampsAtTheRecordedMax)
 {
     // A lone sample at 1000 sits in bucket [512, 1024); naive
     // interpolation at q = 1 would report the bucket's upper edge
     // (1024), but the estimator must never exceed the recorded max.
-    LatencyHistogram h;
+    obs::Histogram h;
     h.record(1000);
-    auto snap = h.snapshot();
-    EXPECT_DOUBLE_EQ(snap.quantileNs(1.0), 1000.0);
-    EXPECT_DOUBLE_EQ(snap.quantileNs(0.5), 1000.0);
+    Log2Histogram snap = h.snapshot();
+    EXPECT_DOUBLE_EQ(snap.quantile(1.0), 1000.0);
+    EXPECT_DOUBLE_EQ(snap.quantile(0.5), 1000.0);
     // Same clamp with company in the bucket: every quantile that
     // lands in [512, 1024) is capped by the 1000 maximum.
     h.record(513);
     snap = h.snapshot();
-    EXPECT_LE(snap.quantileNs(0.99), 1000.0);
-    EXPECT_LE(snap.quantileNs(1.0), 1000.0);
+    EXPECT_LE(snap.quantile(0.99), 1000.0);
+    EXPECT_LE(snap.quantile(1.0), 1000.0);
+}
+
+/** @return the sum of @p h's buckets. */
+std::uint64_t
+bucketTotal(const Log2Histogram &h)
+{
+    std::uint64_t total = 0;
+    for (const std::uint64_t b : h.buckets)
+        total += b;
+    return total;
 }
 
 // Named so the CI TSan pass (-R ...|MetricsRegistry|...) covers it:
@@ -148,7 +158,7 @@ TEST(LatencyHistogram, QuantileInterpolationClampsAtTheRecordedMax)
 TEST(MetricsRegistryLatency, ResetUnderConcurrentRecordsStaysCoherent)
 {
     obs::Registry registry;
-    LatencyHistogram &h = registry.latency("reset_race_ns");
+    obs::Histogram &h = registry.histogram("reset_race_ns");
     std::atomic<bool> stop{false};
     std::vector<std::thread> writers;
     for (int t = 0; t < 3; ++t) {
@@ -164,21 +174,18 @@ TEST(MetricsRegistryLatency, ResetUnderConcurrentRecordsStaysCoherent)
     for (std::thread &t : writers)
         t.join();
     h.reset();
-    const auto snap = h.snapshot();
+    const Log2Histogram snap = h.snapshot();
     EXPECT_EQ(snap.count, 0u);
-    EXPECT_EQ(snap.maxNs, 0u);
+    EXPECT_EQ(snap.max, 0u);
     EXPECT_EQ(snap.usedBuckets(), 0u);
-    std::uint64_t bucket_total = 0;
-    for (const std::uint64_t b : snap.buckets)
-        bucket_total += b;
-    EXPECT_EQ(bucket_total, snap.count);
+    EXPECT_EQ(bucketTotal(snap), snap.count);
 }
 
 // Named so the CI TSan pass (-R ...|MetricsRegistry|...) covers it.
 TEST(MetricsRegistryLatency, ConcurrentRecordsNeverTearOrDrop)
 {
     obs::Registry registry;
-    LatencyHistogram &h = registry.latency("race_ns");
+    obs::Histogram &h = registry.histogram("race_ns");
     constexpr int kThreads = 4;
     constexpr int kPerThread = 20000;
     std::vector<std::thread> threads;
@@ -190,48 +197,86 @@ TEST(MetricsRegistryLatency, ConcurrentRecordsNeverTearOrDrop)
     }
     for (std::thread &t : threads)
         t.join();
-    const auto snap = h.snapshot();
+    const Log2Histogram snap = h.snapshot();
     EXPECT_EQ(snap.count,
               static_cast<std::uint64_t>(kThreads) * kPerThread);
-    std::uint64_t bucket_total = 0;
-    for (const std::uint64_t b : snap.buckets)
-        bucket_total += b;
-    EXPECT_EQ(bucket_total, snap.count);
-    EXPECT_EQ(snap.maxNs,
+    EXPECT_EQ(bucketTotal(snap), snap.count);
+    EXPECT_EQ(snap.max,
               static_cast<std::uint64_t>(kThreads) * kPerThread - 1);
+}
+
+// Named so the CI TSan pass (-R ...|MetricsRegistry|...) covers it:
+// the request path record()s while a probe sink's publish() merge()s
+// into the same cell, and neither may lose the other's samples.
+TEST(MetricsRegistryLatency, RecordRacingMergeKeepsEveryTotal)
+{
+    obs::Registry registry;
+    obs::Histogram &h = registry.histogram("mixed_ns");
+    constexpr std::uint64_t kRecords = 20000;
+    constexpr int kMerges = 200;
+    Log2Histogram batch;
+    for (const std::uint64_t v : {0u, 7u, 300u, 70000u})
+        batch.add(v);
+
+    std::thread recorder([&h] {
+        for (std::uint64_t i = 0; i < kRecords; ++i)
+            h.record(i % 1000);
+    });
+    std::thread merger([&h, &batch] {
+        for (int i = 0; i < kMerges; ++i)
+            h.merge(batch);
+    });
+    recorder.join();
+    merger.join();
+
+    Log2Histogram want;
+    for (std::uint64_t i = 0; i < kRecords; ++i)
+        want.add(i % 1000);
+    for (int i = 0; i < kMerges; ++i)
+        want.merge(batch);
+    const Log2Histogram got = h.snapshot();
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.sum, want.sum);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.buckets, want.buckets);
 }
 
 TEST(MetricsRegistryLatency, SnapshotCarriesLatenciesAndJsonGatesOnThem)
 {
     obs::Registry registry;
 
-    // No latencies registered: the JSON document must not mention the
-    // key at all (manifests from non-serve binaries stay byte-stable).
+    // No histogram registered: the document's histogram object is
+    // empty.
     registry.counter("plain").add(3);
     {
         std::ostringstream os;
         JsonWriter w(os, JsonWriter::Compact);
         registry.snapshot().writeJson(w);
-        EXPECT_EQ(os.str().find("latencies"), std::string::npos);
+        EXPECT_NE(os.str().find("\"histograms\":{}"), std::string::npos)
+            << os.str();
     }
 
-    registry.latency("serve.latency.e2e_ns").record(1500);
+    registry.histogram("serve.latency.e2e_ns").record(1500);
     const obs::MetricsSnapshot snap = registry.snapshot();
-    ASSERT_NE(snap.latencyFor("serve.latency.e2e_ns"), nullptr);
-    EXPECT_EQ(snap.latencyFor("serve.latency.e2e_ns")->count, 1u);
-    EXPECT_EQ(snap.latencyFor("nope"), nullptr);
+    ASSERT_NE(snap.histogramFor("serve.latency.e2e_ns"), nullptr);
+    EXPECT_EQ(snap.histogramFor("serve.latency.e2e_ns")->count, 1u);
+    EXPECT_EQ(snap.histogramFor("nope"), nullptr);
 
     std::ostringstream os;
     JsonWriter w(os, JsonWriter::Compact);
     snap.writeJson(w);
     const auto doc = parseJson(os.str());
     ASSERT_TRUE(doc);
+    EXPECT_EQ(doc->find("latencies"), nullptr);
     const JsonValue &series =
-        doc->at("latencies").at("serve.latency.e2e_ns");
+        doc->at("histograms").at("serve.latency.e2e_ns");
     EXPECT_EQ(series.at("count").asUint(), 1u);
-    EXPECT_EQ(series.at("max_ns").asUint(), 1500u);
-    EXPECT_LE(series.at("p50_ns").asDouble(),
-              series.at("p99_ns").asDouble());
+    EXPECT_EQ(series.at("mean").asDouble(), 1500.0);
+    EXPECT_EQ(series.at("max").asUint(), 1500u);
+    EXPECT_LE(series.at("p50").asDouble(), series.at("p90").asDouble());
+    EXPECT_LE(series.at("p90").asDouble(), series.at("p99").asDouble());
+    // Buckets are trimmed after the last non-empty one ([1024, 2048)).
+    EXPECT_EQ(series.at("log2_buckets").size(), 12u);
 }
 
 TEST(RequestSpan, DurationAccessorsHandleUnsetStages)
@@ -282,13 +327,13 @@ TEST(ServiceTelemetry, RecordRequestPopulatesSeriesAndCounters)
     telemetry.recordRequest(span, record);
 
     const obs::MetricsSnapshot snap = registry.snapshot();
-    ASSERT_NE(snap.latencyFor(obs::kEndToEndSeries), nullptr);
-    EXPECT_EQ(snap.latencyFor(obs::kEndToEndSeries)->count, 1u);
-    ASSERT_NE(snap.latencyFor(obs::kQueueWaitSeries), nullptr);
-    EXPECT_EQ(snap.latencyFor(obs::kQueueWaitSeries)->count, 1u);
-    ASSERT_NE(snap.latencyFor(obs::kExecSeries), nullptr);
+    ASSERT_NE(snap.histogramFor(obs::kEndToEndSeries), nullptr);
+    EXPECT_EQ(snap.histogramFor(obs::kEndToEndSeries)->count, 1u);
+    ASSERT_NE(snap.histogramFor(obs::kQueueWaitSeries), nullptr);
+    EXPECT_EQ(snap.histogramFor(obs::kQueueWaitSeries)->count, 1u);
+    ASSERT_NE(snap.histogramFor(obs::kExecSeries), nullptr);
     // No coalesce window joined: that series must not exist.
-    EXPECT_EQ(snap.latencyFor(obs::kCoalesceWaitSeries), nullptr);
+    EXPECT_EQ(snap.histogramFor(obs::kCoalesceWaitSeries), nullptr);
 
     EXPECT_EQ(
         snap.counterValue("serve.tenant.requests{tenant=tenant-a}"), 1u);
@@ -316,16 +361,16 @@ TEST(ServiceTelemetry, RecordRequestPopulatesSeriesAndCounters)
         snap2.counterValue("serve.tenant.requests{tenant=anonymous}"), 1u);
     EXPECT_EQ(
         snap2.counterValue("serve.tenant.errors{tenant=anonymous}"), 1u);
-    EXPECT_EQ(snap2.latencyFor(obs::kEndToEndSeries)->count, 2u);
+    EXPECT_EQ(snap2.histogramFor(obs::kEndToEndSeries)->count, 2u);
     // ...but no executor stages, so queue-wait stays at one sample.
-    EXPECT_EQ(snap2.latencyFor(obs::kQueueWaitSeries)->count, 1u);
+    EXPECT_EQ(snap2.histogramFor(obs::kQueueWaitSeries)->count, 1u);
 }
 
 TEST(ServiceTelemetry, MetricsSnapshotLineRoundTrips)
 {
     obs::Registry registry;
     registry.counter("serve.requests").add(7);
-    registry.latency(obs::kEndToEndSeries).record(123456);
+    registry.histogram(obs::kEndToEndSeries).record(123456);
 
     std::ostringstream os;
     obs::writeMetricsSnapshotLine(os, registry.snapshot(), 3, 1754700000123,
@@ -339,13 +384,13 @@ TEST(ServiceTelemetry, MetricsSnapshotLineRoundTrips)
     const auto doc = parseJson(line);
     ASSERT_TRUE(doc);
     EXPECT_EQ(doc->at("schema").asString(), "cachelab.metrics_snapshot");
-    EXPECT_EQ(doc->at("schema_version").asUint(), 1u);
+    EXPECT_EQ(doc->at("schema_version").asUint(), 2u);
     EXPECT_EQ(doc->at("seq").asUint(), 3u);
     EXPECT_EQ(doc->at("unix_ms").asInt(), 1754700000123);
     EXPECT_EQ(doc->at("uptime_ns").asUint(), 42000000000ull);
     const JsonValue &metrics = doc->at("metrics");
     EXPECT_EQ(metrics.at("counters").at("serve.requests").asUint(), 7u);
-    EXPECT_EQ(metrics.at("latencies")
+    EXPECT_EQ(metrics.at("histograms")
                   .at(std::string(obs::kEndToEndSeries))
                   .at("count")
                   .asUint(),
@@ -522,6 +567,9 @@ TEST(RunRegistry, SpecIdentityHashSeparatesSpecs)
     a.input.kind = serve::InputSpec::Kind::Profile;
     a.input.name = "VSPICE";
     a.sizes = {1024, 4096};
+    // Pinned: run registries on disk carry this hash, so a change to
+    // the hash composition must be deliberate.
+    EXPECT_EQ(serve::specIdentityHash(a), 0x66fdd542932ae627ULL);
     serve::ExperimentSpec b = a;
     EXPECT_EQ(serve::specIdentityHash(a), serve::specIdentityHash(b));
     b.sizes = {1024, 8192};

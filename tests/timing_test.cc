@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the per-level timing model (sim/timing): AMAT algebra,
- * degenerate configurations, two-level composition, spec parsing,
- * and the manifest bridge.
+ * Tests for the timing model (sim/timing): AMAT algebra, degenerate
+ * configurations, spec parsing, and the manifest bridge.
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +34,7 @@ TEST(TimingConfig, DefaultIsNotConfigured)
 {
     const TimingConfig config;
     EXPECT_FALSE(config.enabled());
-    EXPECT_EQ(config.describe(), "hit=1,l2hit=10,mem=100,width=8");
+    EXPECT_EQ(config.describe(), "hit=1,mem=100,width=8");
 }
 
 TEST(TimingConfig, ParseSubsetKeepsDefaults)
@@ -59,7 +58,14 @@ TEST(TimingConfig, ParseErrors)
     TimingConfig config;
     const auto unknown = parseTimingConfig("l3=5", config);
     ASSERT_TRUE(unknown.has_value());
-    EXPECT_NE(unknown->find("hit"), std::string::npos) << *unknown;
+    EXPECT_NE(unknown->find("(valid: hit, mem, width)"), std::string::npos)
+        << *unknown;
+    // The L2 hit latency went with the two-level model that read it.
+    const auto retired = parseTimingConfig("l2hit=5", config);
+    ASSERT_TRUE(retired.has_value());
+    EXPECT_NE(retired->find("unknown timing parameter \"l2hit\""),
+              std::string::npos)
+        << *retired;
     EXPECT_TRUE(parseTimingConfig("hit", config).has_value());
     EXPECT_TRUE(parseTimingConfig("hit=fast", config).has_value());
     EXPECT_TRUE(parseTimingConfig("hit=-1", config).has_value());
@@ -142,39 +148,6 @@ TEST(Timing, EmptyRunIsAllZero)
     EXPECT_DOUBLE_EQ(r.amat, config.hitCycles);
     EXPECT_DOUBLE_EQ(r.totalCycles, 0.0);
     EXPECT_DOUBLE_EQ(r.trafficLimitedRefsPerCycle, 0.0);
-}
-
-TEST(Timing, TwoLevelComposition)
-{
-    TimingConfig config;
-    config.configured = true;
-    config.hitCycles = 1.0;
-    config.l2HitCycles = 10.0;
-    config.memoryCycles = 100.0;
-    config.widthBytes = 8.0;
-
-    // L1: 1000 accesses, 200 misses (m1 = 0.2), 16-byte lines.
-    // L2: sees those 200, misses 50 (m2 = 0.25), 64-byte lines.
-    //   l2Penalty  = 10 + 16/8  = 12
-    //   memPenalty = 100 + 64/8 = 108
-    //   AMAT = 1 + 0.2 * (12 + 0.25 * 108) = 1 + 0.2 * 39 = 8.8
-    const CacheStats l1 = statsWith(1000, 200);
-    const CacheStats l2 = statsWith(200, 50, 50 * 64);
-    const TimingResult r = computeTwoLevelTiming(config, l1, l2, 16, 64);
-    EXPECT_DOUBLE_EQ(r.amat, 8.8);
-    EXPECT_DOUBLE_EQ(r.totalCycles,
-                     1.0 * 1000 + 12.0 * 200 + 108.0 * 50);
-    // The bus ceiling counts only L2<->memory traffic.
-    EXPECT_DOUBLE_EQ(r.busCycles, (50.0 * 64) / 8.0);
-    ASSERT_EQ(r.levels.size(), 3u);
-    EXPECT_EQ(r.levels[1].level, "l2");
-
-    // Degenerate hierarchy: an L2 that never hits adds its latency to
-    // every miss but changes nothing else structurally.
-    const CacheStats l2_useless = statsWith(200, 200, 200 * 64);
-    const TimingResult flat =
-        computeTwoLevelTiming(config, l1, l2_useless, 16, 64);
-    EXPECT_DOUBLE_EQ(flat.amat, 1.0 + 0.2 * (12.0 + 1.0 * 108.0));
 }
 
 TEST(Timing, ValidateRejectsNegatives)

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "args.hh"
 #include "serve/client.hh"
@@ -46,6 +47,9 @@ Exit status is non-zero with a one-line diagnostic on any failure:
 unreachable socket, invalid spec, or a server-side error event.
 )";
 
+/** Name prefix of the daemon's request-latency histograms. */
+constexpr std::string_view kLatencyPrefix = "serve.latency.";
+
 /** "1.234 ms"-style rendering of a nanosecond quantity. */
 std::string
 formatNs(double ns)
@@ -67,7 +71,8 @@ formatNs(double ns)
     return os.str();
 }
 
-/** Render the stats reply as a table (counters, then latencies). */
+/** Render the stats reply as a table (counters, then the latency
+ *  histograms). */
 void
 printStatsTable(const cachelab::JsonValue &stats)
 {
@@ -89,16 +94,22 @@ printStatsTable(const cachelab::JsonValue &stats)
     }
 
     const cachelab::JsonValue *metrics = stats.find("metrics");
-    const cachelab::JsonValue *latencies =
-        metrics != nullptr ? metrics->find("latencies") : nullptr;
-    if (latencies == nullptr || !latencies->isObject() ||
-        latencies->size() == 0)
+    const cachelab::JsonValue *histograms =
+        metrics != nullptr ? metrics->find("histograms") : nullptr;
+    if (histograms == nullptr || !histograms->isObject())
         return;
-    std::cout << "\n  " << std::left << std::setw(34) << "latency"
-              << std::right << std::setw(8) << "count" << std::setw(12)
-              << "p50" << std::setw(12) << "p90" << std::setw(12) << "p99"
-              << std::setw(12) << "max" << "\n";
-    for (const auto &[name, series] : latencies->members()) {
+    bool header = false;
+    for (const auto &[name, series] : histograms->members()) {
+        if (!name.starts_with(kLatencyPrefix))
+            continue;
+        if (!header) {
+            std::cout << "\n  " << std::left << std::setw(34) << "latency"
+                      << std::right << std::setw(8) << "count"
+                      << std::setw(12) << "p50" << std::setw(12) << "p90"
+                      << std::setw(12) << "p99" << std::setw(12) << "max"
+                      << "\n";
+            header = true;
+        }
         const auto quantile = [&series](std::string_view key) {
             const cachelab::JsonValue *v = series.find(key);
             return v != nullptr ? v->asDouble() : 0.0;
@@ -106,10 +117,10 @@ printStatsTable(const cachelab::JsonValue &stats)
         std::cout << "  " << std::left << std::setw(34) << name
                   << std::right << std::setw(8)
                   << series.at("count").asUint() << std::setw(12)
-                  << formatNs(quantile("p50_ns")) << std::setw(12)
-                  << formatNs(quantile("p90_ns")) << std::setw(12)
-                  << formatNs(quantile("p99_ns")) << std::setw(12)
-                  << formatNs(quantile("max_ns")) << "\n";
+                  << formatNs(quantile("p50")) << std::setw(12)
+                  << formatNs(quantile("p90")) << std::setw(12)
+                  << formatNs(quantile("p99")) << std::setw(12)
+                  << formatNs(quantile("max")) << "\n";
     }
 }
 

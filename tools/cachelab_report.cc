@@ -307,8 +307,7 @@ writeReportMd(const std::string &path, const JsonValue &manifest,
         timing != nullptr && timing->isObject()) {
         out << "## Timing model (AMAT)\n\n";
         out << "Configured latencies: hit "
-            << timing->at("hit_cycles").asDouble() << ", L2 hit "
-            << timing->at("l2_hit_cycles").asDouble() << ", memory "
+            << timing->at("hit_cycles").asDouble() << ", memory "
             << timing->at("memory_cycles").asDouble()
             << " cycles; interface width "
             << timing->at("width_bytes").asDouble() << " B/cycle.\n\n";
@@ -766,12 +765,13 @@ main(int argc, char **argv)
     if (const JsonValue *schema = manifest->find("schema");
         schema == nullptr || schema->asString() != "cachelab.run_manifest")
         fatal(manifest_path, ": not a cachelab run manifest");
-    // Both manifest generations are readable: v1 (flat describe()
-    // string only) and v2 (structured policy + optional timing).
+    // Every manifest generation is readable: v1 (flat describe()
+    // string only), v2 (structured policy + optional timing) and v3
+    // (one histogram shape; no L2 hit latency).
     if (const JsonValue *version = manifest->find("schema_version");
-        version != nullptr && version->isUint() && version->asUint() > 2)
+        version != nullptr && version->isUint() && version->asUint() > 3)
         fatal(manifest_path, ": manifest schema_version ",
-              version->asUint(), " is newer than this tool (knows 1-2)");
+              version->asUint(), " is newer than this tool (knows 1-3)");
 
     const EventLog log = loadEvents(events_path);
 

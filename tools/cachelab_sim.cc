@@ -25,7 +25,6 @@
  */
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -114,8 +113,8 @@ cache parameters:
   --sector BYTES        sector cache with this sub-block size
   --purge N             purge every N refs (default 0 = never)
   --timing SPEC         AMAT timing model as key=value list (keys hit,
-                        l2hit, mem in cycles; width in bytes/cycle;
-                        empty = hit=1,l2hit=10,mem=100,width=8).  Adds
+                        mem in cycles; width in bytes/cycle; empty =
+                        hit=1,mem=100,width=8).  Adds
                         AMAT and traffic-limited throughput to the
                         report, sweep CSV and manifest; unified runs
                         and plain --sweep only
@@ -856,15 +855,6 @@ runSampledSweep(const Args &args, Input &input,
                               manifest);
 }
 
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 /** --ckpt-write: one functional pass producing a live-point store. */
 int
 runCkptWrite(const Args &args, TraceSource &source, const CacheConfig &base,
@@ -887,16 +877,17 @@ runCkptWrite(const Args &args, TraceSource &source, const CacheConfig &base,
     std::cout << "checkpoint store " << dir << " ["
               << (spec.split ? "split" : "unified") << ", "
               << spec.sample.describe() << "]\n"
-              << "  key " << hex64(s.keyHash) << ", content "
-              << hex64(s.contentHash) << "\n"
+              << "  key " << formatHex64(s.keyHash) << ", content "
+              << formatHex64(s.contentHash) << "\n"
               << "  " << formatCount(s.traceRefs) << " refs -> "
               << s.intervals << " interval images x " << s.groups
               << " group(s), " << formatSize(s.bytesWritten) << "\n";
 
     manifest.config.emplace_back("ckpt_action", "write");
     manifest.config.emplace_back("ckpt_dir", dir);
-    manifest.config.emplace_back("ckpt_key_hash", hex64(s.keyHash));
-    manifest.config.emplace_back("ckpt_content_hash", hex64(s.contentHash));
+    manifest.config.emplace_back("ckpt_key_hash", formatHex64(s.keyHash));
+    manifest.config.emplace_back("ckpt_content_hash",
+                                 formatHex64(s.contentHash));
     return 0;
 }
 
@@ -913,9 +904,10 @@ runCkptSweep(const Args &args, TraceSource &source, const CacheConfig &base,
         ckpt::LivePointStore::load(args.get("ckpt"));
     manifest.config.emplace_back("ckpt_action", "fanout");
     manifest.config.emplace_back("ckpt_dir", store.directory());
-    manifest.config.emplace_back("ckpt_key_hash", hex64(store.keyHash()));
+    manifest.config.emplace_back("ckpt_key_hash",
+                                 formatHex64(store.keyHash()));
     manifest.config.emplace_back("ckpt_content_hash",
-                                 hex64(store.contentHash()));
+                                 formatHex64(store.contentHash()));
 
     if (args.has("split"))
         return reportSplitSampledSweep(

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Local CI: configure, build, and test the default configuration and a
-# sanitized one.  Usage:
+# Local CI: configure, build, and test the default configuration and
+# sanitized ones, and compile a Release build.  Usage:
 #
 #   tools/ci.sh [jobs]
 #
-# Build trees go to build-ci/ and build-ci-asan/ so they never clash
-# with a developer's build/.  Exits non-zero on the first failure.
+# Build trees go to build-ci/, build-ci-release/, build-ci-asan/ and
+# build-ci-tsan/ so they never clash with a developer's build/.  Exits
+# non-zero on the first failure.
 
 set -euo pipefail
 
@@ -24,6 +25,14 @@ run_config() {
 }
 
 run_config build-ci -DCACHELAB_WERROR=ON
+
+# GCC inlines more at -O3 than at the default -O2 and then warns where
+# -O2 does not (-Wrestrict misreading `"literal" + std::string&&`), so
+# every target must also compile warning-free in Release.
+echo "==> build build-ci-release (Release, -Werror, compile only)"
+cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCACHELAB_WERROR=ON
+cmake --build build-ci-release -j "${jobs}"
 
 echo "==> observability smoke (run manifest + chrome trace)"
 build-ci/tools/cachelab_sim --profile ZGREP --refs 50000 --sweep 256:4096 \
@@ -419,7 +428,8 @@ ${sim} --profile ZGREP --refs 50000 --sweep 256:4096 \
 python3 - build-ci/smoke-policy-timing.json <<'EOF'
 import json, sys
 manifest = json.load(open(sys.argv[1]))
-assert manifest["schema_version"] == 2, manifest["schema_version"]
+assert manifest["schema_version"] == 3, manifest["schema_version"]
+assert "l2_hit_cycles" not in manifest["timing"], manifest["timing"]
 assert manifest["policy"]["name"] == "arc", manifest["policy"]
 assert manifest["timing"]["memory_cycles"] == 120, manifest["timing"]
 results = manifest["results"]
@@ -437,6 +447,19 @@ ${sim} --profile ZGREP --refs 50000 --size 4096 \
     --metrics-json build-ci/smoke-policy-notiming.json > /dev/null
 if grep -q '"amat"' build-ci/smoke-policy-notiming.json; then
     echo "    ERROR: timing fields leak into flags-off manifests"; exit 1
+fi
+# The retired L2 hit latency is an unknown key: one fatal line that
+# names the valid ones, exit 1.
+status=0
+${sim} --profile VSPICE --refs 10000 --timing l2hit=5 \
+    > /dev/null 2> build-ci/smoke-timing-l2hit.log || status=$?
+if [ "${status}" -ne 1 ] ||
+    [ "$(grep -c "fatal:" build-ci/smoke-timing-l2hit.log)" -ne 1 ] ||
+    ! grep -q "(valid: hit, mem, width)" build-ci/smoke-timing-l2hit.log
+then
+    echo "    ERROR: --timing l2hit=5 exited ${status}:"
+    cat build-ci/smoke-timing-l2hit.log
+    exit 1
 fi
 echo "    policy zoo swept; AMAT manifest checked; flags-off clean"
 
@@ -566,12 +589,14 @@ registry_dir = sys.argv[1]
 # quantiles are monotone.
 stats = json.load(open("build-ci/smoke-telem-stats.json"))
 assert stats["completed"] == 3, stats
-lat = stats["metrics"]["latencies"]
+hist = stats["metrics"]["histograms"]
 for series in ("serve.latency.e2e_ns", "serve.latency.exec_ns",
                "serve.latency.queue_wait_ns"):
-    assert lat[series]["count"] == 3, (series, lat[series])
-e2e = lat["serve.latency.e2e_ns"]
-assert 0 < e2e["p50_ns"] <= e2e["p90_ns"] <= e2e["p99_ns"] <= e2e["max_ns"]
+    assert hist[series]["count"] == 3, (series, hist[series])
+    h = hist[series]
+    assert h["p50"] <= h["p90"] <= h["p99"] <= h["max"], (series, h)
+e2e = hist["serve.latency.e2e_ns"]
+assert 0 < e2e["p50"], e2e
 
 # Served manifests carry the request-lifecycle timings, and the
 # instrumented daemon's results are bitwise identical to the
@@ -592,7 +617,8 @@ lines = [json.loads(l)
 assert lines, "no metrics snapshots written"
 assert all(l["schema"] == "cachelab.metrics_snapshot" for l in lines)
 assert [l["seq"] for l in lines] == list(range(1, len(lines) + 1))
-final = lines[-1]["metrics"]["latencies"]["serve.latency.e2e_ns"]
+assert all(l["schema_version"] == 2 for l in lines)
+final = lines[-1]["metrics"]["histograms"]["serve.latency.e2e_ns"]
 assert final["count"] == 3, final
 
 # Run registry: every run indexed, outcome ok, manifests on disk with
@@ -621,7 +647,7 @@ spans = [e for e in trace["traceEvents"]
 assert len(spans) == 3, len(spans)
 print(f"    {len(lines)} snapshots, 3 runs registered, "
       f"{len(spans)} request spans traced, e2e p50 "
-      f"{e2e['p50_ns'] / 1e6:.2f} ms")
+      f"{e2e['p50'] / 1e6:.2f} ms")
 EOF
 build-ci/tools/cachelab_report --registry "${registry_dir}" \
     > build-ci/smoke-campaign.md
@@ -736,6 +762,6 @@ cmake --build build-ci-tsan -j "${jobs}" \
     timing_test perf_counters_test ckpt_test streaming_test \
     sweep_equivalence_test
 ctest --test-dir build-ci-tsan --output-on-failure -j "${jobs}" \
-    -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|LatencyHistogram|PerfCounters|LivePointStore.ParallelWriterMatchesSerialBytes|StreamingDrivers|StreamingSampled|SweepSeeds|CheckpointSweep'
+    -R 'ThreadPool|MetricsRegistry|JsonWriterTest|PhaseProfiling|TraceEvents|ProgressMeterTest|PolicyZoo|PolicyCheckpoint|TinyLfu|Timing|RegistryHistogram|PerfCounters|LivePointStore.ParallelWriterMatchesSerialBytes|StreamingDrivers|StreamingSampled|SweepSeeds|CheckpointSweep'
 
-echo "==> ci passed (default + address,undefined + thread)"
+echo "==> ci passed (default + release + address,undefined + thread)"
